@@ -4,105 +4,29 @@ The package propagates the disorder-averaged state of a pulse-driven
 quantum system under weak pulse perturbations, validates that evolution
 against brute-force ensemble averaging, and optimizes control pulses with
 a sequential Krotov scheme that is aware of the disorder statistics.
+
+The top level exports what the README's library example uses; everything
+else is imported from the submodules (``linalg``, ``model``,
+``propagation``, ``krotov``, ``tasks``, ``cli``).
 """
 
-from .linalg import (
-    NumericalError,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    bloch_vector,
-    commutator,
-    commutator_super,
-    double_commutator_super,
-    expm,
-    expm_hermitian,
-    fidelity_pure_target,
-    ket,
-    pauli_string,
-    projector,
-    purity,
-    trace_distance,
-    unvec,
-    vec,
-)
-from .model import (
-    CorrelationKernel,
-    HamiltonianFamily,
-    TimeGrid,
-    blackman,
-    gaussian_kernel,
-    sample_perturbations,
-    update_shape,
-)
-from .propagation import (
-    PropagatorCache,
-    Trajectory,
-    build_cache,
-    build_eta_table,
-    build_htilde_table,
-    ddme_backward_step,
-    ddme_propagate,
-    ddme_step,
-    ensemble_average,
-    unitary_step,
-    white_noise_propagate,
-)
-from .krotov import (
-    ControlProblem,
-    KrotovConfig,
-    OptimizationTrace,
-    cost_JT,
-    ddme_gradient_D,
-    ddme_krotov,
-    run_correlation_sweep,
-    se_krotov,
-)
+from .linalg import SIGMA_X, SIGMA_Z, projector
+from .model import CorrelationKernel, HamiltonianFamily, TimeGrid
+from .propagation import ddme_propagate, ensemble_average
+from .krotov import ControlProblem, KrotovConfig, ddme_krotov, se_krotov
 
 __all__ = [
-    "NumericalError",
     "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
-    "bloch_vector",
-    "commutator",
-    "commutator_super",
-    "double_commutator_super",
-    "expm",
-    "expm_hermitian",
-    "fidelity_pure_target",
-    "ket",
-    "pauli_string",
     "projector",
-    "purity",
-    "trace_distance",
-    "unvec",
-    "vec",
     "CorrelationKernel",
     "HamiltonianFamily",
     "TimeGrid",
-    "blackman",
-    "gaussian_kernel",
-    "sample_perturbations",
-    "update_shape",
-    "PropagatorCache",
-    "Trajectory",
-    "build_cache",
-    "build_eta_table",
-    "build_htilde_table",
-    "ddme_backward_step",
     "ddme_propagate",
-    "ddme_step",
     "ensemble_average",
-    "unitary_step",
-    "white_noise_propagate",
     "ControlProblem",
     "KrotovConfig",
-    "OptimizationTrace",
-    "cost_JT",
-    "ddme_gradient_D",
     "ddme_krotov",
-    "run_correlation_sweep",
     "se_krotov",
 ]
 

@@ -116,6 +116,32 @@ def _merge(base, override):
     return out
 
 
+def _finite_float(text):
+    """JSON float literal to float; rejects literals that overflow to infinity."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
+def _finite_int(text):
+    """JSON integer literal to int; rejects integers beyond the float range."""
+    _finite_float(text)
+    return int(text)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+def _integer(value, name):
+    """An integer config field; a float is accepted only if it is integral."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_complex_entry(entry, name):
     if isinstance(entry, (int, float)):
         return complex(entry)
@@ -162,7 +188,7 @@ class ResolvedExperiment:
         preset = TASK_PRESETS.get(task)
 
         grid_cfg = raw["grid"]
-        self.grid = TimeGrid(T=float(grid_cfg["T"]), n_steps=int(grid_cfg["N_T"]))
+        self.grid = TimeGrid(T=float(grid_cfg["T"]), n_steps=_integer(grid_cfg["N_T"], "grid.N_T"))
 
         drift = _parse_operator(raw["system"]["drift"], "system.drift")
         controls = [
@@ -244,7 +270,7 @@ class ResolvedExperiment:
             float(kro["t_on"]),
             float(kro["t_off"]),
             j_tol=float(kro["J_tol"]),
-            i_max=int(kro["i_max"]),
+            i_max=_integer(kro["i_max"], "krotov.i_max"),
             n_controls=m,
         )
         se_lambdas = np.broadcast_to(np.atleast_1d(np.asarray(kro["se_lambda"], dtype=float)), (m,))
@@ -254,14 +280,14 @@ class ResolvedExperiment:
             float(kro["t_on"]),
             float(kro["t_off"]),
             j_tol=float(kro["se_J_tol"]),
-            i_max=int(kro["se_i_max"]),
+            i_max=_integer(kro["se_i_max"], "krotov.se_i_max"),
             n_controls=m,
         )
 
-        self.count = int(raw["ensemble"]["count"])
+        self.count = _integer(raw["ensemble"]["count"], "ensemble.count")
         if self.count < 1:
             raise ValueError(f"ensemble.count must be at least 1, got {self.count}")
-        self.seed = int(raw["ensemble"]["seed"])
+        self.seed = _integer(raw["ensemble"]["seed"], "ensemble.seed")
         if self.seed < 0:
             raise ValueError(f"ensemble.seed must be nonnegative, got {self.seed}")
         self.outputs = Path(raw["outputs"])
@@ -276,8 +302,13 @@ def load_experiment(config_path=None, task=None, seed=None, out=None):
         except OSError as exc:
             raise ValueError(f"cannot read config file {config_path}: {exc}") from None
         try:
-            user = json.loads(text)
-        except json.JSONDecodeError as exc:
+            user = json.loads(
+                text,
+                parse_float=_finite_float,
+                parse_int=_finite_int,
+                parse_constant=_reject_constant,
+            )
+        except ValueError as exc:  # includes json.JSONDecodeError
             raise ValueError(f"config file {config_path} is not valid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise ValueError("config file must contain a JSON object")

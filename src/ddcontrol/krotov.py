@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import check_density_matrix, commutator, dag, purity
+from .linalg import check_density_matrix, commutator, dag, purity, vec
 from .model import CorrelationKernel, HamiltonianFamily, TimeGrid, as_pulses, update_shape
 from .propagation import PropagatorCache, build_cache, ddme_propagate, unitary_steps
 
@@ -140,6 +140,11 @@ def _overlap(rho_targ, rho):
     return float(np.real(np.trace(rho_targ @ rho)))
 
 
+def _operators(vecs, d):
+    """C-contiguous (..., d, d) operators from column-stacked (..., d*d) vectors."""
+    return np.ascontiguousarray(np.swapaxes(vecs.reshape(vecs.shape[:-1] + (d, d)), -1, -2))
+
+
 def cost_JT(problem: ControlProblem, pulses, kernel=None):
     """Infidelity-type cost 1 - Tr(rho_targ rho_avg(T)) of a pulse set."""
     traj = ddme_propagate(problem, pulses, kernel=kernel)
@@ -210,7 +215,8 @@ def _gradient_terms(cache: PropagatorCache, states, costates, m, k):
     """
     hm = cache.h_family.controls[m]
     coherent = np.trace(costates[k] @ (-1j * commutator(hm, states[k])))
-    if cache.kernel.is_zero:
+    if not cache.has_memory:
+        # eta, including a white-noise kernel's local term, is pulse independent
         return coherent
 
     dt = cache.grid.dt
@@ -248,17 +254,17 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     cache = build_cache(problem.h_family, grid, guess, problem.kernel)
 
     d = problem.dim
-    dd = d * d
     # refresh() writes into v_steps in place, so this alias stays current
     v_steps = cache.v_steps
-    phi = np.empty((n + 1, d, d), dtype=complex)
-    chi = np.empty((n + 1, d, d), dtype=complex)
-    phi[0] = problem.rho0
+    # states and costates as column-stacked vectors, one row per node
+    phi = np.empty((n + 1, d * d), dtype=complex)
+    chi = np.empty((n + 1, d * d), dtype=complex)
+    phi[0] = vec(problem.rho0)
     for j in range(1, n + 1):
-        phi[j] = (v_steps[j - 1] @ phi[j - 1].T.reshape(dd)).reshape(d, d).T
-    chi[n] = problem.rho_targ
+        phi[j] = v_steps[j - 1] @ phi[j - 1]
+    chi[n] = vec(problem.rho_targ)
 
-    j_val = 1.0 - _overlap(problem.rho_targ, phi[n])
+    j_val = 1.0 - _overlap(problem.rho_targ, _operators(phi[n], d))
     j_values = [j_val]
     converged = config.j_tol is not None and j_val <= config.j_tol
 
@@ -267,19 +273,20 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
         iterations += 1
         for k in range(1, n + 1):
             for j in range(n - 1, k - 1, -1):
-                chi[j] = (v_steps[j].conj().T @ chi[j + 1].T.reshape(dd)).reshape(d, d).T
+                chi[j] = v_steps[j].conj().T @ chi[j + 1]
             for j in range(k, n + 1):
-                phi[j] = (v_steps[j - 1] @ phi[j - 1].T.reshape(dd)).reshape(d, d).T
+                phi[j] = v_steps[j - 1] @ phi[j - 1]
             new_values = cache.pulses[:, k - 1].copy()
-            for mm in range(m):
-                if config.shapes[mm, k - 1] == 0.0:
-                    continue
-                grad = ddme_gradient_D(cache, phi, chi, mm, k)
+            active = [mm for mm in range(m) if config.shapes[mm, k - 1] != 0.0]
+            if active:
+                states, costates = _operators(phi, d), _operators(chi, d)
+            for mm in active:
+                grad = ddme_gradient_D(cache, states, costates, mm, k)
                 new_values[mm] += config.shapes[mm, k - 1] / config.lambdas[mm] * grad
             if not np.array_equal(new_values, cache.pulses[:, k - 1]):
                 cache.update_step(k, new_values)
-            phi[k] = (v_steps[k - 1] @ phi[k - 1].T.reshape(dd)).reshape(d, d).T
-        j_val = 1.0 - _overlap(problem.rho_targ, phi[n])
+            phi[k] = v_steps[k - 1] @ phi[k - 1]
+        j_val = 1.0 - _overlap(problem.rho_targ, _operators(phi[n], d))
         j_values.append(j_val)
         converged = config.j_tol is not None and j_val <= config.j_tol
 

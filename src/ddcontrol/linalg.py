@@ -148,17 +148,23 @@ def expm_hermitian(h, scale=1.0):
     return np.einsum("...ab,...b,...cb->...ac", v, phases, np.conj(v))
 
 
+def _float_or_array(x):
+    """A Python float for a 0-d result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def purity(rho):
-    """Tr(rho^2); equals 1 iff the state is pure."""
+    """Tr(rho^2); equals 1 iff the state is pure.  Batched over leading axes."""
     rho = np.asarray(rho, dtype=complex)
-    return float(np.real(np.einsum("ab,ba->", rho, rho)))
+    return _float_or_array(np.real(np.einsum("...ab,...ba->...", rho, rho)))
 
 
 def fidelity_pure_target(rho_targ, rho):
     """Uhlmann fidelity against a pure target: sqrt(<psi|rho|psi>).
 
     The target must be a rank-1 projector; the general matrix-square-root
-    fidelity for mixed targets is deliberately not provided.
+    fidelity for mixed targets is deliberately not provided.  Batched over
+    the leading axes of ``rho``; the target is checked once per call.
     """
     rho_targ = np.asarray(rho_targ, dtype=complex)
     if abs(purity(rho_targ) - 1.0) > 1e-10:
@@ -166,8 +172,8 @@ def fidelity_pure_target(rho_targ, rho):
             f"target state is not pure (purity {purity(rho_targ):.12g}); "
             "only rank-1 projector targets are supported"
         )
-    overlap = float(np.real(np.trace(rho_targ @ rho)))
-    return float(np.sqrt(max(overlap, 0.0)))
+    overlap = np.real(np.trace(rho_targ @ np.asarray(rho), axis1=-2, axis2=-1))
+    return _float_or_array(np.sqrt(np.maximum(overlap, 0.0)))
 
 
 def trace_distance(a, b):
@@ -177,16 +183,16 @@ def trace_distance(a, b):
 
 
 def bloch_vector(rho):
-    """(x, y, z) expectation values of the Pauli operators for a qubit state."""
+    """(x, y, z) expectation values of the Pauli operators for a qubit state.
+
+    Batched over leading axes: a (..., 2, 2) stack gives (..., 3).
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise ValueError("Bloch coordinates are only defined for qubit states")
-    return np.array(
-        [
-            np.real(np.trace(rho @ SIGMA_X)),
-            np.real(np.trace(rho @ SIGMA_Y)),
-            np.real(np.trace(rho @ SIGMA_Z)),
-        ]
+    return np.stack(
+        [np.real(np.trace(rho @ s, axis1=-2, axis2=-1)) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)],
+        axis=-1,
     )
 
 

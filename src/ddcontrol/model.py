@@ -208,15 +208,15 @@ class CorrelationKernel:
     def weight_table(self, grid: TimeGrid):
         """C evaluated on (node, midpoint) pairs: shape (M, M, n_steps+1, n_steps).
 
-        This is the table consumed by the memory integrals; the first time
-        argument runs over nodes, the second over midpoints.  The
-        white-noise kind concentrates its weight alpha/2 on the last
-        midpoint before each node, which reproduces the Markovian
-        double-commutator generator in the continuum limit.
+        This is the table consumed by the Riemann sums of the memory
+        integrals; the first time argument runs over nodes, the second over
+        midpoints.  A delta-correlated kernel has no finite value on the
+        grid and enters through :attr:`local_weights` instead, so its table
+        is zero.
         """
         m, n = self.n_controls, grid.n_steps
         table = np.zeros((m, m, n + 1, n))
-        if self.kind == "zero":
+        if self.kind in ("zero", "white-noise"):
             return table
         if self.kind == "stationary-gaussian":
             diag = gaussian_kernel(
@@ -225,12 +225,6 @@ class CorrelationKernel:
             for i in range(m):
                 table[i, i] = diag
             return table
-        if self.kind == "white-noise":
-            half_rate = 0.5 * self.c0 / grid.dt
-            for i in range(m):
-                for j in range(1, n + 1):
-                    table[i, i, j, j - 1] = half_rate
-            return table
         table = np.array(self.node_mid_table, dtype=float)
         if table.shape != (m, m, n + 1, n):
             raise ValueError(
@@ -238,6 +232,22 @@ class CorrelationKernel:
                 f"expected {(m, m, n + 1, n)}"
             )
         return table
+
+    @property
+    def local_weights(self):
+        """(M, M) weights of the delta-correlated part of the kernel.
+
+        A kernel ``alpha * delta_mn * delta(t - t')`` puts half of its
+        delta inside the memory integral that ends at t, which adds the
+        pulse-independent term ``(alpha / 2) delta_mn H_n`` to ``eta`` at
+        every node after the first; the step generator then carries the
+        Markovian double commutator ``-(alpha / 2) sum_m [H_m, [H_m, rho]]``
+        exactly.  The weights are zero for kernels without such a part.
+        """
+        w = np.zeros((self.n_controls, self.n_controls))
+        if self.kind == "white-noise":
+            np.fill_diagonal(w, 0.5 * self.c0)
+        return w
 
     def covariance(self, grid: TimeGrid):
         """Covariance of the stacked pulse perturbations on the midpoint grid.

@@ -7,12 +7,19 @@ one-exponential step ``exp(dt * K_k)``, where the step generator
 
 combines the coherent drive with the accumulated memory integrals
 
-    eta[n1, n2, j] = dt * sum_{l < j} C[n1, n2](t_j, mid_l) * Htilde[n2, j, l],
+    eta[n1, n2, j] = w[n1, n2] H_n2 + dt * sum_{l < j} C[n1, n2](t_j, mid_l) * Htilde[n2, j, l],
 
-and ``Htilde[m, j, l]`` is the control Hamiltonian ``H_m`` coherently
-evolved from node ``l`` to node ``j``.  All tables live in a
+``Htilde[m, j, l]`` is the control Hamiltonian ``H_m`` coherently evolved
+from node ``l`` to node ``j``, and ``w`` holds the kernel's local weights
+(``alpha / 2`` on the diagonal for white noise, zero otherwise).  Every
+kernel kind goes through this one generator: for white noise the Riemann
+sum vanishes and the local term makes ``K_k`` the Markovian
+double-commutator generator.  All tables live in a
 :class:`PropagatorCache` that can be partially rebuilt after a pulse
-changes, which is what the sequential optimizer relies on.
+changes, which is what the sequential optimizer relies on, so the
+optimizer and :func:`ddme_propagate` follow the same map.
+:func:`white_noise_propagate` builds the Markovian generator on its own and
+is kept as an independent reference for that kind.
 
 Step indices ``k`` are 1-based (step ``k`` connects node ``k-1`` to node
 ``k``); node indices are 0-based.
@@ -50,12 +57,13 @@ class Trajectory:
     @classmethod
     def from_states(cls, times, states, rho_targ):
         states = np.asarray(states)
-        pur = np.array([purity(rho) for rho in states])
-        fid = np.array([fidelity_pure_target(rho_targ, rho) for rho in states])
-        bloch = None
-        if states.shape[-1] == 2:
-            bloch = np.array([bloch_vector(rho) for rho in states])
-        return cls(times=np.asarray(times), states=states, purity=pur, fidelity=fid, bloch=bloch)
+        return cls(
+            times=np.asarray(times),
+            states=states,
+            purity=purity(states),
+            fidelity=fidelity_pure_target(rho_targ, states),
+            bloch=bloch_vector(states) if states.shape[-1] == 2 else None,
+        )
 
     @property
     def final_state(self):
@@ -98,7 +106,11 @@ class PropagatorCache:
     * ``k_ops``: (M, N+1, d, d) interaction-picture controls
       ``g[l]^dag H_m g[l]``; together with ``g`` these factor the full
       evolved-control table, ``htilde[m, j, l] = g[j] k_ops[m, l] g[j]^dag``;
-    * ``eta``: (M, M, N+1, d, d) memory integrals per node;
+    * ``eta``: (M, M, N+1, d, d) memory integrals per node, the kernel's
+      pulse-independent local term plus its Riemann sum;
+    * ``has_memory``: whether the kernel has Riemann-sum weights in the
+      past of some node; without them ``eta`` does not depend on the
+      pulses (zero and white-noise kernels);
     * ``v_steps``: (N, d^2, d^2) one-step superoperators exp(dt * K_k);
     * ``htilde``: dense (M, N+1, N+1, d, d) snapshot, materialized on demand
       by :func:`build_htilde_table` and dropped on every refresh.
@@ -122,6 +134,8 @@ class PropagatorCache:
         mask = (np.arange(n)[None, :] < np.arange(n + 1)[:, None]).astype(float)
         self.weights = weights
         self._masked_weights = weights * mask[None, None, :, :]
+        self.has_memory = bool(np.any(self._masked_weights))
+        self._local_eta = np.einsum("pn,nab->pnab", kernel.local_weights, h_family.control_stack)
 
         self.u_steps = np.empty((n, d, d), dtype=complex)
         self.g = np.empty((n + 1, d, d), dtype=complex)
@@ -210,20 +224,27 @@ def build_htilde_table(cache: PropagatorCache):
 
 
 def build_eta_table(cache: PropagatorCache, start_node=0):
-    """Riemann-sum memory integrals for nodes >= start_node.
+    """Memory integrals for nodes >= start_node.
 
-    eta[n1, n2, j] = dt * sum_{l=0}^{j-1} C[n1, n2](t_j, mid_l) htilde[n2, j, l];
-    Hermitian whenever the kernel is real, since each htilde entry is.
-    The sum is evaluated in factored form: the kernel weights contract with
-    the interaction-picture controls first, and the single conjugation by
-    g[j] happens after.
+    eta[n1, n2, j] = w[n1, n2] H_n2
+                     + dt * sum_{l=0}^{j-1} C[n1, n2](t_j, mid_l) htilde[n2, j, l],
+
+    with ``w`` the kernel's local weights; Hermitian whenever the kernel is
+    real, since each htilde entry is.  The Riemann sum is skipped when the
+    kernel has no weights in the past of any node.  Otherwise it is
+    evaluated in factored form: the kernel weights contract with the
+    interaction-picture controls first, and the single conjugation by g[j]
+    happens after.
     """
     j0 = max(start_node, 1)
+    cache.eta[:, :, j0:] = cache._local_eta[:, :, None]
+    if not cache.has_memory:
+        return
     weighted = np.einsum(
         "pnjl,nlab->pnjab", cache._masked_weights[:, :, j0:], cache.k_ops[:, :-1]
     )
     gs = cache.g[j0:]
-    cache.eta[:, :, j0:] = cache.grid.dt * np.einsum(
+    cache.eta[:, :, j0:] += cache.grid.dt * np.einsum(
         "jab,pnjbc,jdc->pnjad", gs, weighted, np.conj(gs)
     )
 
@@ -252,18 +273,12 @@ def ddme_propagate(problem, pulses, kernel=None):
     """Propagate the disorder-averaged state over the whole grid.
 
     Returns a :class:`Trajectory` on the node grid.  ``kernel`` overrides
-    the problem's kernel when given.
+    the problem's kernel when given.  Every kernel kind uses the step
+    superoperators of a :class:`PropagatorCache`, the dynamics the
+    optimizer follows.
     """
     kernel = problem.kernel if kernel is None else kernel
-    grid = problem.grid
-    pulses = as_pulses(pulses, grid, problem.h_family.n_controls)
-    if kernel.kind == "white-noise":
-        return white_noise_propagate(problem, pulses, kernel.c0)
-    cache = build_cache(problem.h_family, grid, pulses, kernel)
-    return _propagate_with_cache(cache, problem)
-
-
-def _propagate_with_cache(cache, problem):
+    cache = build_cache(problem.h_family, problem.grid, pulses, kernel)
     states = np.empty((cache.n_steps + 1,) + problem.rho0.shape, dtype=complex)
     states[0] = problem.rho0
     v = vec(problem.rho0)
@@ -278,7 +293,9 @@ def white_noise_propagate(problem, pulses, alpha):
 
     Generator: K rho = -i [H(t), rho] - (alpha / 2) sum_m [H_m, [H_m, rho]].
     The dissipator has Hermitian jump operators, so the purity series is
-    non-increasing.
+    non-increasing.  This builds the generator directly, without a
+    :class:`PropagatorCache`; it is the independent reference that
+    :func:`ddme_propagate` on a white-noise kernel is checked against.
     """
     if alpha < 0.0:
         raise ValueError(f"white-noise rate must be nonnegative, got {alpha}")

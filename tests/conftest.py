@@ -1,6 +1,17 @@
 import numpy as np
 import pytest
 
+from ddcontrol.propagation import ddme_propagate, white_noise_propagate
+
+# The two ways to evolve under a white-noise kernel: the propagator cache that
+# the optimizer follows, and the directly built Markovian generator.
+WHITE_NOISE_PATHS = {
+    "ddme_propagate": lambda problem, pulses: ddme_propagate(problem, pulses),
+    "white_noise_propagate": lambda problem, pulses: white_noise_propagate(
+        problem, pulses, problem.kernel.c0
+    ),
+}
+
 
 def random_hermitian(rng, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

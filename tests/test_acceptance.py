@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import WHITE_NOISE_PATHS, random_hermitian
 from ddcontrol import cli
 from ddcontrol.linalg import SIGMA_X, SIGMA_Z, dag, expm, expm_hermitian, projector
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, sample_perturbations
@@ -41,7 +41,6 @@ from ddcontrol.propagation import (
     ddme_propagate,
     ddme_step,
     ensemble_average,
-    white_noise_propagate,
 )
 from ddcontrol.tasks import TASK_PRESETS, default_grid, default_h_family, guess_pulses, task_states
 
@@ -260,8 +259,9 @@ def test_criterion_7d_adjoint_consistency(rng):
     report("7d", worst <= 1e-10, f"adjoint inner-product mismatch {worst:.2e}")
 
 
-def test_criterion_7e_white_noise_purity_monotone(rng):
-    with _timed("white-noise"):
+@pytest.mark.parametrize("path", sorted(WHITE_NOISE_PATHS))
+def test_criterion_7e_white_noise_purity_monotone(rng, path):
+    with _timed(f"white-noise ({path})"):
         grid = TimeGrid(T=4.0, n_steps=40)
         rho0, targ = task_states("z-gate")
         problem = ControlProblem(
@@ -271,7 +271,7 @@ def test_criterion_7e_white_noise_purity_monotone(rng):
             grid=grid,
             kernel=CorrelationKernel.white_noise(0.2),
         )
-        traj = white_noise_propagate(problem, rng.standard_normal((1, 40)), alpha=0.2)
+        traj = WHITE_NOISE_PATHS[path](problem, rng.standard_normal((1, 40)))
         worst = float(np.max(np.diff(traj.purity)))
     report("7e", worst <= 1e-10, f"largest purity increase {worst:.2e}")
 

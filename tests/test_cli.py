@@ -48,6 +48,30 @@ def test_malformed_json_is_config_error(tmp_path):
     assert cli.main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, literal",
+    [
+        ("kernel", "C0", "NaN"),
+        ("grid", "T", "NaN"),
+        ("krotov", "lambda", "NaN"),
+        ("kernel", "t_corr", "Infinity"),
+        ("kernel", "C0", "-Infinity"),
+        ("grid", "T", "1e400"),
+        pytest.param("grid", "T", "1" + "0" * 400, id="grid-T-huge-integer"),
+        ("grid", "N_T", "2.7"),
+    ],
+)
+def test_non_finite_or_fractional_config_value_is_config_error(tmp_path, section, key, literal):
+    cfg = write_config(
+        tmp_path, kernel={"kind": "stationary-gaussian", "C0": 0.01, "t_corr": 100.0}
+    )
+    raw = json.loads(cfg.read_text())
+    raw.setdefault(section, {})[key] = "@value@"
+    cfg.write_text(json.dumps(raw).replace('"@value@"', literal))
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_task_is_config_error(tmp_path):
     assert cli.main(["optimize", "--task", "toffoli", "--out", str(tmp_path / "o")]) == 2
 

@@ -252,9 +252,27 @@ def test_ddme_krotov_deterministic():
     assert np.array_equal(a.j_values, b.j_values)
 
 
-def test_ddme_krotov_final_cost_matches_repropagation():
+def kernel_of_kind(kind, grid):
+    """A single-control kernel of each kind at the stock disorder scale."""
+    if kind == "zero":
+        return CorrelationKernel.zero()
+    if kind == "stationary-gaussian":
+        return CorrelationKernel.gaussian(0.01, 100.0)
+    if kind == "white-noise":
+        return CorrelationKernel.white_noise(0.01)
+    nodes, mids = grid.nodes, grid.midpoints
+
+    def table(t, s):
+        return (0.01 * np.exp(-((t[:, None] - s[None, :]) ** 2) / 2.0**2))[None, None]
+
+    return CorrelationKernel.tabulated(table(nodes, mids), table(mids, mids))
+
+
+@pytest.mark.parametrize("kind", ["zero", "stationary-gaussian", "white-noise", "tabulated"])
+def test_ddme_krotov_final_cost_matches_repropagation(kind):
+    # the optimizer and ddme_propagate must follow the same dynamics
     grid = TimeGrid(T=5.0, n_steps=50)
-    prob = make_problem("z-gate", grid=grid)
+    prob = make_problem("z-gate", kernel=kernel_of_kind(kind, grid), grid=grid)
     cfg = KrotovConfig.with_blackman_ramps(grid, 1.25, 1.0, 1.0, j_tol=None, i_max=3)
     trace = ddme_krotov(prob, guess_pulses("gaussian", grid), cfg)
     assert trace.j_values[-1] == pytest.approx(cost_JT(prob, trace.pulses), abs=1e-13)
@@ -304,7 +322,7 @@ def test_sweep_requires_gaussian_kernel():
 
 
 def test_ddme_krotov_accepts_white_noise_kernel():
-    # the delta-correlated kernel enters through its discretized weight table
+    # the delta-correlated kernel enters the cache as the local term of eta
     grid = TimeGrid(T=2.0, n_steps=20)
     prob = make_problem("z-gate", kernel=CorrelationKernel.white_noise(0.01), grid=grid)
     cfg = KrotovConfig.with_blackman_ramps(grid, 1.25, 0.5, 0.5, j_tol=None, i_max=2)

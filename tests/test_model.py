@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddcontrol.linalg import NumericalError, SIGMA_X, SIGMA_Z
+from ddcontrol.linalg import NumericalError, SIGMA_X, SIGMA_Y, SIGMA_Z
 from ddcontrol.model import (
     CorrelationKernel,
     HamiltonianFamily,
@@ -12,6 +12,7 @@ from ddcontrol.model import (
     sample_perturbations,
     update_shape,
 )
+from ddcontrol.propagation import build_cache
 
 
 def test_grid_spacing_and_interleaving():
@@ -164,11 +165,17 @@ def test_white_noise_tables():
     kern = CorrelationKernel.white_noise(0.2)
     cov = kern.covariance(grid)
     assert np.allclose(cov, np.eye(10) * 0.2 / grid.dt)
-    w = kern.weight_table(grid)[0, 0]
-    # concentrated on the midpoint just before each node, integrating to alpha/2
-    assert w[0, 0] == 0.0
-    assert w[3, 2] == pytest.approx(0.5 * 0.2 / grid.dt)
-    assert np.count_nonzero(w) == 10
+    # the delta kernel has no values on the grid: it enters eta as the exact
+    # local term (alpha / 2) delta_mn H_n at every node after the first
+    two = CorrelationKernel.white_noise(0.2, n_controls=2)
+    assert np.count_nonzero(two.weight_table(grid)) == 0
+    fam = HamiltonianFamily(drift=SIGMA_Z, controls=(SIGMA_X, SIGMA_Y))
+    cache = build_cache(fam, grid, np.linspace(-1.0, 1.0, 20).reshape(2, 10), two)
+    expected = np.zeros((2, 2, 2, 2), dtype=complex)
+    expected[0, 0] = 0.1 * SIGMA_X
+    expected[1, 1] = 0.1 * SIGMA_Y
+    assert np.array_equal(cache.eta[:, :, 1:], np.broadcast_to(expected[:, :, None], (2, 2, 10, 2, 2)))
+    assert np.count_nonzero(cache.eta[:, :, 0]) == 0
 
 
 def test_tabulated_kernel_symmetry_check():

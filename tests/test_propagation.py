@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian
+from conftest import WHITE_NOISE_PATHS, random_density, random_hermitian
 from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dag, projector, trace_distance, unvec, vec
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, gaussian_kernel
 from ddcontrol.krotov import ControlProblem
@@ -287,7 +287,8 @@ def test_white_noise_zero_rate_is_unitary(rng):
     assert np.max(np.abs(traj.states - ref.states)) <= 1e-12
 
 
-def test_white_noise_dephasing_closed_form():
+@pytest.mark.parametrize("path", sorted(WHITE_NOISE_PATHS))
+def test_white_noise_dephasing_closed_form(path):
     # H = 0, control sigma_x, zero pulses: Bloch z component decays as exp(-2 alpha t)
     grid = TimeGrid(T=2.0, n_steps=40)
     alpha = 0.35
@@ -298,17 +299,18 @@ def test_white_noise_dephasing_closed_form():
         grid=grid,
         kernel=CorrelationKernel.white_noise(alpha),
     )
-    traj = white_noise_propagate(prob, np.zeros((1, 40)), alpha)
+    traj = WHITE_NOISE_PATHS[path](prob, np.zeros((1, 40)))
     for s, t in enumerate(grid.nodes):
         expect = 0.5 * (np.eye(2) + np.exp(-2.0 * alpha * t) * SIGMA_Z)
         assert np.max(np.abs(traj.states[s] - expect)) <= 1e-12
 
 
-def test_white_noise_purity_monotone(rng):
+@pytest.mark.parametrize("path", sorted(WHITE_NOISE_PATHS))
+def test_white_noise_purity_monotone(rng, path):
     grid = TimeGrid(T=4.0, n_steps=40)
     prob = qubit_problem(grid, CorrelationKernel.white_noise(0.2))
     pulses = rng.standard_normal((1, 40))
-    traj = white_noise_propagate(prob, pulses, alpha=0.2)
+    traj = WHITE_NOISE_PATHS[path](prob, pulses)
     assert np.all(np.diff(traj.purity) <= 1e-10)
 
 
@@ -319,7 +321,10 @@ def test_white_noise_rejects_negative_rate():
         white_noise_propagate(prob, np.zeros((1, 4)), alpha=-0.1)
 
 
-def test_ddme_propagate_dispatches_white_noise_kernel(rng):
+def test_ddme_propagate_agrees_with_white_noise_reference(rng):
+    # the cache's local memory term reproduces the Markovian generator: bit
+    # for bit on the stock qubit, to roundoff for general controls, where
+    # (alpha/2) scales H before its commutator superoperator is formed
     grid = TimeGrid(T=1.0, n_steps=10)
     kern = CorrelationKernel.white_noise(0.15)
     prob = qubit_problem(grid, kern)
@@ -327,6 +332,21 @@ def test_ddme_propagate_dispatches_white_noise_kernel(rng):
     a = ddme_propagate(prob, pulses)
     b = white_noise_propagate(prob, pulses, 0.15)
     assert np.array_equal(a.states, b.states)
+
+    fam = HamiltonianFamily(
+        drift=random_hermitian(rng, 3), controls=(random_hermitian(rng, 3), random_hermitian(rng, 3))
+    )
+    prob = ControlProblem(
+        rho0=random_density(rng, 3),
+        rho_targ=np.diag([1.0, 0.0, 0.0]),
+        h_family=fam,
+        grid=grid,
+        kernel=CorrelationKernel.white_noise(0.15, n_controls=2),
+    )
+    pulses = rng.standard_normal((2, 10)) * 0.2
+    a = ddme_propagate(prob, pulses)
+    b = white_noise_propagate(prob, pulses, 0.15)
+    assert np.max(np.abs(a.states - b.states)) <= 1e-12
 
 
 def test_ensemble_zero_kernel_matches_unitary(rng):
