@@ -277,10 +277,10 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
             for j in range(k, n + 1):
                 phi[j] = v_steps[j - 1] @ phi[j - 1]
             new_values = cache.pulses[:, k - 1].copy()
-            active = [mm for mm in range(m) if config.shapes[mm, k - 1] != 0.0]
-            if active:
-                states, costates = _operators(phi, d), _operators(chi, d)
-            for mm in active:
+            states, costates = _operators(phi, d), _operators(chi, d)
+            for mm in range(m):
+                if config.shapes[mm, k - 1] == 0.0:
+                    continue
                 grad = ddme_gradient_D(cache, states, costates, mm, k)
                 new_values[mm] += config.shapes[mm, k - 1] / config.lambdas[mm] * grad
             if not np.array_equal(new_values, cache.pulses[:, k - 1]):
