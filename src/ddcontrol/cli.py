@@ -26,7 +26,6 @@ import copy
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -417,8 +416,7 @@ def run_task(exp: ResolvedExperiment):
     out.mkdir(parents=True, exist_ok=True)
     problem = exp.problem
 
-    se_problem = replace(problem, kernel=CorrelationKernel.zero(problem.n_controls))
-    se_trace = se_krotov(se_problem, exp.guess, exp.se_config)
+    se_trace = se_krotov(problem, exp.guess, exp.se_config)
     ddme_trace = ddme_krotov(problem, se_trace.pulses, exp.ddme_config)
 
     traj_se_master = ddme_propagate(problem, se_trace.pulses)
@@ -486,8 +484,7 @@ def run_sweep(exp: ResolvedExperiment, tcorr_list, iterations):
         raise ValueError("sweep requires a stationary Gaussian kernel in the config")
     out = exp.outputs
     out.mkdir(parents=True, exist_ok=True)
-    se_problem = replace(exp.problem, kernel=CorrelationKernel.zero(exp.problem.n_controls))
-    se_trace = se_krotov(se_problem, exp.guess, exp.se_config)
+    se_trace = se_krotov(exp.problem, exp.guess, exp.se_config)
     series = run_correlation_sweep(
         exp.problem, se_trace.pulses, exp.ddme_config, tcorr_list, iterations
     )

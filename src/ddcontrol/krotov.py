@@ -1,12 +1,13 @@
-"""Sequential Krotov-type pulse optimization, with and without disorder.
+"""Sequential Krotov-type pulse optimization of the disorder-dressed evolution.
 
-``se_krotov`` is the standard linear Krotov update for closed-system
-(von Neumann) dynamics.  ``ddme_krotov`` generalizes it to the
-disorder-dressed evolution: because the memory integrals make the step
-generators depend on all earlier pulse values, the costates and forward
-states are recomputed inside the sequential update loop, and the pulse
-gradient picks up contributions from every later node.  With a zero
-correlation kernel the two produce identical update sequences.
+``ddme_krotov`` is the linear sequential update (Reich, Ndong & Koch,
+J. Chem. Phys. 136, 104103 (2012)) of the disorder-dressed master
+equation.  Because the memory integrals make the step generators depend on
+all earlier pulse values, the costates and forward states are recomputed
+inside the sequential update loop, and the pulse gradient picks up
+contributions from every later node.  Closed-system (von Neumann) control
+is the zero-kernel case of the same loop: ``se_krotov`` runs
+``ddme_krotov`` with the kernel set to zero.
 
 Updates follow ``f += (S / lambda) * D`` with the update shape ``S`` in
 [0, 1] and the inverse step size ``lambda`` (smaller lambda means larger
@@ -23,9 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import check_density_matrix, commutator, dag, purity, vec
-from .model import CorrelationKernel, HamiltonianFamily, TimeGrid, as_pulses, update_shape
-from .propagation import PropagatorCache, build_cache, ddme_propagate, unitary_steps
+from .linalg import check_density_matrix, commutator, purity, vec
+from .model import CorrelationKernel, HamiltonianFamily, TimeGrid, update_shape
+from .propagation import PropagatorCache, build_cache, ddme_propagate
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +142,8 @@ def _overlap(rho_targ, rho):
 
 
 def _operators(vecs, d):
-    """C-contiguous (..., d, d) operators from column-stacked (..., d*d) vectors."""
-    return np.ascontiguousarray(np.swapaxes(vecs.reshape(vecs.shape[:-1] + (d, d)), -1, -2))
+    """(..., d, d) operator view of column-stacked (..., d*d) vectors."""
+    return np.swapaxes(vecs.reshape(vecs.shape[:-1] + (d, d)), -1, -2)
 
 
 def cost_JT(problem: ControlProblem, pulses, kernel=None):
@@ -152,57 +153,13 @@ def cost_JT(problem: ControlProblem, pulses, kernel=None):
 
 
 def se_krotov(problem: ControlProblem, guess, config: KrotovConfig):
-    """Standard sequential Krotov update for closed-system evolution.
+    """Sequential Krotov optimization of the closed-system (von Neumann) evolution.
 
-    The disorder kernel is ignored (the dynamics is the plain von Neumann
-    equation); costates are backward-propagated once per iteration with the
-    previous pulses, and each pulse value is updated from the state evolved
-    up to its own step.
+    The zero-kernel case of :func:`ddme_krotov`: the problem's disorder
+    kernel is replaced by the zero kernel.
     """
-    _check_config(problem, config)
-    grid = problem.grid
-    dt = grid.dt
-    n, m = grid.n_steps, problem.n_controls
-    controls = problem.h_family.control_stack
-    pulses = as_pulses(guess, grid, m).copy()
-
-    u = unitary_steps(problem.h_family, pulses, dt)
-    rho = problem.rho0
-    for k in range(n):
-        rho = u[k] @ rho @ dag(u[k])
-    j_val = 1.0 - _overlap(problem.rho_targ, rho)
-    j_values = [j_val]
-    converged = config.j_tol is not None and j_val <= config.j_tol
-
-    chi = np.empty((n + 1,) + problem.rho0.shape, dtype=complex)
-    iterations = 0
-    while not converged and iterations < config.i_max:
-        iterations += 1
-        chi[n] = problem.rho_targ
-        for j in range(n - 1, -1, -1):
-            chi[j] = dag(u[j]) @ chi[j + 1] @ u[j]
-        rho = problem.rho0
-        for k in range(1, n + 1):
-            rho_pre = u[k - 1] @ rho @ dag(u[k - 1])
-            updated = False
-            for mm in range(m):
-                if config.shapes[mm, k - 1] == 0.0:
-                    continue
-                grad = np.real(
-                    np.trace(chi[k] @ (-1j * commutator(controls[mm], rho_pre)))
-                )
-                pulses[mm, k - 1] += config.shapes[mm, k - 1] / config.lambdas[mm] * grad
-                updated = True
-            if updated:
-                u[k - 1] = unitary_steps(problem.h_family, pulses[:, k - 1 : k], dt)[0]
-            rho = u[k - 1] @ rho @ dag(u[k - 1])
-        j_val = 1.0 - _overlap(problem.rho_targ, rho)
-        j_values.append(j_val)
-        converged = config.j_tol is not None and j_val <= config.j_tol
-
-    return OptimizationTrace(
-        j_values=np.array(j_values), pulses=pulses, converged=converged, iterations=iterations
-    )
+    zero = CorrelationKernel.zero(problem.n_controls)
+    return ddme_krotov(replace(problem, kernel=zero), guess, config)
 
 
 def _gradient_terms(cache: PropagatorCache, states, costates, m, k):
@@ -243,10 +200,13 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     """Sequential Krotov optimization of the disorder-dressed evolution.
 
     Within each iteration the pulses are updated step by step; at update
-    index k the costates are recomputed backward from the target and the
-    states forward from node k-1, using propagators that already contain
-    the updates at steps < k.  After each update the cached tables are
-    rebuilt from step k on.
+    index k the gradient reads the states and costates from node k on,
+    computed with propagators that already contain the updates at steps
+    < k.  An update makes steps k..L stale (L = N with memory, L = k
+    without); the cache rebuilds them and only the nodes that depend on
+    them are propagated again.  So with memory the costates are re-swept
+    at every step and the states advanced to node N; without memory the
+    costates are swept once per iteration and only node k is advanced.
     """
     _check_config(problem, config)
     grid = problem.grid
@@ -259,10 +219,15 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     # states and costates as column-stacked vectors, one row per node
     phi = np.empty((n + 1, d * d), dtype=complex)
     chi = np.empty((n + 1, d * d), dtype=complex)
+    # C-contiguous operator copies of the nodes the gradient reads
+    states = np.empty((n + 1, d, d), dtype=complex)
+    costates = np.empty((n + 1, d, d), dtype=complex)
     phi[0] = vec(problem.rho0)
     for j in range(1, n + 1):
         phi[j] = v_steps[j - 1] @ phi[j - 1]
     chi[n] = vec(problem.rho_targ)
+    # costates chi[fresh:] agree with the current step superoperators
+    fresh = n
 
     j_val = 1.0 - _overlap(problem.rho_targ, _operators(phi[n], d))
     j_values = [j_val]
@@ -272,19 +237,23 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     while not converged and iterations < config.i_max:
         iterations += 1
         for k in range(1, n + 1):
-            for j in range(n - 1, k - 1, -1):
+            for j in range(fresh - 1, k - 1, -1):
                 chi[j] = v_steps[j].conj().T @ chi[j + 1]
-            for j in range(k, n + 1):
+            fresh = k
+            # the memory term of the gradient reads every node from k on
+            last = n if cache.has_memory else k
+            for j in range(k, last + 1):
                 phi[j] = v_steps[j - 1] @ phi[j - 1]
+            states[k : last + 1] = _operators(phi[k : last + 1], d)
+            costates[k : last + 1] = _operators(chi[k : last + 1], d)
             new_values = cache.pulses[:, k - 1].copy()
-            states, costates = _operators(phi, d), _operators(chi, d)
             for mm in range(m):
                 if config.shapes[mm, k - 1] == 0.0:
                     continue
                 grad = ddme_gradient_D(cache, states, costates, mm, k)
                 new_values[mm] += config.shapes[mm, k - 1] / config.lambdas[mm] * grad
             if not np.array_equal(new_values, cache.pulses[:, k - 1]):
-                cache.update_step(k, new_values)
+                fresh = cache.update_step(k, new_values)
             phi[k] = v_steps[k - 1] @ phi[k - 1]
         j_val = 1.0 - _overlap(problem.rho_targ, _operators(phi[n], d))
         j_values.append(j_val)

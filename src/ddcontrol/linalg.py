@@ -85,31 +85,11 @@ def check_density_matrix(rho, name="density matrix"):
     return rho
 
 
-def check_trace_preserving(s, tol=TRACE_TOL):
-    """Check that a superoperator preserves the trace: vec(I)^dag S = vec(I)^dag."""
-    s = as_operator(s, "superoperator")
-    d = int(round(np.sqrt(s.shape[0])))
-    vid = vec(np.eye(d, dtype=complex))
-    dev = np.max(np.abs(vid @ s - vid))
-    if dev > tol:
-        raise ValueError(f"superoperator is not trace preserving: deviation {dev:.3e}")
-    return s
-
-
 def commutator_super(a):
     """Superoperator S with S vec(X) = vec([A, X])."""
     a = as_operator(a)
     eye = np.eye(a.shape[0], dtype=complex)
     return np.kron(eye, a) - np.kron(a.T, eye)
-
-
-def double_commutator_super(a, b):
-    """Superoperator S with S vec(X) = vec([A, [B, X]])."""
-    a = as_operator(a, "A")
-    b = as_operator(b, "B")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
-    return commutator_super(a) @ commutator_super(b)
 
 
 def commutator_super_batch(ops):

@@ -75,6 +75,8 @@ class HamiltonianFamily:
 
     drift: np.ndarray
     controls: tuple
+    # (M, d, d) read-only stack of the controls, formed once
+    control_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         drift = check_hermitian(self.drift, name="drift Hamiltonian")
@@ -89,8 +91,11 @@ class HamiltonianFamily:
                 raise ValueError(
                     f"control Hamiltonian {m} has shape {h.shape}, drift has {drift.shape}"
                 )
+        stack = np.stack(controls)
+        stack.flags.writeable = False
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "control_stack", stack)
 
     @property
     def dim(self):
@@ -99,10 +104,6 @@ class HamiltonianFamily:
     @property
     def n_controls(self):
         return len(self.controls)
-
-    @property
-    def control_stack(self):
-        return np.stack(self.controls)
 
     def at(self, pulse_values):
         """Total Hamiltonian for one vector of pulse values (length M)."""

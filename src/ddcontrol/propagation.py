@@ -82,38 +82,37 @@ class Trajectory:
         return float(np.min(self.purity))
 
 
-def unitary_step(h_family, pulses, k, dt):
-    """Unitary for step k: exp(-i dt (H_0 + sum_m f[m, k-1] H_m))."""
-    pulses = np.asarray(pulses, dtype=float)
-    if not 1 <= k <= pulses.shape[1]:
-        raise ValueError(f"step index {k} outside 1..{pulses.shape[1]}")
-    return expm_hermitian(h_family.at(pulses[:, k - 1]), -1j * dt)
-
-
 def unitary_steps(h_family, pulses, dt):
     """All step unitaries at once: (n_steps, d, d)."""
     return expm_hermitian(h_family.stack(pulses), -1j * dt)
 
 
 class PropagatorCache:
-    """Step unitaries plus the coherently evolved controls, memory integrals
-    and one-step superoperators.
+    """One-step superoperators of the averaged dynamics, plus the tables that
+    feed them.
 
     Attributes (N = grid.n_steps, d = Hilbert dimension, M = controls):
+
+    * ``has_memory``: whether the kernel has Riemann-sum weights in the
+      past of some node; without them ``eta`` does not depend on the
+      pulses (zero and white-noise kernels);
+    * ``eta``: (M, M, N+1, d, d) memory integrals per node, the kernel's
+      pulse-independent local term plus its Riemann sum;
+    * ``v_steps``: (N, d^2, d^2) one-step superoperators exp(dt * K_k).
+
+    With memory the cache also keeps the tables the Riemann sum is built
+    from; without memory they are ``None``:
 
     * ``u_steps``: (N, d, d) step unitaries;
     * ``g``: (N+1, d, d) cumulative node propagators, ``g[j] = U(t_j, 0)``;
     * ``k_ops``: (M, N+1, d, d) interaction-picture controls
       ``g[l]^dag H_m g[l]``; together with ``g`` these factor the full
-      evolved-control table, ``htilde[m, j, l] = g[j] k_ops[m, l] g[j]^dag``;
-    * ``eta``: (M, M, N+1, d, d) memory integrals per node, the kernel's
-      pulse-independent local term plus its Riemann sum;
-    * ``has_memory``: whether the kernel has Riemann-sum weights in the
-      past of some node; without them ``eta`` does not depend on the
-      pulses (zero and white-noise kernels);
-    * ``v_steps``: (N, d^2, d^2) one-step superoperators exp(dt * K_k);
-    * ``htilde``: dense (M, N+1, N+1, d, d) snapshot, materialized on demand
-      by :func:`build_htilde_table` and dropped on every refresh.
+      evolved-control table, ``htilde[m, j, l] = g[j] k_ops[m, l] g[j]^dag``.
+
+    A pulse change at step k alters the generator of step k.  With memory
+    it also rotates every later ``g[j]`` and so every later ``eta``, and
+    :meth:`update_step` rebuilds all tables from step k to N; without
+    memory it rebuilds only ``v_steps[k-1]``.
     """
 
     def __init__(self, h_family, grid: TimeGrid, pulses, kernel: CorrelationKernel):
@@ -137,35 +136,53 @@ class PropagatorCache:
         self.has_memory = bool(np.any(self._masked_weights))
         self._local_eta = np.einsum("pn,nab->pnab", kernel.local_weights, h_family.control_stack)
 
-        self.u_steps = np.empty((n, d, d), dtype=complex)
-        self.g = np.empty((n + 1, d, d), dtype=complex)
-        self.g[0] = np.eye(d, dtype=complex)
-        self.k_ops = np.empty((m, n + 1, d, d), dtype=complex)
         self.eta = np.empty((m, m, n + 1, d, d), dtype=complex)
-        self.v_steps = np.empty((n, d * d, d * d), dtype=complex)
-        self.htilde = None
-        # node-0 entries are pulse independent and never touched by refresh
-        self.k_ops[:, 0] = h_family.control_stack
         self.eta[:, :, 0] = 0.0
-        self.refresh(1)
+        self.v_steps = np.empty((n, d * d, d * d), dtype=complex)
+        if self.has_memory:
+            self.u_steps = np.empty((n, d, d), dtype=complex)
+            self.g = np.empty((n + 1, d, d), dtype=complex)
+            self.g[0] = np.eye(d, dtype=complex)
+            self.k_ops = np.empty((m, n + 1, d, d), dtype=complex)
+            # node-0 entries are pulse independent and never touched by refresh
+            self.k_ops[:, 0] = h_family.control_stack
+            self.refresh(1)
+        else:
+            self.u_steps = self.g = self.k_ops = None
+            build_eta_table(self)
+            # eta is pulse independent, and so is the incoherent generator
+            self._static_incoherent = self._incoherent(self._local_eta[:, :, None])
+            self._build_v_steps(1, n)
 
     @property
     def n_steps(self):
         return self.grid.n_steps
 
     def update_step(self, k, values):
-        """Set all pulse values on step k and rebuild the stale table suffix."""
+        """Set all pulse values on step k and rebuild the tables they feed.
+
+        Returns the last step whose superoperator was rebuilt: k without
+        memory, N with memory.
+        """
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if not np.all(np.isfinite(values)):
             raise NumericalError(f"non-finite pulse update at step {k}")
         self.pulses[:, k - 1] = values
-        self.refresh(k)
+        return self.refresh(k)
 
     def refresh(self, start_step):
-        """Rebuild every table that depends on pulses at steps >= start_step."""
+        """Rebuild the tables that a pulse change at step start_step makes stale.
+
+        With memory that is every table from start_step on; without memory
+        it is the one superoperator of step start_step.  Returns the last
+        rebuilt step.
+        """
         k0 = start_step
         if not 1 <= k0 <= self.n_steps:
             raise ValueError(f"start step {k0} outside 1..{self.n_steps}")
+        if not self.has_memory:
+            self._build_v_steps(k0, k0)
+            return k0
         dt = self.grid.dt
         hams = self.h_family.stack(self.pulses[:, k0 - 1 :])
         self.u_steps[k0 - 1 :] = expm_hermitian(hams, -1j * dt)
@@ -177,50 +194,36 @@ class PropagatorCache:
             self.h_family.control_stack,
             self.g[k0:],
         )
-        self.htilde = None
         build_eta_table(self, start_node=k0)
-        self._build_v_steps(k0)
+        self._build_v_steps(k0, self.n_steps)
+        return self.n_steps
 
-    def _build_v_steps(self, start_step):
+    def _build_v_steps(self, first, last):
+        """Superoperators of steps first..last (1-based, inclusive)."""
         dt = self.grid.dt
-        c_hbar = commutator_super_batch(self.h_family.stack(self.pulses[:, start_step - 1 :]))
-        c_eta = commutator_super_batch(self.eta[:, :, start_step:])
-        incoherent = np.einsum("mab,mnkbc->kac", self._c_controls, c_eta)
+        c_hbar = commutator_super_batch(self.h_family.stack(self.pulses[:, first - 1 : last]))
+        if self.has_memory:
+            incoherent = self._incoherent(self.eta[:, :, first : last + 1])
+        else:
+            incoherent = self._static_incoherent
         gen = -1j * c_hbar - incoherent
         if not np.all(np.isfinite(gen)):
             raise NumericalError("non-finite step generator")
-        self.v_steps[start_step - 1 :] = expm(gen, scale=dt)
+        self.v_steps[first - 1 : last] = expm(gen, scale=dt)
+
+    def _incoherent(self, eta):
+        """Superoperators of sum_mn [H_m, [eta_mn, .]] for a (M, M, K, d, d) eta slice."""
+        return np.einsum("mab,mnkbc->kac", self._c_controls, commutator_super_batch(eta))
 
     def htilde_row(self, j):
-        """Evolved controls ending at node j: (M, j+1, d, d) over start nodes l <= j."""
+        """Evolved controls ending at node j: (M, j+1, d, d) over start nodes l <= j.
+
+        Needs the memory tables ``g`` and ``k_ops``.
+        """
         gj = self.g[j]
         row = np.einsum("ab,mlbc,dc->mlad", gj, self.k_ops[:, : j + 1], np.conj(gj))
         row[:, j] = self.h_family.control_stack  # exact at equal nodes
         return row
-
-    def relative_propagator(self, j, l):
-        """U(t_j, t_l) between nodes, j >= l."""
-        if j < l:
-            raise ValueError(f"need j >= l, got ({j}, {l})")
-        return self.g[j] @ dag(self.g[l])
-
-
-def build_htilde_table(cache: PropagatorCache):
-    """Materialize the dense evolved-control table for the current pulses.
-
-    Returns (and stores on the cache) the (M, N+1, N+1, d, d) array with
-    entry [m, j, l] equal to H_m evolved from node l to node j for l <= j,
-    and zeros above the diagonal.  The propagation and optimization paths
-    work from the factored form; this snapshot exists for inspection and
-    validation.
-    """
-    n = cache.n_steps
-    m, d = cache.h_family.n_controls, cache.h_family.dim
-    table = np.zeros((m, n + 1, n + 1, d, d), dtype=complex)
-    for j in range(n + 1):
-        table[:, j, : j + 1] = cache.htilde_row(j)
-    cache.htilde = table
-    return table
 
 
 def build_eta_table(cache: PropagatorCache, start_node=0):

@@ -1,0 +1,118 @@
+"""Independent reference implementations the tests compare the package against.
+
+None of these are used by the package itself: each one is a direct,
+unoptimized form of something the package computes another way.
+"""
+
+import numpy as np
+
+from ddcontrol.krotov import OptimizationTrace
+from ddcontrol.linalg import TRACE_TOL, as_operator, commutator, commutator_super, dag, expm_hermitian, vec
+from ddcontrol.model import as_pulses
+from ddcontrol.propagation import unitary_steps
+
+
+def unitary_step(h_family, pulses, k, dt):
+    """Unitary for step k: exp(-i dt (H_0 + sum_m f[m, k-1] H_m))."""
+    pulses = np.asarray(pulses, dtype=float)
+    if not 1 <= k <= pulses.shape[1]:
+        raise ValueError(f"step index {k} outside 1..{pulses.shape[1]}")
+    return expm_hermitian(h_family.at(pulses[:, k - 1]), -1j * dt)
+
+
+def relative_propagator(cache, j, l):
+    """U(t_j, t_l) between nodes, j >= l, from a cache with memory tables."""
+    if j < l:
+        raise ValueError(f"need j >= l, got ({j}, {l})")
+    return cache.g[j] @ dag(cache.g[l])
+
+
+def build_htilde_table(cache):
+    """Dense evolved-control table of a cache with memory tables.
+
+    Returns the (M, N+1, N+1, d, d) array with entry [m, j, l] equal to H_m
+    evolved from node l to node j for l <= j, and zeros above the diagonal.
+    """
+    n = cache.n_steps
+    m, d = cache.h_family.n_controls, cache.h_family.dim
+    table = np.zeros((m, n + 1, n + 1, d, d), dtype=complex)
+    for j in range(n + 1):
+        table[:, j, : j + 1] = cache.htilde_row(j)
+    return table
+
+
+def check_trace_preserving(s, tol=TRACE_TOL):
+    """Check that a superoperator preserves the trace: vec(I)^dag S = vec(I)^dag."""
+    s = as_operator(s, "superoperator")
+    d = int(round(np.sqrt(s.shape[0])))
+    vid = vec(np.eye(d, dtype=complex))
+    dev = np.max(np.abs(vid @ s - vid))
+    if dev > tol:
+        raise ValueError(f"superoperator is not trace preserving: deviation {dev:.3e}")
+    return s
+
+
+def double_commutator_super(a, b):
+    """Superoperator S with S vec(X) = vec([A, [B, X]])."""
+    a = as_operator(a, "A")
+    b = as_operator(b, "B")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
+    return commutator_super(a) @ commutator_super(b)
+
+
+def _overlap(rho_targ, rho):
+    return float(np.real(np.trace(rho_targ @ rho)))
+
+
+def se_krotov_reference(problem, guess, config):
+    """Sequential Krotov update of the closed-system (von Neumann) evolution.
+
+    Works on step unitaries and Hilbert-space states, without superoperators
+    or a propagator cache.  The disorder kernel is ignored; costates are
+    backward-propagated once per iteration with the previous pulses, and
+    each pulse value is updated from the state evolved up to its own step.
+    """
+    grid = problem.grid
+    dt = grid.dt
+    n, m = grid.n_steps, problem.n_controls
+    controls = problem.h_family.control_stack
+    pulses = as_pulses(guess, grid, m).copy()
+
+    u = unitary_steps(problem.h_family, pulses, dt)
+    rho = problem.rho0
+    for k in range(n):
+        rho = u[k] @ rho @ dag(u[k])
+    j_val = 1.0 - _overlap(problem.rho_targ, rho)
+    j_values = [j_val]
+    converged = config.j_tol is not None and j_val <= config.j_tol
+
+    chi = np.empty((n + 1,) + problem.rho0.shape, dtype=complex)
+    iterations = 0
+    while not converged and iterations < config.i_max:
+        iterations += 1
+        chi[n] = problem.rho_targ
+        for j in range(n - 1, -1, -1):
+            chi[j] = dag(u[j]) @ chi[j + 1] @ u[j]
+        rho = problem.rho0
+        for k in range(1, n + 1):
+            rho_pre = u[k - 1] @ rho @ dag(u[k - 1])
+            updated = False
+            for mm in range(m):
+                if config.shapes[mm, k - 1] == 0.0:
+                    continue
+                grad = np.real(
+                    np.trace(chi[k] @ (-1j * commutator(controls[mm], rho_pre)))
+                )
+                pulses[mm, k - 1] += config.shapes[mm, k - 1] / config.lambdas[mm] * grad
+                updated = True
+            if updated:
+                u[k - 1] = unitary_steps(problem.h_family, pulses[:, k - 1 : k], dt)[0]
+            rho = u[k - 1] @ rho @ dag(u[k - 1])
+        j_val = 1.0 - _overlap(problem.rho_targ, rho)
+        j_values.append(j_val)
+        converged = config.j_tol is not None and j_val <= config.j_tol
+
+    return OptimizationTrace(
+        j_values=np.array(j_values), pulses=pulses, converged=converged, iterations=iterations
+    )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
+from reference import check_trace_preserving, double_commutator_super
 from ddcontrol.linalg import (
     NumericalError,
     SIGMA_X,
@@ -9,11 +10,9 @@ from ddcontrol.linalg import (
     SIGMA_Z,
     bloch_vector,
     check_density_matrix,
-    check_trace_preserving,
     commutator,
     commutator_super,
     dag,
-    double_commutator_super,
     expm,
     expm_hermitian,
     fidelity_pure_target,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import WHITE_NOISE_PATHS, random_density, random_hermitian
+from reference import build_htilde_table, relative_propagator, unitary_step
 from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dag, projector, trace_distance, unvec, vec
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, gaussian_kernel
 from ddcontrol.krotov import ControlProblem
@@ -9,12 +10,10 @@ from ddcontrol.propagation import (
     PropagatorCache,
     build_cache,
     build_eta_table,
-    build_htilde_table,
     ddme_backward_step,
     ddme_propagate,
     ddme_step,
     ensemble_average,
-    unitary_step,
     unitary_steps,
     white_noise_propagate,
 )
@@ -111,9 +110,50 @@ def test_htilde_row_matches_explicit_conjugation(rng):
     pulses = rng.standard_normal((1, 12)) * 0.4
     cache = build_cache(QUBIT, grid, pulses, kern)
     j, l = 9, 4
-    u_rel = cache.relative_propagator(j, l)
+    u_rel = relative_propagator(cache, j, l)
     expected = u_rel @ SIGMA_X @ dag(u_rel)
     assert np.allclose(cache.htilde_row(j)[0, l], expected, atol=1e-12)
+
+
+def _cache_inputs(kind, grid):
+    """Hamiltonian family and kernel for each kernel kind; tabulated has two
+    controls with a cross correlation."""
+    if kind == "zero":
+        return QUBIT, CorrelationKernel.zero()
+    if kind == "white-noise":
+        return QUBIT, CorrelationKernel.white_noise(0.2)
+    if kind == "stationary-gaussian":
+        return QUBIT, CorrelationKernel.gaussian(0.1, 0.8)
+    fam = HamiltonianFamily(drift=0.5 * SIGMA_Z, controls=(0.5 * SIGMA_X, 0.5 * SIGMA_Y))
+    coef = np.array([[0.3, 0.1], [0.1, 0.2]])
+
+    def table(t, s):
+        return coef[:, :, None, None] * np.exp(-((t[:, None] - s[None, :]) ** 2) / 0.8**2)
+
+    nodes, mids = grid.nodes, grid.midpoints
+    return fam, CorrelationKernel.tabulated(table(nodes, mids), table(mids, mids))
+
+
+@pytest.mark.parametrize("kind", ["zero", "white-noise", "stationary-gaussian", "tabulated"])
+def test_incremental_update_equals_full_rebuild(kind):
+    rng = np.random.default_rng(11)
+    n = 12
+    grid = TimeGrid(T=2.0, n_steps=n)
+    fam, kern = _cache_inputs(kind, grid)
+    m = fam.n_controls
+    cache = build_cache(fam, grid, rng.standard_normal((m, n)) * 0.5, kern)
+    assert cache.has_memory == (kind in ("stationary-gaussian", "tabulated"))
+    steps = rng.permutation(np.concatenate([[1, n], rng.integers(1, n + 1, size=10)]))
+    for k in steps:
+        last = cache.update_step(int(k), rng.standard_normal(m) * 0.5)
+        assert last == (n if cache.has_memory else k)
+    rebuilt = build_cache(fam, grid, cache.pulses, kern)
+    for name in ("u_steps", "g", "k_ops", "eta", "v_steps"):
+        got, want = getattr(cache, name), getattr(rebuilt, name)
+        if not cache.has_memory and name in ("u_steps", "g", "k_ops"):
+            assert got is None and want is None
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12, name
 
 
 def test_ddme_step_zero_kernel_is_unitary_conjugation(rng):
@@ -121,8 +161,9 @@ def test_ddme_step_zero_kernel_is_unitary_conjugation(rng):
     pulses = rng.standard_normal((1, 10)) * 0.8
     cache = build_cache(QUBIT, grid, pulses, CorrelationKernel.zero())
     rho = random_density(rng, 2)
+    units = unitary_steps(QUBIT, pulses, grid.dt)
     for k in (1, 5, 10):
-        u = cache.u_steps[k - 1]
+        u = units[k - 1]
         assert np.allclose(ddme_step(cache, k, rho), u @ rho @ dag(u), atol=1e-13)
 
 
@@ -234,10 +275,11 @@ def test_backward_step_is_adjoint(rng):
 def test_backward_step_zero_kernel_is_heisenberg():
     rng = np.random.default_rng(5)
     grid = TimeGrid(T=1.0, n_steps=6)
-    cache = build_cache(QUBIT, grid, rng.standard_normal((1, 6)), CorrelationKernel.zero())
+    pulses = rng.standard_normal((1, 6))
+    cache = build_cache(QUBIT, grid, pulses, CorrelationKernel.zero())
     chi = random_hermitian(rng, 2)
     got = ddme_backward_step(cache, 3, chi)
-    u = cache.u_steps[2]
+    u = unitary_steps(QUBIT, pulses, grid.dt)[2]
     assert np.allclose(got, dag(u) @ chi @ u, atol=1e-12)
 
 
@@ -402,15 +444,6 @@ def test_trajectory_series_shapes():
     assert traj.bloch.shape == (11, 3)
     assert np.allclose(traj.times, grid.nodes)
     assert np.max(np.sum(traj.bloch**2, axis=1)) <= 1.0 + 1e-9
-
-
-def test_htilde_snapshot_invalidated_on_update(rng):
-    grid = TimeGrid(T=1.0, n_steps=8)
-    cache = build_cache(QUBIT, grid, rng.standard_normal((1, 8)), CorrelationKernel.gaussian(0.1, 1.0))
-    build_htilde_table(cache)
-    assert cache.htilde is not None
-    cache.update_step(4, np.array([0.9]))
-    assert cache.htilde is None
 
 
 def test_unitary_trajectory_matches_ensemble_of_one(rng):
