@@ -216,17 +216,19 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     d = problem.dim
     # refresh() writes into v_steps in place, so this alias stays current
     v_steps = cache.v_steps
-    # states and costates as column-stacked vectors, one row per node
+    # states and conjugated costates as column-stacked vectors, one row per
+    # node; xi = conj(chi) turns the backward step chi[j] = V_j^dag chi[j+1]
+    # into xi[j] = xi[j+1] V_j, with no transposed copy of V_j
     phi = np.empty((n + 1, d * d), dtype=complex)
-    chi = np.empty((n + 1, d * d), dtype=complex)
+    xi = np.empty((n + 1, d * d), dtype=complex)
     # C-contiguous operator copies of the nodes the gradient reads
     states = np.empty((n + 1, d, d), dtype=complex)
     costates = np.empty((n + 1, d, d), dtype=complex)
     phi[0] = vec(problem.rho0)
     for j in range(1, n + 1):
         phi[j] = v_steps[j - 1] @ phi[j - 1]
-    chi[n] = vec(problem.rho_targ)
-    # costates chi[fresh:] agree with the current step superoperators
+    xi[n] = vec(problem.rho_targ).conj()
+    # costates xi[fresh:] agree with the current step superoperators
     fresh = n
 
     j_val = 1.0 - _overlap(problem.rho_targ, _operators(phi[n], d))
@@ -238,14 +240,14 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
         iterations += 1
         for k in range(1, n + 1):
             for j in range(fresh - 1, k - 1, -1):
-                chi[j] = v_steps[j].conj().T @ chi[j + 1]
+                xi[j] = xi[j + 1] @ v_steps[j]
             fresh = k
             # the memory term of the gradient reads every node from k on
             last = n if cache.has_memory else k
             for j in range(k, last + 1):
                 phi[j] = v_steps[j - 1] @ phi[j - 1]
             states[k : last + 1] = _operators(phi[k : last + 1], d)
-            costates[k : last + 1] = _operators(chi[k : last + 1], d)
+            costates[k : last + 1] = _operators(xi[k : last + 1].conj(), d)
             new_values = cache.pulses[:, k - 1].copy()
             for mm in range(m):
                 if config.shapes[mm, k - 1] == 0.0:

@@ -105,13 +105,6 @@ class HamiltonianFamily:
     def n_controls(self):
         return len(self.controls)
 
-    def at(self, pulse_values):
-        """Total Hamiltonian for one vector of pulse values (length M)."""
-        h = self.drift.copy()
-        for f, hc in zip(np.atleast_1d(pulse_values), self.controls):
-            h = h + float(f) * hc
-        return h
-
     def stack(self, pulses):
         """Total Hamiltonians on every step: (n_steps, d, d) for (M, n_steps) pulses."""
         return self.drift[None, :, :] + np.einsum(

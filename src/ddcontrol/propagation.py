@@ -109,10 +109,14 @@ class PropagatorCache:
       ``g[l]^dag H_m g[l]``; together with ``g`` these factor the full
       evolved-control table, ``htilde[m, j, l] = g[j] k_ops[m, l] g[j]^dag``.
 
-    A pulse change at step k alters the generator of step k.  With memory
-    it also rotates every later ``g[j]`` and so every later ``eta``, and
-    :meth:`update_step` rebuilds all tables from step k to N; without
-    memory it rebuilds only ``v_steps[k-1]``.
+    A pulse change at step k alters the generator of step k.  Without
+    memory :meth:`update_step` rebuilds only ``v_steps[k-1]``.  With memory
+    the new step unitary also rotates every later node propagator,
+    ``g'[j] = g[j] R`` for j >= k, and so every later ``eta``; the update
+    recomputes the one unitary ``u_steps[k-1]``, applies ``R`` to ``g[k:]``
+    and ``k_ops[:, k:]`` (``k_ops' = R^dag k_ops R``), and rebuilds ``eta``
+    and ``v_steps`` from node k on.  The constructor builds the chain
+    ``g`` once.
     """
 
     def __init__(self, h_family, grid: TimeGrid, pulses, kernel: CorrelationKernel):
@@ -140,19 +144,22 @@ class PropagatorCache:
         self.eta[:, :, 0] = 0.0
         self.v_steps = np.empty((n, d * d, d * d), dtype=complex)
         if self.has_memory:
-            self.u_steps = np.empty((n, d, d), dtype=complex)
+            self.u_steps = unitary_steps(h_family, self.pulses, grid.dt)
             self.g = np.empty((n + 1, d, d), dtype=complex)
             self.g[0] = np.eye(d, dtype=complex)
+            for j in range(1, n + 1):
+                self.g[j] = self.u_steps[j - 1] @ self.g[j - 1]
             self.k_ops = np.empty((m, n + 1, d, d), dtype=complex)
-            # node-0 entries are pulse independent and never touched by refresh
             self.k_ops[:, 0] = h_family.control_stack
-            self.refresh(1)
+            self.k_ops[:, 1:] = np.einsum(
+                "jba,mbc,jcd->mjad", np.conj(self.g[1:]), h_family.control_stack, self.g[1:]
+            )
         else:
             self.u_steps = self.g = self.k_ops = None
-            build_eta_table(self)
             # eta is pulse independent, and so is the incoherent generator
             self._static_incoherent = self._incoherent(self._local_eta[:, :, None])
-            self._build_v_steps(1, n)
+        build_eta_table(self)
+        self._build_v_steps(1, n)
 
     @property
     def n_steps(self):
@@ -173,9 +180,10 @@ class PropagatorCache:
     def refresh(self, start_step):
         """Rebuild the tables that a pulse change at step start_step makes stale.
 
-        With memory that is every table from start_step on; without memory
-        it is the one superoperator of step start_step.  Returns the last
-        rebuilt step.
+        With memory that is one step unitary, a rotation of the later
+        ``g`` and ``k_ops`` entries, and every ``eta`` and ``v_steps`` entry
+        from start_step on; without memory it is the one superoperator of
+        step start_step.  Returns the last rebuilt step.
         """
         k0 = start_step
         if not 1 <= k0 <= self.n_steps:
@@ -183,17 +191,15 @@ class PropagatorCache:
         if not self.has_memory:
             self._build_v_steps(k0, k0)
             return k0
-        dt = self.grid.dt
-        hams = self.h_family.stack(self.pulses[:, k0 - 1 :])
-        self.u_steps[k0 - 1 :] = expm_hermitian(hams, -1j * dt)
-        for j in range(k0, self.n_steps + 1):
-            self.g[j] = self.u_steps[j - 1] @ self.g[j - 1]
-        self.k_ops[:, k0:] = np.einsum(
-            "jba,mbc,jcd->mjad",
-            np.conj(self.g[k0:]),
-            self.h_family.control_stack,
-            self.g[k0:],
-        )
+        # The new step unitary rotates every later node propagator,
+        # g'[j] = g[j] R for j >= k0.  Solving g[k0] R = g'[k0] keeps the
+        # chain at roundoff; R = g[k0]^dag g'[k0] would feed g's own
+        # deviation from unitarity back in, doubling it with every update.
+        u = unitary_steps(self.h_family, self.pulses[:, k0 - 1 : k0], self.grid.dt)[0]
+        self.u_steps[k0 - 1] = u
+        rot = np.linalg.solve(self.g[k0], u @ self.g[k0 - 1])
+        self.g[k0:] = self.g[k0:] @ rot
+        self.k_ops[:, k0:] = dag(rot) @ self.k_ops[:, k0:] @ rot
         build_eta_table(self, start_node=k0)
         self._build_v_steps(k0, self.n_steps)
         return self.n_steps
@@ -243,33 +249,18 @@ def build_eta_table(cache: PropagatorCache, start_node=0):
     cache.eta[:, :, j0:] = cache._local_eta[:, :, None]
     if not cache.has_memory:
         return
-    weighted = np.einsum(
-        "pnjl,nlab->pnjab", cache._masked_weights[:, :, j0:], cache.k_ops[:, :-1]
-    )
+    m, n1, d = cache.k_ops.shape[:3]
+    weights = cache._masked_weights[:, :, j0:]
+    weighted = weights @ cache.k_ops[:, :-1].reshape(m, n1 - 1, d * d)
     gs = cache.g[j0:]
-    cache.eta[:, :, j0:] += cache.grid.dt * np.einsum(
-        "jab,pnjbc,jdc->pnjad", gs, weighted, np.conj(gs)
+    cache.eta[:, :, j0:] += cache.grid.dt * (
+        gs @ weighted.reshape(weights.shape[:3] + (d, d)) @ dag(gs)
     )
 
 
 def build_cache(h_family, grid, pulses, kernel):
     """Construct a fully populated PropagatorCache."""
     return PropagatorCache(h_family, grid, pulses, kernel)
-
-
-def ddme_step(cache: PropagatorCache, k, rho):
-    """Advance the averaged state across step k (node k-1 to node k)."""
-    return unvec(cache.v_steps[k - 1] @ vec(rho))
-
-
-def ddme_backward_step(cache: PropagatorCache, k, chi):
-    """Adjoint of :func:`ddme_step`: pull a costate from node k back to node k-1.
-
-    Uses the conjugate transpose of the step superoperator, so
-    <backward(chi), rho> == <chi, forward(rho)> holds to roundoff in the
-    Hilbert-Schmidt inner product.
-    """
-    return unvec(np.conj(cache.v_steps[k - 1]).T @ vec(chi))
 
 
 def ddme_propagate(problem, pulses, kernel=None):

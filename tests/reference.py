@@ -7,9 +7,17 @@ unoptimized form of something the package computes another way.
 import numpy as np
 
 from ddcontrol.krotov import OptimizationTrace
-from ddcontrol.linalg import TRACE_TOL, as_operator, commutator, commutator_super, dag, expm_hermitian, vec
+from ddcontrol.linalg import TRACE_TOL, as_operator, commutator, dag, expm_hermitian, unvec, vec
 from ddcontrol.model import as_pulses
 from ddcontrol.propagation import unitary_steps
+
+
+def hamiltonian_at(h_family, pulse_values):
+    """Total Hamiltonian for one vector of pulse values (length M)."""
+    h = h_family.drift.copy()
+    for f, hc in zip(np.atleast_1d(pulse_values), h_family.controls):
+        h = h + float(f) * hc
+    return h
 
 
 def unitary_step(h_family, pulses, k, dt):
@@ -17,7 +25,22 @@ def unitary_step(h_family, pulses, k, dt):
     pulses = np.asarray(pulses, dtype=float)
     if not 1 <= k <= pulses.shape[1]:
         raise ValueError(f"step index {k} outside 1..{pulses.shape[1]}")
-    return expm_hermitian(h_family.at(pulses[:, k - 1]), -1j * dt)
+    return expm_hermitian(hamiltonian_at(h_family, pulses[:, k - 1]), -1j * dt)
+
+
+def ddme_step(cache, k, rho):
+    """Advance the averaged state across step k (node k-1 to node k)."""
+    return unvec(cache.v_steps[k - 1] @ vec(rho))
+
+
+def ddme_backward_step(cache, k, chi):
+    """Adjoint of :func:`ddme_step`: pull a costate from node k back to node k-1.
+
+    Uses the conjugate transpose of the step superoperator, so
+    <backward(chi), rho> == <chi, forward(rho)> holds to roundoff in the
+    Hilbert-Schmidt inner product.
+    """
+    return unvec(np.conj(cache.v_steps[k - 1]).T @ vec(chi))
 
 
 def relative_propagator(cache, j, l):
@@ -50,6 +73,13 @@ def check_trace_preserving(s, tol=TRACE_TOL):
     if dev > tol:
         raise ValueError(f"superoperator is not trace preserving: deviation {dev:.3e}")
     return s
+
+
+def commutator_super(a):
+    """Superoperator S with S vec(X) = vec([A, X])."""
+    a = as_operator(a)
+    eye = np.eye(a.shape[0], dtype=complex)
+    return np.kron(eye, a) - np.kron(a.T, eye)
 
 
 def double_commutator_super(a, b):

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import WHITE_NOISE_PATHS, random_hermitian
-from reference import se_krotov_reference
+from reference import ddme_backward_step, ddme_step, se_krotov_reference
 from ddcontrol import cli
 from ddcontrol.linalg import SIGMA_X, SIGMA_Z, dag, expm, expm_hermitian, projector
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, sample_perturbations
@@ -38,9 +38,7 @@ from ddcontrol.krotov import (
 )
 from ddcontrol.propagation import (
     build_cache,
-    ddme_backward_step,
     ddme_propagate,
-    ddme_step,
     ensemble_average,
 )
 from ddcontrol.tasks import TASK_PRESETS, default_grid, default_h_family, guess_pulses, task_states

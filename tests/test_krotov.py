@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from reference import se_krotov_reference
+from reference import ddme_backward_step, ddme_step, se_krotov_reference
 from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, projector
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, update_shape
 from ddcontrol.krotov import (
@@ -17,7 +17,7 @@ from ddcontrol.krotov import (
     run_correlation_sweep,
     se_krotov,
 )
-from ddcontrol.propagation import build_cache, ddme_backward_step, ddme_propagate, ddme_step
+from ddcontrol.propagation import build_cache, ddme_propagate
 from ddcontrol.tasks import TASK_PRESETS, default_grid, default_h_family, guess_pulses, task_states
 
 QUBIT = default_h_family()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_density, random_hermitian
-from reference import check_trace_preserving, double_commutator_super
+from reference import check_trace_preserving, commutator_super, double_commutator_super
 from ddcontrol.linalg import (
     NumericalError,
     SIGMA_X,
@@ -11,7 +12,6 @@ from ddcontrol.linalg import (
     bloch_vector,
     check_density_matrix,
     commutator,
-    commutator_super,
     dag,
     expm,
     expm_hermitian,
@@ -104,12 +104,35 @@ def test_expm_matches_eigendecomposition_oracle(rng):
         assert np.max(np.abs(pade - eig)) <= 1e-10 * np.max(np.abs(eig))
 
 
-def test_expm_rejects_non_finite():
+@pytest.mark.parametrize("count", [1, 2, 4, 100])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_expm_matches_scipy(rng, d, count):
+    # stacks of d-level superoperator-sized generators whose 1-norms are
+    # spread from 20 down to 1e-3 within the stack
+    n = d * d
+    a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    norms = np.sum(np.abs(a), axis=-2).max(axis=-1)
+    a *= (np.geomspace(20.0, 1e-3, count) / norms)[:, None, None]
+    want = scipy.linalg.expm(a)
+    got = expm(a)
+    err = np.max(np.abs(got - want), axis=(-2, -1)) / np.max(np.abs(want), axis=(-2, -1))
+    assert np.max(err) <= 1e-13
+    assert np.array_equal(expm(a[None]), got[None])  # more leading axes
+    scaled = expm(a[0], scale=-0.5j)
+    assert np.max(np.abs(scaled - scipy.linalg.expm(-0.5j * a[0]))) <= 1e-13 * np.max(np.abs(scaled))
+
+
+def test_expm_rejects_non_finite(rng):
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(NumericalError):
         expm(bad)
     with pytest.raises(NumericalError):
         expm_hermitian(bad)
+    stack = rng.standard_normal((100, 4, 4)).astype(complex)
+    for entry in (np.nan, np.inf, complex(0.0, np.nan)):
+        stack[57, 2, 1] = entry
+        with pytest.raises(NumericalError):
+            expm(stack)
 
 
 def test_expm_of_hermitian_generator_is_unitary(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import hamiltonian_at
 from ddcontrol.linalg import NumericalError, SIGMA_X, SIGMA_Y, SIGMA_Z
 from ddcontrol.model import (
     CorrelationKernel,
@@ -62,7 +63,7 @@ def test_hamiltonian_family_stack():
     assert np.allclose(h[0], SIGMA_Z)
     assert np.allclose(h[1], SIGMA_Z + SIGMA_X)
     assert np.allclose(h[2], SIGMA_Z - 2 * SIGMA_X)
-    assert np.allclose(fam.at([1.0]), SIGMA_Z + SIGMA_X)
+    assert np.allclose(hamiltonian_at(fam, [1.0]), SIGMA_Z + SIGMA_X)
 
 
 def test_gaussian_kernel_values():

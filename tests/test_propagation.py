@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import WHITE_NOISE_PATHS, random_density, random_hermitian
-from reference import build_htilde_table, relative_propagator, unitary_step
+from reference import (
+    build_htilde_table,
+    ddme_backward_step,
+    ddme_step,
+    relative_propagator,
+    unitary_step,
+)
 from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dag, projector, trace_distance, unvec, vec
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, gaussian_kernel
 from ddcontrol.krotov import ControlProblem
@@ -10,9 +16,7 @@ from ddcontrol.propagation import (
     PropagatorCache,
     build_cache,
     build_eta_table,
-    ddme_backward_step,
     ddme_propagate,
-    ddme_step,
     ensemble_average,
     unitary_steps,
     white_noise_propagate,
@@ -134,9 +138,21 @@ def _cache_inputs(kind, grid):
     return fam, CorrelationKernel.tabulated(table(nodes, mids), table(mids, mids))
 
 
+def _assert_matches_rebuild(cache, fam, grid, kern):
+    """Every table the cache keeps equals a fresh build to 1e-12."""
+    rebuilt = build_cache(fam, grid, cache.pulses, kern)
+    for name in ("u_steps", "g", "k_ops", "eta", "v_steps"):
+        got, want = getattr(cache, name), getattr(rebuilt, name)
+        if not cache.has_memory and name in ("u_steps", "g", "k_ops"):
+            assert got is None and want is None
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
 @pytest.mark.parametrize("kind", ["zero", "white-noise", "stationary-gaussian", "tabulated"])
 def test_incremental_update_equals_full_rebuild(kind):
     rng = np.random.default_rng(11)
+    # a random sequence of updates, including the first and the last step
     n = 12
     grid = TimeGrid(T=2.0, n_steps=n)
     fam, kern = _cache_inputs(kind, grid)
@@ -147,13 +163,17 @@ def test_incremental_update_equals_full_rebuild(kind):
     for k in steps:
         last = cache.update_step(int(k), rng.standard_normal(m) * 0.5)
         assert last == (n if cache.has_memory else k)
-    rebuilt = build_cache(fam, grid, cache.pulses, kern)
-    for name in ("u_steps", "g", "k_ops", "eta", "v_steps"):
-        got, want = getattr(cache, name), getattr(rebuilt, name)
-        if not cache.has_memory and name in ("u_steps", "g", "k_ops"):
-            assert got is None and want is None
-        else:
-            assert np.max(np.abs(got - want)) <= 1e-12, name
+    _assert_matches_rebuild(cache, fam, grid, kern)
+
+    # the optimizer's pattern: one ascending sweep over a longer grid, where
+    # every update rotates all later tables of the previous ones
+    n = 40
+    grid = TimeGrid(T=4.0, n_steps=n)
+    fam, kern = _cache_inputs(kind, grid)
+    cache = build_cache(fam, grid, rng.standard_normal((m, n)) * 0.5, kern)
+    for k in range(1, n + 1):
+        cache.update_step(k, rng.standard_normal(m) * 0.5)
+    _assert_matches_rebuild(cache, fam, grid, kern)
 
 
 def test_ddme_step_zero_kernel_is_unitary_conjugation(rng):
