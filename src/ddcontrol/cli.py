@@ -33,7 +33,7 @@ import numpy as np
 from .linalg import NumericalError, pauli_string, projector, trace_distance
 from .model import CorrelationKernel, HamiltonianFamily, TimeGrid, as_pulses, sample_perturbations
 from .krotov import ControlProblem, KrotovConfig, ddme_krotov, run_correlation_sweep, se_krotov
-from .propagation import ddme_propagate, ensemble_average, unitary_trajectory
+from .propagation import ddme_propagate, ensemble_average, unitary_average
 from .tasks import TASK_PRESETS, default_grid, guess_pulses, task_states
 
 EXIT_OK = 0
@@ -404,10 +404,20 @@ def _check_finite_trajectory(traj, label):
         raise NumericalError(f"{label} trajectory contains non-finite entries")
 
 
-def _max_trace_distance(traj_a, traj_b):
-    return max(
-        trace_distance(a, b) for a, b in zip(traj_a.states, traj_b.states)
-    )
+def _evaluate_pulse(exp: ResolvedExperiment, pulses):
+    """Master-equation and ensemble trajectories of one pulse set, and their metrics."""
+    master = ddme_propagate(exp.problem, pulses)
+    ens = ensemble_average(exp.problem, pulses, exp.count, exp.seed)
+    _check_finite_trajectory(master, "master")
+    _check_finite_trajectory(ens, "ensemble")
+    return master, ens, {
+        "final_fidelity": master.final_fidelity,
+        "final_purity": master.final_purity,
+        "min_purity": master.min_purity,
+        "max_trace_distance_master_vs_ensemble": float(
+            np.max(trace_distance(master.states, ens.states))
+        ),
+    }
 
 
 def run_task(exp: ResolvedExperiment):
@@ -419,18 +429,9 @@ def run_task(exp: ResolvedExperiment):
     se_trace = se_krotov(problem, exp.guess, exp.se_config)
     ddme_trace = ddme_krotov(problem, se_trace.pulses, exp.ddme_config)
 
-    traj_se_master = ddme_propagate(problem, se_trace.pulses)
-    traj_ddme_master = ddme_propagate(problem, ddme_trace.pulses)
     # same seed for both pulses: common random numbers sharpen the comparison
-    traj_se_ens = ensemble_average(problem, se_trace.pulses, exp.count, exp.seed)
-    traj_ddme_ens = ensemble_average(problem, ddme_trace.pulses, exp.count, exp.seed)
-    for label, traj in (
-        ("se master", traj_se_master),
-        ("ddme master", traj_ddme_master),
-        ("se ensemble", traj_se_ens),
-        ("ddme ensemble", traj_ddme_ens),
-    ):
-        _check_finite_trajectory(traj, label)
+    traj_se_master, traj_se_ens, se = _evaluate_pulse(exp, se_trace.pulses)
+    traj_ddme_master, traj_ddme_ens, ddme = _evaluate_pulse(exp, ddme_trace.pulses)
 
     write_combined_pulses(out / "pulses.csv", exp.grid, exp.guess, se_trace.pulses, ddme_trace.pulses)
     write_pulse_file(out / "pulse_se.csv", exp.grid, se_trace.pulses)
@@ -442,18 +443,18 @@ def run_task(exp: ResolvedExperiment):
     write_trace(out / "optimization_trace.csv", ddme_trace.j_values)
     write_trace(out / "se_optimization_trace.csv", se_trace.j_values)
 
-    td_se = _max_trace_distance(traj_se_master, traj_se_ens)
-    td_ddme = _max_trace_distance(traj_ddme_master, traj_ddme_ens)
+    td_se = se["max_trace_distance_master_vs_ensemble"]
+    td_ddme = ddme["max_trace_distance_master_vs_ensemble"]
     converged = bool(se_trace.converged and ddme_trace.converged)
     diffs = np.diff(ddme_trace.j_values)
     summary = {
         "config": exp.resolved,
-        "final_fidelity_se": traj_se_master.final_fidelity,
-        "final_fidelity_ddme": traj_ddme_master.final_fidelity,
-        "final_purity_se": traj_se_master.final_purity,
-        "final_purity_ddme": traj_ddme_master.final_purity,
-        "min_purity_se": traj_se_master.min_purity,
-        "min_purity_ddme": traj_ddme_master.min_purity,
+        "final_fidelity_se": se["final_fidelity"],
+        "final_fidelity_ddme": ddme["final_fidelity"],
+        "final_purity_se": se["final_purity"],
+        "final_purity_ddme": ddme["final_purity"],
+        "min_purity_se": se["min_purity"],
+        "min_purity_ddme": ddme["min_purity"],
         "max_trace_distance_master_vs_ensemble": max(td_se, td_ddme),
         "max_trace_distance_se": td_se,
         "max_trace_distance_ddme": td_ddme,
@@ -472,7 +473,7 @@ def run_task(exp: ResolvedExperiment):
         },
     }
     write_json(out / "summary.json", summary)
-    print(f"final fidelity: se {traj_se_master.final_fidelity:.6f}, ddme {traj_ddme_master.final_fidelity:.6f}")
+    print(f"final fidelity: se {se['final_fidelity']:.6f}, ddme {ddme['final_fidelity']:.6f}")
     if not converged:
         print("warning: optimization did not converge within the iteration budget", file=sys.stderr)
     return (EXIT_OK if converged else EXIT_NOT_CONVERGED), summary
@@ -507,19 +508,6 @@ def run_sweep(exp: ResolvedExperiment, tcorr_list, iterations):
         print("warning: closed-system stage did not converge", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK
-
-
-def _evaluate_pulse(exp: ResolvedExperiment, pulses):
-    master = ddme_propagate(exp.problem, pulses)
-    ens = ensemble_average(exp.problem, pulses, exp.count, exp.seed)
-    _check_finite_trajectory(master, "master")
-    _check_finite_trajectory(ens, "ensemble")
-    return master, ens, {
-        "final_fidelity": master.final_fidelity,
-        "final_purity": master.final_purity,
-        "min_purity": master.min_purity,
-        "max_trace_distance_master_vs_ensemble": _max_trace_distance(master, ens),
-    }
 
 
 def run_compare(exp: ResolvedExperiment, path_a, path_b):
@@ -578,7 +566,7 @@ def run_ensemble(exp: ResolvedExperiment, pulse_path, count=None, realization=No
                 f"realization index {realization} outside 0..{count - 1}"
             )
         draws = sample_perturbations(exp.kernel, exp.grid, count, exp.seed)
-        single = unitary_trajectory(exp.problem, pulses + draws[realization])
+        single = unitary_average(exp.problem, pulses + draws[realization : realization + 1])
         write_trajectory(out / f"trajectory_realization_{realization}.csv", single)
     write_json(
         out / "ensemble.json",

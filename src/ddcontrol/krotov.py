@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import check_density_matrix, commutator, purity, vec
+from .linalg import check_density_matrix, commutator, purity, unvec, vec
 from .model import CorrelationKernel, HamiltonianFamily, TimeGrid, update_shape
-from .propagation import PropagatorCache, build_cache, ddme_propagate
+from .propagation import PropagatorCache, _node_sweep, build_cache, ddme_propagate
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +141,6 @@ def _overlap(rho_targ, rho):
     return float(np.real(np.trace(rho_targ @ rho)))
 
 
-def _operators(vecs, d):
-    """(..., d, d) operator view of column-stacked (..., d*d) vectors."""
-    return np.swapaxes(vecs.reshape(vecs.shape[:-1] + (d, d)), -1, -2)
-
-
 def cost_JT(problem: ControlProblem, pulses, kernel=None):
     """Infidelity-type cost 1 - Tr(rho_targ rho_avg(T)) of a pulse set."""
     traj = ddme_propagate(problem, pulses, kernel=kernel)
@@ -219,19 +214,16 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     # states and conjugated costates as column-stacked vectors, one row per
     # node; xi = conj(chi) turns the backward step chi[j] = V_j^dag chi[j+1]
     # into xi[j] = xi[j+1] V_j, with no transposed copy of V_j
-    phi = np.empty((n + 1, d * d), dtype=complex)
-    xi = np.empty((n + 1, d * d), dtype=complex)
+    phi = _node_sweep(v_steps, vec(problem.rho0))
+    xi = np.empty_like(phi)
     # C-contiguous operator copies of the nodes the gradient reads
     states = np.empty((n + 1, d, d), dtype=complex)
     costates = np.empty((n + 1, d, d), dtype=complex)
-    phi[0] = vec(problem.rho0)
-    for j in range(1, n + 1):
-        phi[j] = v_steps[j - 1] @ phi[j - 1]
     xi[n] = vec(problem.rho_targ).conj()
     # costates xi[fresh:] agree with the current step superoperators
     fresh = n
 
-    j_val = 1.0 - _overlap(problem.rho_targ, _operators(phi[n], d))
+    j_val = 1.0 - _overlap(problem.rho_targ, unvec(phi[n]))
     j_values = [j_val]
     converged = config.j_tol is not None and j_val <= config.j_tol
 
@@ -246,8 +238,8 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
             last = n if cache.has_memory else k
             for j in range(k, last + 1):
                 phi[j] = v_steps[j - 1] @ phi[j - 1]
-            states[k : last + 1] = _operators(phi[k : last + 1], d)
-            costates[k : last + 1] = _operators(xi[k : last + 1].conj(), d)
+            states[k : last + 1] = unvec(phi[k : last + 1])
+            costates[k : last + 1] = unvec(xi[k : last + 1].conj())
             new_values = cache.pulses[:, k - 1].copy()
             for mm in range(m):
                 if config.shapes[mm, k - 1] == 0.0:
@@ -257,7 +249,7 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
             if not np.array_equal(new_values, cache.pulses[:, k - 1]):
                 fresh = cache.update_step(k, new_values)
             phi[k] = v_steps[k - 1] @ phi[k - 1]
-        j_val = 1.0 - _overlap(problem.rho_targ, _operators(phi[n], d))
+        j_val = 1.0 - _overlap(problem.rho_targ, unvec(phi[n]))
         j_values.append(j_val)
         converged = config.j_tol is not None and j_val <= config.j_tol
 

@@ -40,12 +40,13 @@ def vec(x):
 
 
 def unvec(v):
-    """Inverse of :func:`vec`."""
+    """Inverse of :func:`vec`; batched over leading axes: (..., d*d) -> (..., d, d)."""
     v = np.asarray(v)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"cannot devectorize length-{v.size} vector into a square matrix")
-    return v.reshape((d, d), order="F")
+    n = v.shape[-1]
+    d = int(round(np.sqrt(n)))
+    if d * d != n:
+        raise ValueError(f"cannot devectorize length-{n} vector into a square matrix")
+    return np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
 
 
 def as_operator(a, name="operator"):
@@ -218,9 +219,9 @@ def fidelity_pure_target(rho_targ, rho):
 
 
 def trace_distance(a, b):
-    """(1/2) Tr |A - B| for Hermitian A, B."""
+    """(1/2) Tr |A - B| for Hermitian A, B.  Batched over leading axes."""
     diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return _float_or_array(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1))
 
 
 def bloch_vector(rho):

@@ -106,9 +106,9 @@ class HamiltonianFamily:
         return len(self.controls)
 
     def stack(self, pulses):
-        """Total Hamiltonians on every step: (n_steps, d, d) for (M, n_steps) pulses."""
-        return self.drift[None, :, :] + np.einsum(
-            "mk,mab->kab", np.asarray(pulses, dtype=float), self.control_stack
+        """Total Hamiltonians on every step: (..., n_steps, d, d) for (..., M, n_steps) pulses."""
+        return self.drift + np.einsum(
+            "...mk,mab->...kab", np.asarray(pulses, dtype=float), self.control_stack
         )
 
 

@@ -21,6 +21,14 @@ optimizer and :func:`ddme_propagate` follow the same map.
 :func:`white_noise_propagate` builds the Markovian generator on its own and
 is kept as an independent reference for that kind.
 
+Every node-by-node propagation goes through one loop, :func:`_node_sweep`,
+which applies a stack of step maps to a starting array: the step
+superoperators to ``vec(rho0)`` in :func:`ddme_propagate`,
+:func:`white_noise_propagate` and the optimizer's first forward sweep, and
+the step unitaries of every realization to the eigenvectors of ``rho0`` in
+:func:`unitary_average`.  Only the optimizer's sequential update advances
+states on its own.
+
 Step indices ``k`` are 1-based (step ``k`` connects node ``k-1`` to node
 ``k``); node indices are 0-based.
 """
@@ -83,8 +91,21 @@ class Trajectory:
 
 
 def unitary_steps(h_family, pulses, dt):
-    """All step unitaries at once: (n_steps, d, d)."""
+    """All step unitaries at once: (..., n_steps, d, d) for (..., M, n_steps) pulses."""
     return expm_hermitian(h_family.stack(pulses), -1j * dt)
+
+
+def _node_sweep(steps, x0):
+    """Node values x[k] = steps[k-1] @ x[k-1] from x[0] = x0.
+
+    ``steps`` is an (N, ..., n, n) stack of step maps and ``x0`` has the
+    shape of ``steps[0] @ x0``; returns the (N+1, ...) array of all nodes.
+    """
+    x = np.empty((len(steps) + 1,) + np.shape(x0), dtype=complex)
+    x[0] = x0
+    for k in range(len(steps)):
+        np.matmul(steps[k], x[k], out=x[k + 1])
+    return x
 
 
 class PropagatorCache:
@@ -218,8 +239,13 @@ class PropagatorCache:
         self.v_steps[first - 1 : last] = expm(gen, scale=dt)
 
     def _incoherent(self, eta):
-        """Superoperators of sum_mn [H_m, [eta_mn, .]] for a (M, M, K, d, d) eta slice."""
-        return np.einsum("mab,mnkbc->kac", self._c_controls, commutator_super_batch(eta))
+        """Superoperators of sum_mn [H_m, [eta_mn, .]] for a (M, M, K, d, d) eta slice.
+
+        The commutator superoperator is linear, so each control's
+        ``E_m = sum_n eta_mn`` is formed first: M superoperators, not M^2.
+        """
+        c_eta = commutator_super_batch(np.sum(eta, axis=1))
+        return np.sum(self._c_controls[:, None] @ c_eta, axis=0)
 
     def htilde_row(self, j):
         """Evolved controls ending at node j: (M, j+1, d, d) over start nodes l <= j.
@@ -273,12 +299,7 @@ def ddme_propagate(problem, pulses, kernel=None):
     """
     kernel = problem.kernel if kernel is None else kernel
     cache = build_cache(problem.h_family, problem.grid, pulses, kernel)
-    states = np.empty((cache.n_steps + 1,) + problem.rho0.shape, dtype=complex)
-    states[0] = problem.rho0
-    v = vec(problem.rho0)
-    for k in range(1, cache.n_steps + 1):
-        v = cache.v_steps[k - 1] @ v
-        states[k] = unvec(v)
+    states = unvec(_node_sweep(cache.v_steps, vec(problem.rho0)))
     return Trajectory.from_states(cache.grid.nodes, states, problem.rho_targ)
 
 
@@ -298,53 +319,48 @@ def white_noise_propagate(problem, pulses, alpha):
     c_controls = commutator_super_batch(problem.h_family.control_stack)
     dissipator = 0.5 * alpha * np.einsum("mab,mbc->ac", c_controls, c_controls)
     gen = -1j * commutator_super_batch(problem.h_family.stack(pulses)) - dissipator[None]
-    v_steps = expm(gen, scale=grid.dt)
-    states = np.empty((grid.n_steps + 1,) + problem.rho0.shape, dtype=complex)
-    states[0] = problem.rho0
-    v = vec(problem.rho0)
-    for k in range(grid.n_steps):
-        v = v_steps[k] @ v
-        states[k + 1] = unvec(v)
+    states = unvec(_node_sweep(expm(gen, scale=grid.dt), vec(problem.rho0)))
     return Trajectory.from_states(grid.nodes, states, problem.rho_targ)
 
 
-def unitary_trajectory(problem, pulses):
-    """Closed-system propagation of one (possibly perturbed) pulse set."""
-    grid = problem.grid
-    pulses = as_pulses(pulses, grid, problem.h_family.n_controls)
-    u = unitary_steps(problem.h_family, pulses, grid.dt)
-    states = np.empty((grid.n_steps + 1,) + problem.rho0.shape, dtype=complex)
+def unitary_average(problem, pulse_sets):
+    """Closed-system evolution under each of a (count, M, N) stack of pulse
+    sets, averaged over the sets at every node.
+
+    Propagates kets rather than density matrices.  ``rho0`` is split into
+    its eigenpairs ``w_i, v_i``, dropping the eigenvalues that lie within
+    ``eigh``'s roundoff of zero, so a pure ``rho0`` needs one ket per set.
+    Every set evolves the kept ``v_i`` with the piecewise-constant midpoint
+    unitaries, and node k averages ``w_i |psi_ci(k)><psi_ci(k)|`` over sets
+    c and eigenpairs i as one weighted product of the kets, summed in
+    order of c.  Node 0 is ``rho0`` itself.  One set gives its own
+    closed-system trajectory.
+    """
+    u = unitary_steps(problem.h_family, pulse_sets, problem.grid.dt)
+    count, n, d = u.shape[:3]
+    w, v = np.linalg.eigh(problem.rho0)
+    keep = np.abs(w) > d * np.finfo(float).eps * np.max(np.abs(w))
+    w, v = w[keep], v[:, keep]
+    kets = _node_sweep(u.swapaxes(0, 1), np.broadcast_to(v, (count,) + v.shape))
+    # rows are the kets of all sets, eigenpair index fastest
+    psi = kets.swapaxes(-1, -2).reshape(n + 1, -1, d)
+    weighted = np.conj(psi)
+    weighted *= np.tile(w, count)[:, None]
+    states = psi.swapaxes(-1, -2) @ weighted / count
     states[0] = problem.rho0
-    rho = problem.rho0
-    for k in range(grid.n_steps):
-        rho = u[k] @ rho @ dag(u[k])
-        states[k + 1] = rho
-    return Trajectory.from_states(grid.nodes, states, problem.rho_targ)
+    return Trajectory.from_states(problem.grid.nodes, states, problem.rho_targ)
 
 
 def ensemble_average(problem, pulses, count, seed, kernel=None):
     """Brute-force disorder average over sampled pulse perturbations.
 
     Each realization adds a sampled perturbation to the pulses and evolves
-    unitarily with the same piecewise-constant midpoint discretization; the
-    returned trajectory averages the realization states at every node.
-    Deterministic for a fixed seed: realizations are averaged with numpy's
-    pairwise mean along the realization axis, in sampling order.
+    unitarily with the same piecewise-constant midpoint discretization;
+    :func:`unitary_average` averages the realization states at every node.
+    Deterministic for a fixed seed: every node is one weighted product of
+    the realizations' kets, summed in sampling order.
     """
     kernel = problem.kernel if kernel is None else kernel
-    grid = problem.grid
-    pulses = as_pulses(pulses, grid, problem.h_family.n_controls)
-    perturbations = sample_perturbations(kernel, grid, count, seed)
-    perturbed = pulses[None, :, :] + perturbations
-    hams = problem.h_family.drift[None, None] + np.einsum(
-        "cmk,mab->ckab", perturbed, problem.h_family.control_stack
-    )
-    u = expm_hermitian(hams, -1j * grid.dt)
-    d = problem.h_family.dim
-    states = np.empty((grid.n_steps + 1, d, d), dtype=complex)
-    states[0] = problem.rho0
-    rho = np.broadcast_to(problem.rho0, (count, d, d)).copy()
-    for k in range(grid.n_steps):
-        rho = np.einsum("cab,cbe,cde->cad", u[:, k], rho, np.conj(u[:, k]))
-        states[k + 1] = rho.mean(axis=0)
-    return Trajectory.from_states(grid.nodes, states, problem.rho_targ)
+    pulses = as_pulses(pulses, problem.grid, problem.h_family.n_controls)
+    perturbations = sample_perturbations(kernel, problem.grid, count, seed)
+    return unitary_average(problem, pulses + perturbations)

@@ -9,7 +9,7 @@ import numpy as np
 from ddcontrol.krotov import OptimizationTrace
 from ddcontrol.linalg import TRACE_TOL, as_operator, commutator, dag, expm_hermitian, unvec, vec
 from ddcontrol.model import as_pulses
-from ddcontrol.propagation import unitary_steps
+from ddcontrol.propagation import Trajectory, unitary_steps
 
 
 def hamiltonian_at(h_family, pulse_values):
@@ -146,3 +146,26 @@ def se_krotov_reference(problem, guess, config):
     return OptimizationTrace(
         j_values=np.array(j_values), pulses=pulses, converged=converged, iterations=iterations
     )
+
+
+def unitary_average_reference(problem, pulse_sets):
+    """Closed-system evolution under each of a (count, M, N) stack of pulse
+    sets, averaged over the sets at every node.
+
+    Propagates density matrices, each realization's by ``U rho U^dag``, and
+    averages them with numpy's pairwise mean along the set axis.
+    """
+    grid = problem.grid
+    count = pulse_sets.shape[0]
+    hams = problem.h_family.drift[None, None] + np.einsum(
+        "cmk,mab->ckab", pulse_sets, problem.h_family.control_stack
+    )
+    u = expm_hermitian(hams, -1j * grid.dt)
+    d = problem.h_family.dim
+    states = np.empty((grid.n_steps + 1, d, d), dtype=complex)
+    states[0] = problem.rho0
+    rho = np.broadcast_to(problem.rho0, (count, d, d)).copy()
+    for k in range(grid.n_steps):
+        rho = np.einsum("cab,cbe,cde->cad", u[:, k], rho, np.conj(u[:, k]))
+        states[k + 1] = rho.mean(axis=0)
+    return Trajectory.from_states(grid.nodes, states, problem.rho_targ)

@@ -30,6 +30,10 @@ def test_vec_unvec_round_trip(rng):
     for d in range(1, 9):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         assert np.array_equal(unvec(vec(x)), x)
+    # batched over leading axes
+    xs = rng.standard_normal((3, 2, 4, 4))
+    vecs = np.stack([[vec(x) for x in row] for row in xs])
+    assert np.array_equal(unvec(vecs), xs)
 
 
 def test_vec_is_column_stacking():
@@ -182,6 +186,13 @@ def test_trace_distance():
     assert trace_distance(projector("0"), projector("1")) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(projector("0"), projector("0")) == pytest.approx(0.0, abs=1e-14)
     assert trace_distance(projector("0"), np.eye(2) / 2.0) == pytest.approx(0.5, abs=1e-12)
+    assert isinstance(trace_distance(projector("0"), projector("1")), float)
+    # batched over leading axes, one pair at a time
+    a = np.stack([projector("0"), projector("+"), np.eye(2) / 2.0])
+    b = np.stack([projector("1"), projector("0"), projector("0")])
+    got = trace_distance(a, b)
+    assert got.shape == (3,)
+    assert np.array_equal(got, [trace_distance(x, y) for x, y in zip(a, b)])
 
 
 def test_bloch_vector():

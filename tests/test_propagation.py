@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -7,10 +10,18 @@ from reference import (
     ddme_backward_step,
     ddme_step,
     relative_propagator,
+    unitary_average_reference,
     unitary_step,
 )
+from ddcontrol import cli
 from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dag, projector, trace_distance, unvec, vec
-from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, gaussian_kernel
+from ddcontrol.model import (
+    CorrelationKernel,
+    HamiltonianFamily,
+    TimeGrid,
+    gaussian_kernel,
+    sample_perturbations,
+)
 from ddcontrol.krotov import ControlProblem
 from ddcontrol.propagation import (
     PropagatorCache,
@@ -18,6 +29,7 @@ from ddcontrol.propagation import (
     build_eta_table,
     ddme_propagate,
     ensemble_average,
+    unitary_average,
     unitary_steps,
     white_noise_propagate,
 )
@@ -466,12 +478,56 @@ def test_trajectory_series_shapes():
     assert np.max(np.sum(traj.bloch**2, axis=1)) <= 1.0 + 1e-9
 
 
-def test_unitary_trajectory_matches_ensemble_of_one(rng):
-    from ddcontrol.propagation import unitary_trajectory
-
+def test_ensemble_matches_density_matrix_reference(rng, tmp_path):
+    # the ket loop against the density-matrix loop on a pure qubit rho0 and on
+    # d = 3 two-control problems with a full-rank and a rank-2 rho0; the
+    # rank-2 state has an eigenvalue at eigh's roundoff that the ket loop drops
     grid = TimeGrid(T=2.0, n_steps=20)
-    prob = qubit_problem(grid, CorrelationKernel.zero())
-    pulses = rng.standard_normal((1, 20)) * 0.4
-    a = unitary_trajectory(prob, pulses)
-    b = ensemble_average(prob, pulses, count=1, seed=0)
-    assert np.max(np.abs(a.states - b.states)) <= 1e-12
+    basis = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    rank2 = 0.7 * np.outer(basis[:, 0], basis[:, 0].conj())
+    rank2 += 0.3 * np.outer(basis[:, 1], basis[:, 1].conj())
+    fam3 = HamiltonianFamily(
+        drift=random_hermitian(rng, 3), controls=(random_hermitian(rng, 3), random_hermitian(rng, 3))
+    )
+    problems = [qubit_problem(grid, CorrelationKernel.gaussian(0.05, 1.0))] + [
+        ControlProblem(
+            rho0=rho0,
+            rho_targ=np.diag([1.0, 0.0, 0.0]),
+            h_family=fam3,
+            grid=grid,
+            kernel=CorrelationKernel.gaussian(0.05, 1.0, n_controls=2),
+        )
+        for rho0 in (random_density(rng, 3), rank2)
+    ]
+    for prob in problems:
+        pulses = rng.standard_normal((prob.n_controls, 20)) * 0.4
+        sets = pulses + sample_perturbations(prob.kernel, grid, 50, seed=5)
+        ens = ensemble_average(prob, pulses, count=50, seed=5)
+        assert np.array_equal(ens.states[0], prob.rho0)
+        assert np.max(np.abs(ens.states - unitary_average_reference(prob, sets).states)) <= 1e-12
+        one = unitary_average(prob, sets[3:4])
+        ref = unitary_average_reference(prob, sets[3:4])
+        assert np.max(np.abs(one.states - ref.states)) <= 1e-12
+
+    # ddcontrol ensemble --realization r writes the one-set average of draw r
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "grid": {"T": 10.0, "N_T": 30},
+        "kernel": {"kind": "stationary-gaussian", "C0": 0.01, "t_corr": 5.0},
+    }))
+    exp = cli.load_experiment(config_path=cfg)
+    pulse_file = tmp_path / "pulse.csv"
+    cli.write_pulse_file(pulse_file, exp.grid, np.sin(exp.grid.midpoints)[None, :])
+    pulses = cli.read_pulse_file(pulse_file, exp.grid, 1)
+    argv = ["ensemble", "--config", str(cfg), "--out", str(tmp_path / "ens"), "--count", "10"]
+    assert cli.main(argv + ["--realization", "3", str(pulse_file)]) == 0
+    draws = sample_perturbations(exp.kernel, exp.grid, 10, exp.seed)
+    single = unitary_average(exp.problem, pulses + draws[3:4])
+    with open(tmp_path / "ens" / "trajectory_realization_3.csv", newline="") as fh:
+        written = np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+    expect = np.column_stack(
+        [np.arange(31), single.times, single.purity, single.fidelity, single.bloch]
+    )
+    assert np.array_equal(written, expect)
+    ref = unitary_average_reference(exp.problem, pulses + draws[3:4])
+    assert np.max(np.abs(single.states - ref.states)) <= 1e-12
