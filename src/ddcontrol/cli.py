@@ -105,14 +105,35 @@ def write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _merge(base, override):
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+def _merge(user):
+    """The default config overridden by a user config, one section deep.
+
+    Rejects unknown keys (``guess.path`` is the one key without a default),
+    sections that are not objects, and null where the default is not null;
+    a null default means "take the task preset".  Values inside a section,
+    such as a Pauli dictionary, replace the default whole.
+    """
+    raw = copy.deepcopy(DEFAULT_CONFIG)
+    unknown = sorted(set(user) - set(raw))
+    fields = []
+    for key in sorted(set(user) & set(raw)):
+        value = user[key]
+        if isinstance(raw[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"config section {key} must be a JSON object, got {value!r}")
+            allowed = set(raw[key]) | ({"path"} if key == "guess" else set())
+            unknown += [f"{key}.{k}" for k in sorted(set(value) - allowed)]
+            fields += [(f"{key}.{k}", v, raw[key].get(k)) for k, v in value.items()]
+            raw[key].update(copy.deepcopy(value))
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            fields.append((key, value, raw[key]))
+            raw[key] = copy.deepcopy(value)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    nulls = sorted(name for name, value, default in fields if value is None and default is not None)
+    if nulls:
+        raise ValueError(f"config keys must not be null: {', '.join(nulls)}")
+    return raw
 
 
 def _finite_float(text):
@@ -131,6 +152,13 @@ def _finite_int(text):
 
 def _reject_constant(name):
     raise ValueError(f"non-finite number {name} is not allowed")
+
+
+def _real(value, name):
+    """A real config field: a JSON number, not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _integer(value, name):
@@ -187,7 +215,7 @@ class ResolvedExperiment:
         preset = TASK_PRESETS.get(task)
 
         grid_cfg = raw["grid"]
-        self.grid = TimeGrid(T=float(grid_cfg["T"]), n_steps=_integer(grid_cfg["N_T"], "grid.N_T"))
+        self.grid = TimeGrid(T=_real(grid_cfg["T"], "grid.T"), n_steps=_integer(grid_cfg["N_T"], "grid.N_T"))
 
         drift = _parse_operator(raw["system"]["drift"], "system.drift")
         controls = [
@@ -202,13 +230,13 @@ class ResolvedExperiment:
         if kind == "zero":
             self.kernel = CorrelationKernel.zero(m)
         elif kind == "stationary-gaussian":
-            c0 = float(kern["C0"])
+            c0 = _real(kern["C0"], "kernel.C0")
             if c0 == 0.0:
                 self.kernel = CorrelationKernel.zero(m)
             else:
-                self.kernel = CorrelationKernel.gaussian(c0, float(kern["t_corr"]), m)
+                self.kernel = CorrelationKernel.gaussian(c0, _real(kern["t_corr"], "kernel.t_corr"), m)
         elif kind == "white-noise":
-            self.kernel = CorrelationKernel.white_noise(float(kern["C0"]), m)
+            self.kernel = CorrelationKernel.white_noise(_real(kern["C0"], "kernel.C0"), m)
         else:
             raise ValueError(
                 f"kernel kind {kind!r} is not available from the CLI; "
@@ -262,26 +290,20 @@ class ResolvedExperiment:
                 if fallback is None:
                     raise ValueError(f"task 'custom' requires krotov.{key}")
                 kro[key] = fallback
-        lambdas = np.broadcast_to(np.atleast_1d(np.asarray(kro["lambda"], dtype=float)), (m,))
-        self.ddme_config = KrotovConfig.with_blackman_ramps(
-            self.grid,
-            lambdas,
-            float(kro["t_on"]),
-            float(kro["t_off"]),
-            j_tol=float(kro["J_tol"]),
-            i_max=_integer(kro["i_max"], "krotov.i_max"),
-            n_controls=m,
-        )
-        se_lambdas = np.broadcast_to(np.atleast_1d(np.asarray(kro["se_lambda"], dtype=float)), (m,))
-        self.se_config = KrotovConfig.with_blackman_ramps(
-            self.grid,
-            se_lambdas,
-            float(kro["t_on"]),
-            float(kro["t_off"]),
-            j_tol=float(kro["se_J_tol"]),
-            i_max=_integer(kro["se_i_max"], "krotov.se_i_max"),
-            n_controls=m,
-        )
+
+        def krotov_config(prefix):
+            return KrotovConfig.with_blackman_ramps(
+                self.grid,
+                kro[f"{prefix}lambda"],
+                _real(kro["t_on"], "krotov.t_on"),
+                _real(kro["t_off"], "krotov.t_off"),
+                j_tol=_real(kro[f"{prefix}J_tol"], f"krotov.{prefix}J_tol"),
+                i_max=_integer(kro[f"{prefix}i_max"], f"krotov.{prefix}i_max"),
+                n_controls=m,
+            )
+
+        self.ddme_config = krotov_config("")
+        self.se_config = krotov_config("se_")
 
         self.count = _integer(raw["ensemble"]["count"], "ensemble.count")
         if self.count < 1:
@@ -311,10 +333,7 @@ def load_experiment(config_path=None, task=None, seed=None, out=None):
             raise ValueError(f"config file {config_path} is not valid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise ValueError("config file must contain a JSON object")
-        unknown = sorted(set(user) - set(DEFAULT_CONFIG))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        raw = _merge(raw, user)
+        raw = _merge(user)
     if task is not None:
         raw["task"] = task
     if seed is not None:
@@ -360,39 +379,22 @@ def write_pulse_file(path, grid: TimeGrid, pulses):
 
 def write_combined_pulses(path, grid: TimeGrid, guess, f_se, f_ddme):
     m = guess.shape[0]
-    if m == 1:
-        header = ["k", "t_mid", "f_guess", "f_se", "f_ddme"]
-    else:
-        header = (
-            ["k", "t_mid"]
-            + [f"f_guess_{i + 1}" for i in range(m)]
-            + [f"f_se_{i + 1}" for i in range(m)]
-            + [f"f_ddme_{i + 1}" for i in range(m)]
-        )
-    rows = []
-    for k in range(grid.n_steps):
-        row = [k + 1, grid.midpoints[k]]
-        row += [guess[i, k] for i in range(m)]
-        row += [f_se[i, k] for i in range(m)]
-        row += [f_ddme[i, k] for i in range(m)]
-        rows.append(row)
+    suffixes = [""] if m == 1 else [f"_{i + 1}" for i in range(m)]
+    header = ["k", "t_mid"] + [f"f_{name}{x}" for name in ("guess", "se", "ddme") for x in suffixes]
+    rows = [
+        [k + 1, grid.midpoints[k]] + [p[i, k] for p in (guess, f_se, f_ddme) for i in range(m)]
+        for k in range(grid.n_steps)
+    ]
     write_csv(path, header, rows)
 
 
 def write_trajectory(path, traj):
+    header = ["s", "t", "purity", "fidelity"]
+    columns = [range(len(traj.times)), traj.times, traj.purity, traj.fidelity]
     if traj.bloch is not None:
-        header = ["s", "t", "purity", "fidelity", "bloch_x", "bloch_y", "bloch_z"]
-        rows = [
-            [s, traj.times[s], traj.purity[s], traj.fidelity[s]] + list(traj.bloch[s])
-            for s in range(len(traj.times))
-        ]
-    else:
-        header = ["s", "t", "purity", "fidelity"]
-        rows = [
-            [s, traj.times[s], traj.purity[s], traj.fidelity[s]]
-            for s in range(len(traj.times))
-        ]
-    write_csv(path, header, rows)
+        header += ["bloch_x", "bloch_y", "bloch_z"]
+        columns += list(traj.bloch.T)
+    write_csv(path, header, zip(*columns))
 
 
 def write_trace(path, j_values):
@@ -400,7 +402,7 @@ def write_trace(path, j_values):
 
 
 def _check_finite_trajectory(traj, label):
-    if not np.all(np.isfinite(traj.states.real)) or not np.all(np.isfinite(traj.states.imag)):
+    if not np.isfinite(traj.states).all():
         raise NumericalError(f"{label} trajectory contains non-finite entries")
 
 
@@ -557,16 +559,15 @@ def run_ensemble(exp: ResolvedExperiment, pulse_path, count=None, realization=No
     out.mkdir(parents=True, exist_ok=True)
     pulses = read_pulse_file(pulse_path, exp.grid, exp.problem.n_controls)
     count = exp.count if count is None else count
-    traj = ensemble_average(exp.problem, pulses, count, exp.seed)
+    if realization is not None and not 0 <= realization < count:
+        raise ValueError(f"realization index {realization} outside 0..{count - 1}")
+    # the draws of ensemble_average, sampled once for the average and draw r
+    sets = pulses + sample_perturbations(exp.kernel, exp.grid, count, exp.seed)
+    traj = unitary_average(exp.problem, sets)
     _check_finite_trajectory(traj, "ensemble")
     write_trajectory(out / "trajectory_ensemble.csv", traj)
     if realization is not None:
-        if not 0 <= realization < count:
-            raise ValueError(
-                f"realization index {realization} outside 0..{count - 1}"
-            )
-        draws = sample_perturbations(exp.kernel, exp.grid, count, exp.seed)
-        single = unitary_average(exp.problem, pulses + draws[realization : realization + 1])
+        single = unitary_average(exp.problem, sets[realization : realization + 1])
         write_trajectory(out / f"trajectory_realization_{realization}.csv", single)
     write_json(
         out / "ensemble.json",

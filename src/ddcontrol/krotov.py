@@ -15,6 +15,15 @@ steps).  Monotonic decrease of the cost is not guaranteed by the linear
 variant and is deliberately not asserted; non-convergence within the
 iteration budget is reported through the trace, not raised.
 
+States and costates are the real coherence vectors of :mod:`ddcontrol.linalg`
+(``rho = I / d + sum_e r_e lambda_e``).  The step maps ``V_j`` of the
+:class:`~ddcontrol.propagation.PropagatorCache` advance states,
+``r[j] = V_j r[j-1]``, and their transposes pull costates back,
+``c[j-1] = V_j^T c[j]`` from ``c[N]``, the coefficients of the target.
+With ``Tr(A B) = Tr(A) Tr(B) / d + 2 a.b`` for Hermitian A, B the cost is
+``1 - 1/d - 2 c[N].r[N]`` and the pulse gradient is a real sum of products
+of coefficient vectors and real maps.
+
 A single optimization run is strictly sequential (each pulse update feeds
 the next); independent runs share no mutable state and can execute
 concurrently.
@@ -24,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import check_density_matrix, commutator, purity, unvec, vec
+from .linalg import check_density_matrix, dag, from_coherence, purity, structure_map, to_coherence
 from .model import CorrelationKernel, HamiltonianFamily, TimeGrid, update_shape
 from .propagation import PropagatorCache, _node_sweep, build_cache, ddme_propagate
 
@@ -137,14 +146,10 @@ def _check_config(problem: ControlProblem, config: KrotovConfig):
         )
 
 
-def _overlap(rho_targ, rho):
-    return float(np.real(np.trace(rho_targ @ rho)))
-
-
 def cost_JT(problem: ControlProblem, pulses, kernel=None):
     """Infidelity-type cost 1 - Tr(rho_targ rho_avg(T)) of a pulse set."""
     traj = ddme_propagate(problem, pulses, kernel=kernel)
-    return 1.0 - _overlap(problem.rho_targ, traj.final_state)
+    return 1.0 - float(np.real(np.trace(problem.rho_targ @ traj.final_state)))
 
 
 def se_krotov(problem: ControlProblem, guess, config: KrotovConfig):
@@ -157,38 +162,31 @@ def se_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     return ddme_krotov(replace(problem, kernel=zero), guess, config)
 
 
-def _gradient_terms(cache: PropagatorCache, states, costates, m, k):
-    """Complex pulse gradient D at control m (0-based) and step k (1-based).
+def ddme_gradient_D(cache: PropagatorCache, states, costates, m, k):
+    """Pulse gradient D at control m (0-based) and step k (1-based).
 
-    Sums the coherent contribution at node k and, for every node j >= k,
-    the sensitivity of the memory integrals to the pulse value on step k.
-    The exact result is real; the imaginary residue is returned for
-    diagnostics.
+    ``states`` and ``costates`` are (N+1, d^2-1) coherence vectors.  D sums
+    the coherent term ``Tr(chi_k (-i [H_m, rho_k])) = 2 c_k.F(h_m) r_k`` and,
+    for every node j >= k, the sensitivity of the step generator's memory
+    term ``sum_p F(h_p) F(e_p)`` to the pulse value on step k.
     """
-    hm = cache.h_family.controls[m]
-    coherent = np.trace(costates[k] @ (-1j * commutator(hm, states[k])))
+    grad = 2.0 * costates[k] @ cache.f_controls[m] @ states[k]
     if not cache.has_memory:
         # eta, including a white-noise kernel's local term, is pulse independent
-        return coherent
+        return float(grad)
 
+    # x[p, j]: coefficients of d E_p[node j] / d f_mk for nodes j >= k, the
+    # kernel weights of start nodes l < k on the interaction-picture
+    # commutators -i dt^2 [k_ops[m, k], k_ops[n, l]], carried to node j by g[j]
     dt = cache.grid.dt
-    b_kl = cache.htilde_row(k)[:, :k]  # (M, k, d, d)
-    comms = hm @ b_kl - b_kl @ hm
-    w = cache.weights[:, :, k:, :k]  # (M, M, n-k+1, k)
-    deta = (-1j * dt * dt) * np.einsum("pnjl,nlab->pnjab", w, comms)
-    u_rel = np.einsum("jab,cb->jac", cache.g[k:], np.conj(cache.g[k]))
-    evolved = np.einsum("jab,pnjbc,jdc->pnjad", u_rel, deta, np.conj(u_rel))
-    phi = states[k:]
-    inner = evolved @ phi - phi @ evolved
-    h_stack = cache.h_family.control_stack[:, None, None]
-    outer = h_stack @ inner - inner @ h_stack
-    incoherent = np.einsum("jab,pnjba->", costates[k:], outer)
-    return coherent - incoherent
-
-
-def ddme_gradient_D(cache: PropagatorCache, states, costates, m, k):
-    """Real pulse gradient used by the disorder-dressed update rule."""
-    return float(np.real(_gradient_terms(cache, states, costates, m, k)))
+    n_ctrl, n_later = cache.h_family.n_controls, cache.n_steps - k + 1
+    kappa = to_coherence(cache.k_ops[:, :k]).reshape(n_ctrl * k, -1)
+    w = cache.weights[:, :, k:, :k].transpose(0, 2, 1, 3).reshape(n_ctrl, n_later, n_ctrl * k)
+    y = (dt * dt) * (w @ kappa) @ structure_map(to_coherence(cache.k_ops[m, k])).T
+    x = to_coherence(cache.g[k:] @ from_coherence(y) @ dag(cache.g[k:]))
+    # 2 c_j.F(h_p) F(x_pj) r_j summed over p and j, with F(x) r = -F(r) x
+    fx_r = -(structure_map(states[k:]) @ x[..., None])[..., 0]
+    return float(grad + 2.0 * np.sum((costates[k:] @ cache.f_controls) * fx_r))
 
 
 def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
@@ -208,22 +206,18 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     n, m = grid.n_steps, problem.n_controls
     cache = build_cache(problem.h_family, grid, guess, problem.kernel)
 
-    d = problem.dim
     # refresh() writes into v_steps in place, so this alias stays current
     v_steps = cache.v_steps
-    # states and conjugated costates as column-stacked vectors, one row per
-    # node; xi = conj(chi) turns the backward step chi[j] = V_j^dag chi[j+1]
-    # into xi[j] = xi[j+1] V_j, with no transposed copy of V_j
-    phi = _node_sweep(v_steps, vec(problem.rho0))
-    xi = np.empty_like(phi)
-    # C-contiguous operator copies of the nodes the gradient reads
-    states = np.empty((n + 1, d, d), dtype=complex)
-    costates = np.empty((n + 1, d, d), dtype=complex)
-    xi[n] = vec(problem.rho_targ).conj()
-    # costates xi[fresh:] agree with the current step superoperators
+    # states and costates, one coherence vector per node; the backward step
+    # c[j] = V_j^T c[j+1] is the row-vector product c[j+1] V_j
+    states = _node_sweep(v_steps, to_coherence(problem.rho0))
+    costates = np.empty_like(states)
+    costates[n] = to_coherence(problem.rho_targ)
+    # costates[fresh:] agree with the current step maps
     fresh = n
+    offset = 1.0 - 1.0 / problem.dim
 
-    j_val = 1.0 - _overlap(problem.rho_targ, unvec(phi[n]))
+    j_val = offset - 2.0 * float(costates[n] @ states[n])
     j_values = [j_val]
     converged = config.j_tol is not None and j_val <= config.j_tol
 
@@ -232,14 +226,12 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
         iterations += 1
         for k in range(1, n + 1):
             for j in range(fresh - 1, k - 1, -1):
-                xi[j] = xi[j + 1] @ v_steps[j]
+                costates[j] = costates[j + 1] @ v_steps[j]
             fresh = k
             # the memory term of the gradient reads every node from k on
             last = n if cache.has_memory else k
             for j in range(k, last + 1):
-                phi[j] = v_steps[j - 1] @ phi[j - 1]
-            states[k : last + 1] = unvec(phi[k : last + 1])
-            costates[k : last + 1] = unvec(xi[k : last + 1].conj())
+                states[j] = v_steps[j - 1] @ states[j - 1]
             new_values = cache.pulses[:, k - 1].copy()
             for mm in range(m):
                 if config.shapes[mm, k - 1] == 0.0:
@@ -248,8 +240,8 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
                 new_values[mm] += config.shapes[mm, k - 1] / config.lambdas[mm] * grad
             if not np.array_equal(new_values, cache.pulses[:, k - 1]):
                 fresh = cache.update_step(k, new_values)
-            phi[k] = v_steps[k - 1] @ phi[k - 1]
-        j_val = 1.0 - _overlap(problem.rho_targ, unvec(phi[n]))
+            states[k] = v_steps[k - 1] @ states[k - 1]
+        j_val = offset - 2.0 * float(costates[n] @ states[n])
         j_values.append(j_val)
         converged = config.j_tol is not None and j_val <= config.j_tol
 

@@ -1,11 +1,19 @@
-"""Dense complex linear algebra for finite-dimensional quantum systems.
+"""Dense linear algebra for finite-dimensional quantum systems.
 
 Operators, density matrices and propagators are plain ``(d, d)`` complex
-numpy arrays; superoperators are ``(d**2, d**2)`` arrays acting on
-column-stacked (``vec``) operators, so that ``A X B`` maps to
-``kron(B.T, A) @ vec(X)``.  Every function here is pure and never mutates
-its arguments, which makes all of them safe to share across threads.
+numpy arrays.  Maps on Hermitian operators act on real coherence vectors:
+with the generalized Gell-Mann matrices ``lambda_e`` (e = 1 .. d**2 - 1;
+traceless, Hermitian, ``Tr(lambda_a lambda_b) = 2 delta_ab``; Bertlmann &
+Krammer, J. Phys. A 41, 235303 (2008)), an operator ``X`` has coefficients
+``x_e = Tr(X lambda_e) / 2``, so ``X = Tr(X) I / d + sum_e x_e lambda_e``.
+With the su(d) structure constants ``[lambda_a, lambda_b] = 2i f_abc
+lambda_c``, ``-i[X, .]`` acts on coefficients as the real antisymmetric
+matrix ``F(x)_cb = 2 sum_e x_e f_ebc``.  Every function here is pure and
+never mutates its arguments, which makes all of them safe to share across
+threads.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,31 +38,12 @@ def dag(a):
     return np.conj(np.swapaxes(a, -2, -1))
 
 
-def commutator(a, b):
-    return a @ b - b @ a
-
-
-def vec(x):
-    """Column-stack a (d, d) matrix into a length d**2 vector."""
-    return np.asarray(x).reshape(-1, order="F")
-
-
-def unvec(v):
-    """Inverse of :func:`vec`; batched over leading axes: (..., d*d) -> (..., d, d)."""
-    v = np.asarray(v)
-    n = v.shape[-1]
-    d = int(round(np.sqrt(n)))
-    if d * d != n:
-        raise ValueError(f"cannot devectorize length-{n} vector into a square matrix")
-    return np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
-
-
 def as_operator(a, name="operator"):
     """Validate and return a square complex matrix."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise NumericalError(f"{name} has non-finite entries")
     return a
 
@@ -86,15 +75,66 @@ def check_density_matrix(rho, name="density matrix"):
     return rho
 
 
-def commutator_super_batch(ops):
-    """Stack of commutator superoperators for a stack of (d, d) operators."""
-    ops = np.asarray(ops, dtype=complex)
-    d = ops.shape[-1]
-    eye = np.eye(d, dtype=complex)
-    left = np.einsum("ij,...ab->...iajb", eye, ops)
-    right = np.einsum("...ba,ij->...aibj", ops, eye)
-    shape = ops.shape[:-2] + (d * d, d * d)
-    return left.reshape(shape) - right.reshape(shape)
+@lru_cache(maxsize=None)
+def gell_mann(d):
+    """The (d**2 - 1, d, d) generalized Gell-Mann matrices: the symmetric
+    ``E_jk + E_kj`` and antisymmetric ``-i E_jk + i E_kj`` pairs (j < k),
+    then the diagonal ones.  Built once per d; read-only."""
+    lam = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            e = np.outer(np.eye(d)[j], np.eye(d)[k])
+            lam += [e + e.T, -1j * e + 1j * e.T]
+    for l in range(1, d):
+        lam.append(np.sqrt(2.0 / (l * (l + 1))) * np.diag(np.r_[np.ones(l), -l, np.zeros(d - l - 1)]))
+    lam = np.array(lam, dtype=complex).reshape(-1, d, d)
+    lam.flags.writeable = False
+    return lam
+
+
+@lru_cache(maxsize=None)
+def _coherence_tables(d):
+    """Real forms of the basis, read-only: ``proj`` maps the float view of a
+    flattened operator to its coefficients, ``lift`` maps coefficients to
+    the float view of ``sum_e x_e lambda_e``, and row e of ``fmaps`` is
+    ``F(unit vector e)`` flattened, so that ``F(x) = x @ fmaps``."""
+    lam = gell_mann(d)
+    n = len(lam)
+    lift = lam.reshape(n, -1).view(float)
+    proj = 0.5 * np.ascontiguousarray(lift.T)
+    comm = np.einsum("aij,bjk->abik", lam, lam)
+    comm -= np.swapaxes(comm, 0, 1)
+    f = np.real(np.einsum("abij,cji->abc", comm, lam) / 4j)  # f_abc
+    fmaps = np.ascontiguousarray(2.0 * np.swapaxes(f, 1, 2)).reshape(n, n * n)
+    for table in (proj, fmaps):
+        table.flags.writeable = False
+    return proj, lift, fmaps
+
+
+def to_coherence(x):
+    """Coefficients ``Tr(X lambda_e) / 2`` of Hermitian operators: (..., d, d) -> (..., d**2 - 1)."""
+    x = np.asarray(x, dtype=complex)
+    d = x.shape[-1]
+    flat = np.ascontiguousarray(x).reshape(x.shape[:-2] + (d * d,))
+    return flat.view(float) @ _coherence_tables(d)[0]
+
+
+def from_coherence(x, trace=0.0):
+    """Operators ``trace * I / d + sum_e x_e lambda_e``: (..., d**2 - 1) -> (..., d, d)."""
+    x = np.asarray(x, dtype=float)
+    d = int(round(np.sqrt(x.shape[-1] + 1)))
+    ops = (x @ _coherence_tables(d)[1]).view(complex).reshape(x.shape[:-1] + (d, d))
+    if trace:
+        ops[..., np.arange(d), np.arange(d)] += trace / d
+    return ops
+
+
+def structure_map(x):
+    """``F(x)``, the action of ``-i[X, .]`` on coefficients: (..., n) -> (..., n, n)."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    fmaps = _coherence_tables(int(round(np.sqrt(n + 1))))[2]
+    return (x @ fmaps).reshape(x.shape[:-1] + (n, n))
 
 
 # Truncated-Taylor degrees whose Paterson-Stockmeyer evaluation costs one
@@ -122,17 +162,19 @@ _TAYLOR_MIN_STACK = 4
 def expm(a, scale=1.0):
     """Matrix exponential exp(scale * A) by scaling and squaring.
 
-    Works for operators and superoperators alike; batched over leading axes.
-    Stacks of fewer than ``_TAYLOR_MIN_STACK`` matrices, a lone matrix
-    among them, go to scipy's Pade method one matrix at a time.  Larger
-    stacks are exponentiated all at once by :func:`_expm_taylor`.
+    Keeps the dtype of ``scale * A``: real generators give real maps.
+    Batched over leading axes.  Stacks of fewer than ``_TAYLOR_MIN_STACK``
+    matrices, a lone matrix among them, go to scipy's Pade method one
+    matrix at a time.  Larger stacks are exponentiated all at once by
+    :func:`_expm_taylor`.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
     if not np.isfinite(a).all():
         raise NumericalError("expm: generator has non-finite entries")
+    a = scale * a
     if a.size < _TAYLOR_MIN_STACK * a.shape[-1] ** 2:
-        return sla.expm(scale * a)
-    return _expm_taylor(scale * a)
+        return sla.expm(a)
+    return _expm_taylor(a)
 
 
 def _expm_taylor(a):
@@ -151,7 +193,7 @@ def _expm_taylor(a):
     r = m // p
 
     # powers[j] = (A / 2**s)^(j+1) for j < p
-    powers = np.empty((p,) + a.shape, dtype=complex)
+    powers = np.empty((p,) + a.shape, dtype=a.dtype)
     np.multiply(a, 2.0**-s, out=powers[0])
     for j in range(1, p):
         np.matmul(powers[j - 1], powers[0], out=powers[j])
@@ -162,7 +204,7 @@ def _expm_taylor(a):
     coef[-1, p] = _INV_FACTORIALS[m]
     # real weights: contract the real and imaginary parts as one real array
     flat = powers.reshape(p, -1).view(float)
-    blocks = (coef[:, 1:] @ flat).view(complex).reshape((r,) + a.shape)
+    blocks = (coef[:, 1:] @ flat).view(a.dtype).reshape((r,) + a.shape)
     diag = np.arange(a.shape[-1])
     blocks[..., diag, diag] += coef[:, 0].reshape((r,) + (1,) * (a.ndim - 1))
 
@@ -183,7 +225,7 @@ def expm_hermitian(h, scale=1.0):
     unitary up to roundoff.  Batched over leading axes.
     """
     h = np.asarray(h, dtype=complex)
-    if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
+    if not np.isfinite(h).all():
         raise NumericalError("expm_hermitian: generator has non-finite entries")
     w, v = np.linalg.eigh(h)
     phases = np.exp(scale * w)

@@ -1,20 +1,27 @@
 """Propagation of disorder-averaged states and their brute-force counterpart.
 
-The forward solver advances the averaged state node-to-node with the
-one-exponential step ``exp(dt * K_k)``, where the step generator
+The averaged state is carried as its real coherence vector ``r``,
+``rho = I / d + sum_e r_e lambda_e`` over the generalized Gell-Mann basis
+(see :mod:`ddcontrol.linalg`).  The forward solver advances ``r``
+node-to-node with the one-exponential step ``exp(dt * K_k)``, a real
+``(d**2 - 1, d**2 - 1)`` matrix with no affine part, where the step
+generator
 
-    K_k rho = -i [H(mid_k), rho] - sum_{m,n} [H_m, [eta[m, n, node_k], rho]]
+    K_k = F(h_k) + sum_m F(h_m) F(e_m[node_k]),   E_m = sum_n eta[m, n],
 
-combines the coherent drive with the accumulated memory integrals
+acts on ``r`` as ``rho -> -i [H(mid_k), rho] - sum_{m,n} [H_m, [eta[m, n,
+node_k], rho]]`` does on ``rho``; lower-case letters are the coefficients of
+the operators and ``F(x)`` is :func:`~ddcontrol.linalg.structure_map`.  The
+memory integrals
 
-    eta[n1, n2, j] = w[n1, n2] H_n2 + dt * sum_{l < j} C[n1, n2](t_j, mid_l) * Htilde[n2, j, l],
+    eta[n1, n2, j] = w[n1, n2] H_n2 + dt * sum_{l < j} C[n1, n2](t_j, mid_l) * Htilde[n2, j, l]
 
-``Htilde[m, j, l]`` is the control Hamiltonian ``H_m`` coherently evolved
-from node ``l`` to node ``j``, and ``w`` holds the kernel's local weights
-(``alpha / 2`` on the diagonal for white noise, zero otherwise).  Every
-kernel kind goes through this one generator: for white noise the Riemann
-sum vanishes and the local term makes ``K_k`` the Markovian
-double-commutator generator.  All tables live in a
+are kept as operators: ``Htilde[m, j, l]`` is the control Hamiltonian
+``H_m`` coherently evolved from node ``l`` to node ``j``, and ``w`` holds the
+kernel's local weights (``alpha / 2`` on the diagonal for white noise, zero
+otherwise).  Every kernel kind goes through this one generator: for white
+noise the Riemann sum vanishes and the local term makes ``K_k`` the
+Markovian double-commutator generator.  All tables live in a
 :class:`PropagatorCache` that can be partially rebuilt after a pulse
 changes, which is what the sequential optimizer relies on, so the
 optimizer and :func:`ddme_propagate` follow the same map.
@@ -22,8 +29,8 @@ optimizer and :func:`ddme_propagate` follow the same map.
 is kept as an independent reference for that kind.
 
 Every node-by-node propagation goes through one loop, :func:`_node_sweep`,
-which applies a stack of step maps to a starting array: the step
-superoperators to ``vec(rho0)`` in :func:`ddme_propagate`,
+which applies a stack of step maps to a starting array: the step maps to
+the coherence vector of ``rho0`` in :func:`ddme_propagate`,
 :func:`white_noise_propagate` and the optimizer's first forward sweep, and
 the step unitaries of every realization to the eigenvectors of ``rho0`` in
 :func:`unitary_average`.  Only the optimizer's sequential update advances
@@ -40,14 +47,14 @@ import numpy as np
 from .linalg import (
     NumericalError,
     bloch_vector,
-    commutator_super_batch,
     dag,
     expm,
     expm_hermitian,
     fidelity_pure_target,
+    from_coherence,
     purity,
-    unvec,
-    vec,
+    structure_map,
+    to_coherence,
 )
 from .model import CorrelationKernel, TimeGrid, as_pulses, sample_perturbations
 
@@ -101,7 +108,7 @@ def _node_sweep(steps, x0):
     ``steps`` is an (N, ..., n, n) stack of step maps and ``x0`` has the
     shape of ``steps[0] @ x0``; returns the (N+1, ...) array of all nodes.
     """
-    x = np.empty((len(steps) + 1,) + np.shape(x0), dtype=complex)
+    x = np.empty((len(steps) + 1,) + np.shape(x0), dtype=np.result_type(steps, x0))
     x[0] = x0
     for k in range(len(steps)):
         np.matmul(steps[k], x[k], out=x[k + 1])
@@ -109,8 +116,8 @@ def _node_sweep(steps, x0):
 
 
 class PropagatorCache:
-    """One-step superoperators of the averaged dynamics, plus the tables that
-    feed them.
+    """One-step maps of the averaged dynamics on coherence vectors, plus the
+    tables that feed them.
 
     Attributes (N = grid.n_steps, d = Hilbert dimension, M = controls):
 
@@ -119,7 +126,8 @@ class PropagatorCache:
       pulses (zero and white-noise kernels);
     * ``eta``: (M, M, N+1, d, d) memory integrals per node, the kernel's
       pulse-independent local term plus its Riemann sum;
-    * ``v_steps``: (N, d^2, d^2) one-step superoperators exp(dt * K_k).
+    * ``f_controls``: (M, d^2-1, d^2-1) maps ``F(h_m)`` of the controls;
+    * ``v_steps``: (N, d^2-1, d^2-1) real one-step maps exp(dt * K_k).
 
     With memory the cache also keeps the tables the Riemann sum is built
     from; without memory they are ``None``:
@@ -152,28 +160,26 @@ class PropagatorCache:
         self.pulses = as_pulses(pulses, grid, h_family.n_controls).copy()
 
         n, d, m = grid.n_steps, h_family.dim, h_family.n_controls
-        self._c_controls = commutator_super_batch(h_family.control_stack)
-        weights = kernel.weight_table(grid)
+        self.f_controls = structure_map(to_coherence(h_family.control_stack))
+        # _memory_maps[m, e] = F(h_m) F(unit vector e), so that
+        # sum_m F(h_m) F(e_m) is one contraction with the coefficients e_m
+        unit_maps = structure_map(np.eye(d * d - 1))
+        self._memory_maps = self.f_controls[:, None] @ unit_maps
+        self.weights = kernel.weight_table(grid)
         # zero out l >= j so the eta sums run over the past only
         mask = (np.arange(n)[None, :] < np.arange(n + 1)[:, None]).astype(float)
-        self.weights = weights
-        self._masked_weights = weights * mask[None, None, :, :]
+        self._masked_weights = self.weights * mask[None, None, :, :]
         self.has_memory = bool(np.any(self._masked_weights))
         self._local_eta = np.einsum("pn,nab->pnab", kernel.local_weights, h_family.control_stack)
 
         self.eta = np.empty((m, m, n + 1, d, d), dtype=complex)
         self.eta[:, :, 0] = 0.0
-        self.v_steps = np.empty((n, d * d, d * d), dtype=complex)
+        self.v_steps = np.empty((n, d * d - 1, d * d - 1))
         if self.has_memory:
             self.u_steps = unitary_steps(h_family, self.pulses, grid.dt)
-            self.g = np.empty((n + 1, d, d), dtype=complex)
-            self.g[0] = np.eye(d, dtype=complex)
-            for j in range(1, n + 1):
-                self.g[j] = self.u_steps[j - 1] @ self.g[j - 1]
-            self.k_ops = np.empty((m, n + 1, d, d), dtype=complex)
-            self.k_ops[:, 0] = h_family.control_stack
-            self.k_ops[:, 1:] = np.einsum(
-                "jba,mbc,jcd->mjad", np.conj(self.g[1:]), h_family.control_stack, self.g[1:]
+            self.g = _node_sweep(self.u_steps, np.eye(d, dtype=complex))
+            self.k_ops = np.einsum(
+                "jba,mbc,jcd->mjad", np.conj(self.g), h_family.control_stack, self.g
             )
         else:
             self.u_steps = self.g = self.k_ops = None
@@ -189,7 +195,7 @@ class PropagatorCache:
     def update_step(self, k, values):
         """Set all pulse values on step k and rebuild the tables they feed.
 
-        Returns the last step whose superoperator was rebuilt: k without
+        Returns the last step whose map was rebuilt: k without
         memory, N with memory.
         """
         values = np.atleast_1d(np.asarray(values, dtype=float))
@@ -203,7 +209,7 @@ class PropagatorCache:
 
         With memory that is one step unitary, a rotation of the later
         ``g`` and ``k_ops`` entries, and every ``eta`` and ``v_steps`` entry
-        from start_step on; without memory it is the one superoperator of
+        from start_step on; without memory it is the one step map of
         step start_step.  Returns the last rebuilt step.
         """
         k0 = start_step
@@ -226,36 +232,23 @@ class PropagatorCache:
         return self.n_steps
 
     def _build_v_steps(self, first, last):
-        """Superoperators of steps first..last (1-based, inclusive)."""
+        """Step maps of steps first..last (1-based, inclusive)."""
         dt = self.grid.dt
-        c_hbar = commutator_super_batch(self.h_family.stack(self.pulses[:, first - 1 : last]))
+        coherent = _coherent_maps(self.h_family, self.pulses[:, first - 1 : last])
         if self.has_memory:
             incoherent = self._incoherent(self.eta[:, :, first : last + 1])
         else:
             incoherent = self._static_incoherent
-        gen = -1j * c_hbar - incoherent
+        gen = coherent + incoherent
         if not np.all(np.isfinite(gen)):
             raise NumericalError("non-finite step generator")
         self.v_steps[first - 1 : last] = expm(gen, scale=dt)
 
     def _incoherent(self, eta):
-        """Superoperators of sum_mn [H_m, [eta_mn, .]] for a (M, M, K, d, d) eta slice.
-
-        The commutator superoperator is linear, so each control's
-        ``E_m = sum_n eta_mn`` is formed first: M superoperators, not M^2.
-        """
-        c_eta = commutator_super_batch(np.sum(eta, axis=1))
-        return np.sum(self._c_controls[:, None] @ c_eta, axis=0)
-
-    def htilde_row(self, j):
-        """Evolved controls ending at node j: (M, j+1, d, d) over start nodes l <= j.
-
-        Needs the memory tables ``g`` and ``k_ops``.
-        """
-        gj = self.g[j]
-        row = np.einsum("ab,mlbc,dc->mlad", gj, self.k_ops[:, : j + 1], np.conj(gj))
-        row[:, j] = self.h_family.control_stack  # exact at equal nodes
-        return row
+        """Maps ``sum_m F(h_m) F(e_m)`` for a (M, M, K, d, d) eta slice, with
+        ``e_m`` the coefficients of ``E_m = sum_n eta_mn``: (K, d^2-1, d^2-1)."""
+        e = to_coherence(np.sum(eta, axis=1))
+        return np.tensordot(e, self._memory_maps, axes=([0, 2], [0, 1]))
 
 
 def build_eta_table(cache: PropagatorCache, start_node=0):
@@ -284,6 +277,17 @@ def build_eta_table(cache: PropagatorCache, start_node=0):
     )
 
 
+def _coherent_maps(h_family, pulses):
+    """Maps ``F(h_k)`` of the total Hamiltonians for (M, K) pulses: (K, d^2-1, d^2-1)."""
+    return structure_map(to_coherence(h_family.stack(pulses)))
+
+
+def _trajectory(problem, states):
+    """Trajectory of (N+1, d, d) node states; node 0 becomes ``rho0`` itself."""
+    states[0] = problem.rho0
+    return Trajectory.from_states(problem.grid.nodes, states, problem.rho_targ)
+
+
 def build_cache(h_family, grid, pulses, kernel):
     """Construct a fully populated PropagatorCache."""
     return PropagatorCache(h_family, grid, pulses, kernel)
@@ -293,20 +297,21 @@ def ddme_propagate(problem, pulses, kernel=None):
     """Propagate the disorder-averaged state over the whole grid.
 
     Returns a :class:`Trajectory` on the node grid.  ``kernel`` overrides
-    the problem's kernel when given.  Every kernel kind uses the step
-    superoperators of a :class:`PropagatorCache`, the dynamics the
-    optimizer follows.
+    the problem's kernel when given.  Every kernel kind uses the step maps
+    of a :class:`PropagatorCache`, the dynamics the optimizer follows; the
+    coherence vectors become density matrices once, after the sweep.
     """
     kernel = problem.kernel if kernel is None else kernel
     cache = build_cache(problem.h_family, problem.grid, pulses, kernel)
-    states = unvec(_node_sweep(cache.v_steps, vec(problem.rho0)))
-    return Trajectory.from_states(cache.grid.nodes, states, problem.rho_targ)
+    r = _node_sweep(cache.v_steps, to_coherence(problem.rho0))
+    return _trajectory(problem, from_coherence(r, trace=1.0))
 
 
 def white_noise_propagate(problem, pulses, alpha):
     """Evolve under the Markovian limit of delta-correlated perturbations.
 
-    Generator: K rho = -i [H(t), rho] - (alpha / 2) sum_m [H_m, [H_m, rho]].
+    Generator: K rho = -i [H(t), rho] - (alpha / 2) sum_m [H_m, [H_m, rho]],
+    on coherence vectors ``F(h(t)) + (alpha / 2) sum_m F(h_m)^2``.
     The dissipator has Hermitian jump operators, so the purity series is
     non-increasing.  This builds the generator directly, without a
     :class:`PropagatorCache`; it is the independent reference that
@@ -316,11 +321,11 @@ def white_noise_propagate(problem, pulses, alpha):
         raise ValueError(f"white-noise rate must be nonnegative, got {alpha}")
     grid = problem.grid
     pulses = as_pulses(pulses, grid, problem.h_family.n_controls)
-    c_controls = commutator_super_batch(problem.h_family.control_stack)
-    dissipator = 0.5 * alpha * np.einsum("mab,mbc->ac", c_controls, c_controls)
-    gen = -1j * commutator_super_batch(problem.h_family.stack(pulses)) - dissipator[None]
-    states = unvec(_node_sweep(expm(gen, scale=grid.dt), vec(problem.rho0)))
-    return Trajectory.from_states(grid.nodes, states, problem.rho_targ)
+    f_controls = structure_map(to_coherence(problem.h_family.control_stack))
+    dissipator = 0.5 * alpha * np.sum(f_controls @ f_controls, axis=0)
+    gen = _coherent_maps(problem.h_family, pulses) + dissipator
+    r = _node_sweep(expm(gen, scale=grid.dt), to_coherence(problem.rho0))
+    return _trajectory(problem, from_coherence(r, trace=1.0))
 
 
 def unitary_average(problem, pulse_sets):
@@ -346,9 +351,7 @@ def unitary_average(problem, pulse_sets):
     psi = kets.swapaxes(-1, -2).reshape(n + 1, -1, d)
     weighted = np.conj(psi)
     weighted *= np.tile(w, count)[:, None]
-    states = psi.swapaxes(-1, -2) @ weighted / count
-    states[0] = problem.rho0
-    return Trajectory.from_states(problem.grid.nodes, states, problem.rho_targ)
+    return _trajectory(problem, psi.swapaxes(-1, -2) @ weighted / count)
 
 
 def ensemble_average(problem, pulses, count, seed, kernel=None):

@@ -7,9 +7,41 @@ unoptimized form of something the package computes another way.
 import numpy as np
 
 from ddcontrol.krotov import OptimizationTrace
-from ddcontrol.linalg import TRACE_TOL, as_operator, commutator, dag, expm_hermitian, unvec, vec
+from ddcontrol.linalg import TRACE_TOL, as_operator, dag, expm_hermitian, gell_mann
 from ddcontrol.model import as_pulses
 from ddcontrol.propagation import Trajectory, unitary_steps
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def vec(x):
+    """Column-stack a (d, d) matrix into a length d**2 vector."""
+    return np.asarray(x).reshape(-1, order="F")
+
+
+def unvec(v):
+    """Inverse of :func:`vec`; batched over leading axes: (..., d*d) -> (..., d, d)."""
+    v = np.asarray(v)
+    n = v.shape[-1]
+    d = int(round(np.sqrt(n)))
+    if d * d != n:
+        raise ValueError(f"cannot devectorize length-{n} vector into a square matrix")
+    return np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
+
+
+def to_vec_basis(v):
+    """The (d**2, d**2) superoperator on column-stacked operators of a
+    unital, trace-preserving map given by its (n, n) real coherence-vector
+    matrix, n = d**2 - 1: identity on I, ``v`` on the Gell-Mann coefficients."""
+    d = int(round(np.sqrt(v.shape[-1] + 1)))
+    basis = np.column_stack([vec(np.eye(d))] + [vec(lam) for lam in gell_mann(d)])
+    block = np.zeros((d * d, d * d))
+    block[0, 0] = 1.0
+    block[1:, 1:] = v
+    norms = np.r_[d, np.full(d * d - 1, 2.0)]
+    return basis @ block @ (dag(basis) / norms[:, None])
 
 
 def hamiltonian_at(h_family, pulse_values):
@@ -30,7 +62,7 @@ def unitary_step(h_family, pulses, k, dt):
 
 def ddme_step(cache, k, rho):
     """Advance the averaged state across step k (node k-1 to node k)."""
-    return unvec(cache.v_steps[k - 1] @ vec(rho))
+    return unvec(to_vec_basis(cache.v_steps[k - 1]) @ vec(rho))
 
 
 def ddme_backward_step(cache, k, chi):
@@ -40,7 +72,7 @@ def ddme_backward_step(cache, k, chi):
     <backward(chi), rho> == <chi, forward(rho)> holds to roundoff in the
     Hilbert-Schmidt inner product.
     """
-    return unvec(np.conj(cache.v_steps[k - 1]).T @ vec(chi))
+    return unvec(np.conj(to_vec_basis(cache.v_steps[k - 1])).T @ vec(chi))
 
 
 def relative_propagator(cache, j, l):
@@ -48,6 +80,15 @@ def relative_propagator(cache, j, l):
     if j < l:
         raise ValueError(f"need j >= l, got ({j}, {l})")
     return cache.g[j] @ dag(cache.g[l])
+
+
+def htilde_row(cache, j):
+    """Evolved controls ending at node j: (M, j+1, d, d) over start nodes l <= j,
+    from a cache with memory tables."""
+    gj = cache.g[j]
+    row = np.einsum("ab,mlbc,dc->mlad", gj, cache.k_ops[:, : j + 1], np.conj(gj))
+    row[:, j] = cache.h_family.control_stack  # exact at equal nodes
+    return row
 
 
 def build_htilde_table(cache):
@@ -60,7 +101,7 @@ def build_htilde_table(cache):
     m, d = cache.h_family.n_controls, cache.h_family.dim
     table = np.zeros((m, n + 1, n + 1, d, d), dtype=complex)
     for j in range(n + 1):
-        table[:, j, : j + 1] = cache.htilde_row(j)
+        table[:, j, : j + 1] = htilde_row(cache, j)
     return table
 
 
@@ -89,6 +130,59 @@ def double_commutator_super(a, b):
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
     return commutator_super(a) @ commutator_super(b)
+
+
+def reference_generators(h_family, grid, pulses, kernel):
+    """(N, d**2, d**2) step generators on column-stacked operators,
+
+        K_k = -i C(H_k) - sum_{p,n} C(H_p) C(eta[p, n, k]),   C(A) = [A, .],
+
+    with every memory integral summed term by term from explicitly evolved
+    controls: the complex superoperator form of the cache's step maps."""
+    dt, n = grid.dt, grid.n_steps
+    pulses = as_pulses(pulses, grid, h_family.n_controls)
+    controls = h_family.control_stack
+    u = [unitary_step(h_family, pulses, k, dt) for k in range(1, n + 1)]
+    g = [np.eye(h_family.dim, dtype=complex)]
+    for k in range(n):
+        g.append(u[k] @ g[k])
+    weights = kernel.weight_table(grid)
+    local = kernel.local_weights
+    gens = []
+    for j in range(1, n + 1):
+        gen = -1j * commutator_super(hamiltonian_at(h_family, pulses[:, j - 1]))
+        for p, hp in enumerate(controls):
+            for q, hq in enumerate(controls):
+                eta = local[p, q] * hq
+                for l in range(j):
+                    u_rel = g[j] @ dag(g[l])
+                    eta = eta + dt * weights[p, q, j, l] * (u_rel @ hq @ dag(u_rel))
+                gen = gen - double_commutator_super(hp, eta)
+        gens.append(gen)
+    return np.array(gens)
+
+
+def gradient_reference(cache, states, costates, m, k):
+    """Pulse gradient D at control m and step k from operator states and
+    costates (N+1, d, d): the coherent term and, for every node j >= k, the
+    memory integrals' sensitivity to the pulse on step k, as nested
+    commutators.  Returns the complex value; the exact one is real."""
+    hm = cache.h_family.controls[m]
+    grad = np.trace(costates[k] @ (-1j * commutator(hm, states[k])))
+    if not cache.has_memory:
+        return grad
+    dt = cache.grid.dt
+    b_kl = htilde_row(cache, k)[:, :k]  # (M, k, d, d)
+    comms = hm @ b_kl - b_kl @ hm
+    w = cache.weights[:, :, k:, :k]  # (M, M, n-k+1, k)
+    deta = (-1j * dt * dt) * np.einsum("pnjl,nlab->pnjab", w, comms)
+    u_rel = np.einsum("jab,cb->jac", cache.g[k:], np.conj(cache.g[k]))
+    evolved = np.einsum("jab,pnjbc,jdc->pnjad", u_rel, deta, np.conj(u_rel))
+    phi = states[k:]
+    inner = evolved @ phi - phi @ evolved
+    h_stack = cache.h_family.control_stack[:, None, None]
+    outer = h_stack @ inner - inner @ h_stack
+    return grad - np.einsum("jab,pnjba->", costates[k:], outer)
 
 
 def _overlap(rho_targ, rho):

@@ -26,7 +26,7 @@ import pytest
 from conftest import WHITE_NOISE_PATHS, random_hermitian
 from reference import ddme_backward_step, ddme_step, se_krotov_reference
 from ddcontrol import cli
-from ddcontrol.linalg import SIGMA_X, SIGMA_Z, dag, expm, expm_hermitian, projector
+from ddcontrol.linalg import SIGMA_X, SIGMA_Z, dag, expm, expm_hermitian, projector, to_coherence
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, sample_perturbations
 from ddcontrol.krotov import (
     ControlProblem,
@@ -315,6 +315,7 @@ def test_criterion_7g_frozen_gradient_finite_difference():
         chi[n] = problem.rho_targ
         for j in range(n - 1, -1, -1):
             chi[j] = ddme_backward_step(cache, j + 1, chi[j + 1])
+        phi, chi = to_coherence(phi), to_coherence(chi)
 
         def overlap(p):
             return float(np.real(np.trace(problem.rho_targ @ ddme_propagate(problem, p).final_state)))

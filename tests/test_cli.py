@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ddcontrol import cli
+from ddcontrol.model import sample_perturbations
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -26,10 +27,24 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def test_unknown_config_key_is_config_error(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"taskk": "z-gate"}))
-    assert cli.main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+def test_unknown_config_key_is_config_error(tmp_path, capsys):
+    # unknown keys at the top level and inside sections, named in the message
+    for config, name in (
+        ({"taskk": "z-gate"}, "taskk"),
+        ({"krotov": {"lam": 1}}, "krotov.lam"),
+        ({"system": {"drift": {"z": 1.0}, "controls": [{"x": 1.0}], "extra": 1}}, "system.extra"),
+        ({"guess": {"kind": "gaussian", "paths": "p.csv"}}, "guess.paths"),
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_guess_path_is_a_known_key(tmp_path):
+    cfg = write_config(tmp_path, guess={"kind": "gaussian", "path": None})
+    assert isinstance(cli.load_experiment(config_path=cfg), cli.ResolvedExperiment)
 
 
 def test_invalid_kernel_kind_is_config_error(tmp_path):
@@ -69,6 +84,25 @@ def test_non_finite_or_fractional_config_value_is_config_error(tmp_path, section
     raw.setdefault(section, {})[key] = "@value@"
     cfg.write_text(json.dumps(raw).replace('"@value@"', literal))
     assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        ({"grid": {"T": None}}, "grid.T"),
+        ({"kernel": {"kind": "white-noise", "C0": None}}, "kernel.C0"),
+        ({"kernel": "gaussian"}, "kernel"),
+        ({"ensemble": [20, 7]}, "ensemble"),
+        ({"outputs": None}, "outputs"),
+        ({"grid": {"T": [10.0]}}, "grid.T"),
+        ({"krotov": {"t_on": True}}, "krotov.t_on"),
+    ],
+)
+def test_null_or_mistyped_config_value_is_config_error(tmp_path, capsys, overrides, name):
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o"), "p.csv"]) == 2
+    assert name in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -308,12 +342,19 @@ def test_white_noise_kernel_pipeline(tmp_path):
     assert (out / "summary.json").exists()
 
 
-def test_ensemble_realization_flag(tmp_path):
+def test_ensemble_realization_flag(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, kernel={"kind": "stationary-gaussian", "C0": 0.01, "t_corr": 100.0},
                        krotov={"J_tol": 0.05})
     out = tmp_path / "run"
     assert cli.main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
     ens_out = tmp_path / "ens"
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_perturbations(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_perturbations", counted)
     code = cli.main(
         [
             "ensemble",
@@ -329,6 +370,7 @@ def test_ensemble_realization_flag(tmp_path):
         ]
     )
     assert code == 0
+    assert len(calls) == 1  # the average and draw 3 come from one sampling
     rows = read_rows(ens_out / "trajectory_realization_3.csv")
     assert len(rows) == 31
     # single closed-system realization stays pure

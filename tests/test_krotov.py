@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from reference import ddme_backward_step, ddme_step, se_krotov_reference
-from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, projector
+from reference import ddme_backward_step, ddme_step, gradient_reference, se_krotov_reference
+from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, from_coherence, projector, to_coherence
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, update_shape
 from ddcontrol.krotov import (
     ControlProblem,
     KrotovConfig,
-    _gradient_terms,
     cost_JT,
     ddme_gradient_D,
     ddme_krotov,
@@ -151,24 +150,54 @@ def test_zero_kernel_reduction_matches_se_krotov():
             assert np.max(np.abs(tr_ref.j_values - tr.j_values)) <= 1e-12
 
 
-def test_gradient_is_real(rng):
-    grid = TimeGrid(T=4.0, n_steps=40)
-    kern = CorrelationKernel.gaussian(0.05, 2.0)
-    prob = make_problem("z-gate", kernel=kern, grid=grid)
-    pulses = (0.5 * np.sin(np.pi * grid.midpoints / 4.0) + 0.2)[None, :]
-    cache = build_cache(QUBIT, grid, pulses, kern)
-    phi = np.empty((41, 2, 2), complex)
-    chi = np.empty((41, 2, 2), complex)
-    phi[0] = prob.rho0
-    for j in range(1, 41):
-        phi[j] = ddme_step(cache, j, phi[j - 1])
-    chi[40] = prob.rho_targ
-    for j in range(39, -1, -1):
-        chi[j] = ddme_backward_step(cache, j + 1, chi[j + 1])
-    for k in (1, 10, 25, 40):
-        val = _gradient_terms(cache, phi, chi, 0, k)
-        assert abs(val.imag) <= 1e-12
-        assert ddme_gradient_D(cache, phi, chi, 0, k) == pytest.approx(val.real)
+def _swept_coherence(cache, rho0, rho_targ):
+    """States and costates of a cache as coherence vectors on every node."""
+    v = cache.v_steps
+    states = np.empty((len(v) + 1, v.shape[-1]))
+    costates = np.empty_like(states)
+    states[0] = to_coherence(rho0)
+    for j in range(len(v)):
+        states[j + 1] = v[j] @ states[j]
+    costates[-1] = to_coherence(rho_targ)
+    for j in range(len(v) - 1, -1, -1):
+        costates[j] = v[j].T @ costates[j + 1]
+    return states, costates
+
+
+def test_gradient_matches_operator_reference(rng):
+    # the real gradient against the complex nested-commutator formula at
+    # every step, on the Gaussian qubit and on a d = 3 two-control problem
+    # with a cross-correlated tabulated kernel
+    grid = TimeGrid(T=2.0, n_steps=8)
+    qubit = make_problem("z-gate", kernel=CorrelationKernel.gaussian(0.05, 2.0), grid=grid)
+    fam = HamiltonianFamily(
+        drift=random_hermitian(rng, 3), controls=(random_hermitian(rng, 3), random_hermitian(rng, 3))
+    )
+    coef = np.array([[0.3, 0.1], [0.1, 0.2]])
+
+    def table(t, s):
+        return coef[:, :, None, None] * np.exp(-((t[:, None] - s[None, :]) ** 2) / 0.8**2)
+
+    nodes, mids = grid.nodes, grid.midpoints
+    qutrit = ControlProblem(
+        rho0=np.diag([1.0, 0.0, 0.0]),
+        rho_targ=np.diag([0.0, 0.0, 1.0]),
+        h_family=fam,
+        grid=grid,
+        kernel=CorrelationKernel.tabulated(table(nodes, mids), table(mids, mids)),
+    )
+    for prob in (qubit, qutrit):
+        pulses = rng.standard_normal((prob.n_controls, grid.n_steps)) * 0.5
+        cache = build_cache(prob.h_family, grid, pulses, prob.kernel)
+        states, costates = _swept_coherence(cache, prob.rho0, prob.rho_targ)
+        phi = from_coherence(states, trace=1.0)
+        chi = from_coherence(costates, trace=1.0)
+        for m in range(prob.n_controls):
+            for k in range(1, grid.n_steps + 1):
+                got = ddme_gradient_D(cache, states, costates, m, k)
+                assert isinstance(got, float)
+                want = gradient_reference(cache, phi, chi, m, k)
+                assert abs(got - want.real) <= 1e-12 * abs(want.real)
 
 
 def _frozen_gradient_setup(T, n, h_scale, c0, t_corr):
@@ -207,8 +236,9 @@ def test_frozen_gradient_matches_finite_differences():
     # fine grid keeps the one-exponential splitting bias below the tolerance
     n = 1280
     prob, pulses, cache, phi, chi = _frozen_gradient_setup(0.4, n, 0.3, 2.0, 0.3)
+    states, costates = to_coherence(phi), to_coherence(chi)
     for k in (n // 4, n // 2):
-        analytic = prob.grid.dt * ddme_gradient_D(cache, phi, chi, 0, k)
+        analytic = prob.grid.dt * ddme_gradient_D(cache, states, costates, 0, k)
         fd = _central_difference(prob, pulses, k)
         assert abs(analytic - fd) <= 1e-3 * abs(fd)
 
@@ -219,8 +249,9 @@ def test_frozen_gradient_memory_term_against_finite_differences():
     n = 600
     prob, pulses, cache, phi, chi = _frozen_gradient_setup(3.0, n, 1.0, 0.2, 1.5)
     hm = prob.h_family.controls[0]
+    states, costates = to_coherence(phi), to_coherence(chi)
     for k, tol, min_share in ((n // 4, 0.10, 0.8), (n // 2, 0.035, 0.4), (3 * n // 4, 0.005, 0.05)):
-        grad = ddme_gradient_D(cache, phi, chi, 0, k)
+        grad = ddme_gradient_D(cache, states, costates, 0, k)
         coherent = float(
             np.real(np.trace(chi[k] @ (-1j * (hm @ phi[k] - phi[k] @ hm))))
         )
@@ -379,7 +410,7 @@ def test_two_control_gradient_matches_finite_differences():
     eps = 1e-5
     for m, tol in ((0, 2e-3), (1, 2.5e-2)):
         k = n // 4
-        grad = ddme_gradient_D(cache, phi, chi, m, k)
+        grad = ddme_gradient_D(cache, to_coherence(phi), to_coherence(chi), m, k)
         plus = pulses.copy()
         plus[m, k - 1] += eps
         minus = pulses.copy()

@@ -3,7 +3,14 @@ import pytest
 import scipy.linalg
 
 from conftest import random_density, random_hermitian
-from reference import check_trace_preserving, commutator_super, double_commutator_super
+from reference import (
+    check_trace_preserving,
+    commutator,
+    commutator_super,
+    double_commutator_super,
+    unvec,
+    vec,
+)
 from ddcontrol.linalg import (
     NumericalError,
     SIGMA_X,
@@ -11,18 +18,19 @@ from ddcontrol.linalg import (
     SIGMA_Z,
     bloch_vector,
     check_density_matrix,
-    commutator,
     dag,
     expm,
     expm_hermitian,
     fidelity_pure_target,
+    from_coherence,
+    gell_mann,
     ket,
     pauli_string,
     projector,
     purity,
+    structure_map,
+    to_coherence,
     trace_distance,
-    unvec,
-    vec,
 )
 
 
@@ -90,6 +98,26 @@ def test_double_commutator_super_dimension_mismatch():
         double_commutator_super(SIGMA_X, np.eye(3, dtype=complex))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_coherence_vectors_and_structure_map(rng, d):
+    lam = gell_mann(d)
+    assert lam.shape == (d * d - 1, d, d)
+    assert np.allclose(np.einsum("aij,bji->ab", lam, lam), 2.0 * np.eye(d * d - 1), atol=1e-14)
+    assert np.allclose(lam, dag(lam)) and np.allclose(np.trace(lam, axis1=1, axis2=2), 0.0)
+    xs = np.stack([random_hermitian(rng, d) for _ in range(3)])
+    x = to_coherence(xs)
+    assert x.dtype == np.float64 and x.shape == (3, d * d - 1)
+    traces = np.real(np.trace(xs, axis1=1, axis2=2))
+    assert np.max(np.abs(from_coherence(x[0], trace=traces[0]) - xs[0])) <= 1e-14
+    # -i[X, Y] acts on coefficients as the real antisymmetric F(x)
+    f = structure_map(x)
+    assert np.array_equal(f, -np.swapaxes(f, -1, -2))
+    for a in range(3):
+        got = f[a] @ x[(a + 1) % 3]
+        want = to_coherence(-1j * commutator(xs[a], xs[(a + 1) % 3]))
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
 def test_expm_zero_scale_is_identity(rng):
     s = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     assert np.allclose(expm(s, scale=0.0), np.eye(9), atol=1e-15)
@@ -124,6 +152,15 @@ def test_expm_matches_scipy(rng, d, count):
     assert np.array_equal(expm(a[None]), got[None])  # more leading axes
     scaled = expm(a[0], scale=-0.5j)
     assert np.max(np.abs(scaled - scipy.linalg.expm(-0.5j * a[0]))) <= 1e-13 * np.max(np.abs(scaled))
+
+
+@pytest.mark.parametrize("count", [1, 100])
+def test_expm_keeps_real_dtype(rng, count):
+    # real coherence-vector generators of step size: the stack stays real
+    a = 0.3 * rng.standard_normal((count, 8, 8))
+    got = expm(a, scale=0.5)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - scipy.linalg.expm(0.5 * a + 0j))) <= 1e-13
 
 
 def test_expm_rejects_non_finite(rng):

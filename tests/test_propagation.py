@@ -9,12 +9,13 @@ from reference import (
     build_htilde_table,
     ddme_backward_step,
     ddme_step,
+    htilde_row,
     relative_propagator,
     unitary_average_reference,
     unitary_step,
 )
 from ddcontrol import cli
-from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dag, projector, trace_distance, unvec, vec
+from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dag, projector, trace_distance
 from ddcontrol.model import (
     CorrelationKernel,
     HamiltonianFamily,
@@ -128,7 +129,7 @@ def test_htilde_row_matches_explicit_conjugation(rng):
     j, l = 9, 4
     u_rel = relative_propagator(cache, j, l)
     expected = u_rel @ SIGMA_X @ dag(u_rel)
-    assert np.allclose(cache.htilde_row(j)[0, l], expected, atol=1e-12)
+    assert np.allclose(htilde_row(cache, j)[0, l], expected, atol=1e-12)
 
 
 def _cache_inputs(kind, grid):
@@ -398,7 +399,7 @@ def test_white_noise_rejects_negative_rate():
 def test_ddme_propagate_agrees_with_white_noise_reference(rng):
     # the cache's local memory term reproduces the Markovian generator: bit
     # for bit on the stock qubit, to roundoff for general controls, where
-    # (alpha/2) scales H before its commutator superoperator is formed
+    # (alpha/2) scales H before its coherence vector is taken
     grid = TimeGrid(T=1.0, n_steps=10)
     kern = CorrelationKernel.white_noise(0.15)
     prob = qubit_problem(grid, kern)
