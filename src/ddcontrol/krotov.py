@@ -22,7 +22,13 @@ States and costates are the real coherence vectors of :mod:`ddcontrol.linalg`
 ``c[j-1] = V_j^T c[j]`` from ``c[N]``, the coefficients of the target.
 With ``Tr(A B) = Tr(A) Tr(B) / d + 2 a.b`` for Hermitian A, B the cost is
 ``1 - 1/d - 2 c[N].r[N]`` and the pulse gradient is a real sum of products
-of coefficient vectors and real maps.
+of coefficient vectors and real maps.  Its memory term reads the cache's
+real frame directly: the orthogonal node maps ``O_j`` and the
+interaction-picture controls ``kappa``, contracted with the kernel weights
+in one matrix product per control.  Every run of costates, and with memory
+of states, that an update makes stale is re-swept by one blocked
+:func:`~ddcontrol.propagation._node_sweep`, the costates on the reversed,
+transposed step maps; without memory an update moves a single state.
 
 A single optimization run is strictly sequential (each pulse update feeds
 the next); independent runs share no mutable state and can execute
@@ -33,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import check_density_matrix, dag, from_coherence, purity, structure_map, to_coherence
+from .linalg import check_density_matrix, purity, structure_map, to_coherence
 from .model import CorrelationKernel, HamiltonianFamily, TimeGrid, update_shape
 from .propagation import PropagatorCache, _node_sweep, build_cache, ddme_propagate
 
@@ -175,18 +181,21 @@ def ddme_gradient_D(cache: PropagatorCache, states, costates, m, k):
         # eta, including a white-noise kernel's local term, is pulse independent
         return float(grad)
 
-    # x[p, j]: coefficients of d E_p[node j] / d f_mk for nodes j >= k, the
-    # kernel weights of start nodes l < k on the interaction-picture
-    # commutators -i dt^2 [k_ops[m, k], k_ops[n, l]], carried to node j by g[j]
+    # The pulse on step k rotates the node propagators g_j, j >= k, by
+    # 1 - i dt df K, with K = g_k^dag H_m g_k (coefficients kappa[m, k]); of
+    # the evolved controls in e_p[node j] only those from start nodes l < k
+    # move, and e_p[node j] moves by dt^2 O_j F(kappa[m, k]) s_pj df with
+    # s_pj = sum_{n, l<k} W[p, n, j, l] kappa[n, l].  Through F(h_p) F(x) that
+    # adds 2 c_j.F(h_p) F(x) r_j = -2 a_pj.x to D, a_pj = (c_j F(h_p)) F(r_j),
+    # since F(x) r = -F(r) x.
     dt = cache.grid.dt
-    n_ctrl, n_later = cache.h_family.n_controls, cache.n_steps - k + 1
-    kappa = to_coherence(cache.k_ops[:, :k]).reshape(n_ctrl * k, -1)
-    w = cache.weights[:, :, k:, :k].transpose(0, 2, 1, 3).reshape(n_ctrl, n_later, n_ctrl * k)
-    y = (dt * dt) * (w @ kappa) @ structure_map(to_coherence(cache.k_ops[m, k])).T
-    x = to_coherence(cache.g[k:] @ from_coherence(y) @ dag(cache.g[k:]))
-    # 2 c_j.F(h_p) F(x_pj) r_j summed over p and j, with F(x) r = -F(r) x
-    fx_r = -(structure_map(states[k:]) @ x[..., None])[..., 0]
-    return float(grad + 2.0 * np.sum((costates[k:] @ cache.f_controls) * fx_r))
+    n_ctrl, n_later, n = cache.kappa.shape[0], cache.n_steps - k + 1, states.shape[-1]
+    w = cache.weights[:, k:, :, :k].reshape(n_ctrl, n_later, n_ctrl * k)
+    s = w @ cache.kappa[:, :k].reshape(n_ctrl * k, n)
+    a = (costates[k:] @ cache.f_controls)[..., None, :] @ structure_map(states[k:])
+    # rows O_j^T a_pj, against the rows (F(kappa[m, k]) s_pj)^T
+    oa = (a @ cache.o[k:])[..., 0, :]
+    return float(grad - 2.0 * dt * dt * np.sum(oa * (s @ structure_map(cache.kappa[m, k]).T)))
 
 
 def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
@@ -197,9 +206,11 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     computed with propagators that already contain the updates at steps
     < k.  An update makes steps k..L stale (L = N with memory, L = k
     without); the cache rebuilds them and only the nodes that depend on
-    them are propagated again.  So with memory the costates are re-swept
-    at every step and the states advanced to node N; without memory the
-    costates are swept once per iteration and only node k is advanced.
+    them are propagated again, each run of nodes in one
+    :func:`~ddcontrol.propagation._node_sweep`.  So with memory the
+    costates are re-swept at every step and the states advanced to node N;
+    without memory the costates are swept once per iteration and only node
+    k is advanced.
     """
     _check_config(problem, config)
     grid = problem.grid
@@ -209,7 +220,7 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     # refresh() writes into v_steps in place, so this alias stays current
     v_steps = cache.v_steps
     # states and costates, one coherence vector per node; the backward step
-    # c[j] = V_j^T c[j+1] is the row-vector product c[j+1] V_j
+    # c[j] = V_j^T c[j+1] is the forward sweep of the reversed, transposed maps
     states = _node_sweep(v_steps, to_coherence(problem.rho0))
     costates = np.empty_like(states)
     costates[n] = to_coherence(problem.rho_targ)
@@ -225,13 +236,15 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     while not converged and iterations < config.i_max:
         iterations += 1
         for k in range(1, n + 1):
-            for j in range(fresh - 1, k - 1, -1):
-                costates[j] = costates[j + 1] @ v_steps[j]
+            if fresh > k:
+                backward = v_steps[k:fresh][::-1].swapaxes(1, 2)
+                costates[k : fresh + 1] = _node_sweep(backward, costates[fresh])[::-1]
             fresh = k
-            # the memory term of the gradient reads every node from k on
-            last = n if cache.has_memory else k
-            for j in range(k, last + 1):
-                states[j] = v_steps[j - 1] @ states[j - 1]
+            if cache.has_memory:
+                # the memory term of the gradient reads every node from k on
+                states[k - 1 :] = _node_sweep(v_steps[k - 1 :], states[k - 1])
+            else:
+                states[k] = v_steps[k - 1] @ states[k - 1]
             new_values = cache.pulses[:, k - 1].copy()
             for mm in range(m):
                 if config.shapes[mm, k - 1] == 0.0:

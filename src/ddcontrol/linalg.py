@@ -137,6 +137,22 @@ def structure_map(x):
     return (x @ fmaps).reshape(x.shape[:-1] + (n, n))
 
 
+def adjoint_map(u):
+    """``O(U)_ab = Tr(lambda_a U lambda_b U^dag) / 2``, the action of
+    ``U . U^dag`` on coefficients: (..., d, d) -> (..., d**2 - 1, d**2 - 1).
+
+    Real, and orthogonal for unitary ``U``; ``O(U V) = O(U) O(V)``.  Formed
+    from the Kronecker product ``U (x) conj(U)``, which maps the flattened
+    ``X`` to the flattened ``U X U^dag``.
+    """
+    u = np.asarray(u, dtype=complex)
+    d = u.shape[-1]
+    lam = gell_mann(d).reshape(-1, d * d)
+    kron = u[..., :, None, :, None] * np.conj(u)[..., None, :, None, :]
+    kron = kron.reshape(u.shape[:-2] + (d * d, d * d))
+    return 0.5 * np.real(np.conj(lam) @ kron @ lam.T)
+
+
 # Truncated-Taylor degrees whose Paterson-Stockmeyer evaluation costs one
 # matrix product more than the previous one, and the largest 1-norm
 # theta[m] for which degree m has relative backward error <= 2**-53: the

@@ -4,50 +4,62 @@ The averaged state is carried as its real coherence vector ``r``,
 ``rho = I / d + sum_e r_e lambda_e`` over the generalized Gell-Mann basis
 (see :mod:`ddcontrol.linalg`).  The forward solver advances ``r``
 node-to-node with the one-exponential step ``exp(dt * K_k)``, a real
-``(d**2 - 1, d**2 - 1)`` matrix with no affine part, where the step
+``(n, n)`` matrix with no affine part (``n = d**2 - 1``), where the step
 generator
 
-    K_k = F(h_k) + sum_m F(h_m) F(e_m[node_k]),   E_m = sum_n eta[m, n],
+    K_k = F(h_k) + sum_p F(h_p) F(e_p[node_k]),   E_p = sum_n eta_pn,
 
-acts on ``r`` as ``rho -> -i [H(mid_k), rho] - sum_{m,n} [H_m, [eta[m, n,
-node_k], rho]]`` does on ``rho``; lower-case letters are the coefficients of
-the operators and ``F(x)`` is :func:`~ddcontrol.linalg.structure_map`.  The
+acts on ``r`` as ``rho -> -i [H(mid_k), rho] - sum_{p,n} [H_p, [eta_pn(t_k),
+rho]]`` does on ``rho``; lower-case letters are the coefficients of the
+operators and ``F(x)`` is :func:`~ddcontrol.linalg.structure_map`.  The
 memory integrals
 
-    eta[n1, n2, j] = w[n1, n2] H_n2 + dt * sum_{l < j} C[n1, n2](t_j, mid_l) * Htilde[n2, j, l]
+    eta_pn(t_j) = w[p, n] H_n + dt * sum_{l < j} C[p, n](t_j, mid_l) * Htilde[n, j, l]
 
-are kept as operators: ``Htilde[m, j, l]`` is the control Hamiltonian
-``H_m`` coherently evolved from node ``l`` to node ``j``, and ``w`` holds the
-kernel's local weights (``alpha / 2`` on the diagonal for white noise, zero
-otherwise).  Every kernel kind goes through this one generator: for white
-noise the Riemann sum vanishes and the local term makes ``K_k`` the
-Markovian double-commutator generator.  All tables live in a
+sum the control Hamiltonians ``H_n`` coherently evolved from node ``l`` to
+node ``j``, ``Htilde[n, j, l] = U(t_j, t_l) H_n U(t_j, t_l)^dag``; ``w``
+holds the kernel's local weights (``alpha / 2`` on the diagonal for white
+noise, zero otherwise).  They are kept only as the coefficients ``e_p`` of
+their sums over ``n``, and evaluated in a real frame: with the adjoint
+representation ``O_j = O(U(t_j, 0))`` of the node propagators
+(:func:`~ddcontrol.linalg.adjoint_map`) and the interaction-picture controls
+``kappa[n, l] = O_l^T h_n``, the evolved control has coefficients
+``O_j kappa[n, l]``, so
+
+    e_p[node j] = sum_n w[p, n] h_n + dt * O_j sum_{n, l < j} C[p, n](t_j, mid_l) kappa[n, l].
+
+Every kernel kind goes through this one generator: for white noise the
+Riemann sum vanishes and the local term makes ``K_k`` the Markovian
+double-commutator generator.  All tables live in a
 :class:`PropagatorCache` that can be partially rebuilt after a pulse
 changes, which is what the sequential optimizer relies on, so the
 optimizer and :func:`ddme_propagate` follow the same map.
 :func:`white_noise_propagate` builds the Markovian generator on its own and
 is kept as an independent reference for that kind.
 
-Every node-by-node propagation goes through one loop, :func:`_node_sweep`,
-which applies a stack of step maps to a starting array: the step maps to
-the coherence vector of ``rho0`` in :func:`ddme_propagate`,
-:func:`white_noise_propagate` and the optimizer's first forward sweep, and
-the step unitaries of every realization to the eigenvectors of ``rho0`` in
-:func:`unitary_average`.  Only the optimizer's sequential update advances
-states on its own.
+Every node-by-node propagation goes through one function,
+:func:`_node_sweep`, which applies a stack of step maps to a starting
+array: the step maps to the coherence vector of ``rho0`` in
+:func:`ddme_propagate` and :func:`white_noise_propagate`, the step unitaries
+to the identity for the cache's node propagators, the step maps and their
+transposes to the optimizer's states and costates, and the step unitaries
+of every realization to the eigenvectors of ``rho0`` in
+:func:`unitary_average`.  With one map per node it sweeps in blocks; with a
+batch of maps per node it loops over the nodes.
 
 Step indices ``k`` are 1-based (step ``k`` connects node ``k-1`` to node
 ``k``); node indices are 0-based.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     NumericalError,
+    adjoint_map,
     bloch_vector,
-    dag,
     expm,
     expm_hermitian,
     fidelity_pure_target,
@@ -105,47 +117,90 @@ def unitary_steps(h_family, pulses, dt):
 def _node_sweep(steps, x0):
     """Node values x[k] = steps[k-1] @ x[k-1] from x[0] = x0.
 
-    ``steps`` is an (N, ..., n, n) stack of step maps and ``x0`` has the
-    shape of ``steps[0] @ x0``; returns the (N+1, ...) array of all nodes.
+    ``steps`` is an (N, ..., m, m) stack of N >= 1 step maps and ``x0`` has
+    the shape of ``steps[0] @ x0``; returns the (N+1, ...) array of all
+    nodes.
+
+    One map per node, an (N, m, m) stack, is swept in blocks of
+    b = ceil(sqrt(N)) steps: the prefix products within every block are
+    formed for all blocks at once, the values at the block boundaries are
+    chained in order, and one batched product applies every prefix to its
+    block's starting value.  That is about 2 sqrt(N) numpy calls and
+    O(N m^3) work in place of N calls.  Against the loop (2 cores, one BLAS
+    thread) it took 48 against 136 us at N = 100 and 104 against 568 us at
+    N = 400 on m = 3, and 86 against 145 us and 296 against 658 us on
+    m = 15; at N = 10 the loop's 14 us beat its 19.  A batch of maps per
+    node, the (N, count, d, d) unitaries of :func:`unitary_average`, is
+    advanced node by node: every call already does ``count`` products
+    there, and the blocked form's matrix-matrix products lose from about
+    four maps per node on (d = 2 kets, N = 100: 301 against 255 us at four,
+    158 against 19 ms at 4000).
     """
     x = np.empty((len(steps) + 1,) + np.shape(x0), dtype=np.result_type(steps, x0))
     x[0] = x0
-    for k in range(len(steps)):
-        np.matmul(steps[k], x[k], out=x[k + 1])
+    if np.ndim(steps) > 3:
+        for k in range(len(steps)):
+            np.matmul(steps[k], x[k], out=x[k + 1])
+        return x
+    n_steps, dim = len(steps), steps.shape[-1]
+    size = math.isqrt(n_steps - 1) + 1
+    n_blocks = -(-n_steps // size)
+    # block b holds steps b*size .. b*size + size - 1, padded with identities;
+    # in place, prods[b, i] becomes steps[b*size + i] @ ... @ steps[b*size]
+    prods = np.empty((n_blocks * size, dim, dim), dtype=x.dtype)
+    prods[:n_steps] = steps
+    prods[n_steps:] = np.eye(dim)
+    prods = prods.reshape(n_blocks, size, dim, dim)
+    for i in range(1, size):
+        np.matmul(prods[:, i], prods[:, i - 1], out=prods[:, i])
+    # starts[b]: the value at the node before block b, as columns
+    starts = np.empty((n_blocks, dim, x[0].size // dim), dtype=x.dtype)
+    starts[0] = x[0].reshape(dim, -1)
+    for b in range(1, n_blocks):
+        np.matmul(prods[b - 1, -1], starts[b - 1], out=starts[b])
+    applied = prods.reshape(n_blocks, size * dim, dim) @ starts
+    x[1:] = applied.reshape((-1,) + x.shape[1:])[:n_steps]
     return x
 
 
 class PropagatorCache:
     """One-step maps of the averaged dynamics on coherence vectors, plus the
-    tables that feed them.
+    real tables that feed them.
 
-    Attributes (N = grid.n_steps, d = Hilbert dimension, M = controls):
+    Attributes (N = grid.n_steps, d = Hilbert dimension, M = controls,
+    n = d^2 - 1):
 
     * ``has_memory``: whether the kernel has Riemann-sum weights in the
       past of some node; without them ``eta`` does not depend on the
       pulses (zero and white-noise kernels);
-    * ``eta``: (M, M, N+1, d, d) memory integrals per node, the kernel's
-      pulse-independent local term plus its Riemann sum;
-    * ``f_controls``: (M, d^2-1, d^2-1) maps ``F(h_m)`` of the controls;
-    * ``v_steps``: (N, d^2-1, d^2-1) real one-step maps exp(dt * K_k).
+    * ``weights``: (M, N+1, M, N) Riemann-sum weights,
+      ``weights[p, j, n, l] = C[p, n](t_j, mid_l)`` for l < j and zero for
+      l >= j;
+    * ``eta``: (M, N+1, n) coefficients ``e_p`` of the summed memory
+      integrals ``E_p = sum_n eta_pn`` per node, the kernel's
+      pulse-independent local term plus its Riemann sum; zero at node 0;
+    * ``f_controls``: (M, n, n) maps ``F(h_m)`` of the controls;
+    * ``f_steps``: (N, n, n) maps ``F(h_k)`` of the step Hamiltonians;
+    * ``v_steps``: (N, n, n) one-step maps exp(dt * K_k).
 
-    With memory the cache also keeps the tables the Riemann sum is built
-    from; without memory they are ``None``:
+    With memory the cache also keeps the real frame the Riemann sum is
+    evaluated in; without memory both are ``None``:
 
-    * ``u_steps``: (N, d, d) step unitaries;
-    * ``g``: (N+1, d, d) cumulative node propagators, ``g[j] = U(t_j, 0)``;
-    * ``k_ops``: (M, N+1, d, d) interaction-picture controls
-      ``g[l]^dag H_m g[l]``; together with ``g`` these factor the full
-      evolved-control table, ``htilde[m, j, l] = g[j] k_ops[m, l] g[j]^dag``.
+    * ``o``: (N+1, n, n) adjoint representations ``O_j = O(g_j)`` of the
+      node propagators ``g_j = U(t_j, 0)``;
+    * ``kappa``: (M, N+1, n) interaction-picture controls
+      ``kappa[m, j] = O_j^T h_m``, the coefficients of ``g_j^dag H_m g_j``;
+      the control evolved from node l to node j has coefficients
+      ``O_j kappa[m, l]``.
 
-    A pulse change at step k alters the generator of step k.  Without
-    memory :meth:`update_step` rebuilds only ``v_steps[k-1]``.  With memory
-    the new step unitary also rotates every later node propagator,
-    ``g'[j] = g[j] R`` for j >= k, and so every later ``eta``; the update
-    recomputes the one unitary ``u_steps[k-1]``, applies ``R`` to ``g[k:]``
-    and ``k_ops[:, k:]`` (``k_ops' = R^dag k_ops R``), and rebuilds ``eta``
-    and ``v_steps`` from node k on.  The constructor builds the chain
-    ``g`` once.
+    A pulse change at step k alters ``f_steps[k-1]`` and so the generator
+    of step k.  Without memory :meth:`update_step` rebuilds only
+    ``v_steps[k-1]``.  With memory the new step unitary ``u`` also rotates
+    every later node propagator, ``O'_j = O_j R`` for j >= k, and so every
+    later ``eta``: the update forms ``O(u)``, solves ``O_k R = O(u) O_{k-1}``,
+    applies ``R`` to ``o[k:]`` and ``kappa[:, k:]`` (``kappa' = kappa R`` as
+    rows), and rebuilds ``eta`` and ``v_steps`` from node k on.  The
+    constructor forms the complex node propagators once, to build ``o``.
     """
 
     def __init__(self, h_family, grid: TimeGrid, pulses, kernel: CorrelationKernel):
@@ -160,31 +215,30 @@ class PropagatorCache:
         self.pulses = as_pulses(pulses, grid, h_family.n_controls).copy()
 
         n, d, m = grid.n_steps, h_family.dim, h_family.n_controls
-        self.f_controls = structure_map(to_coherence(h_family.control_stack))
+        h_controls = to_coherence(h_family.control_stack)
+        self.f_controls = structure_map(h_controls)
         # _memory_maps[m, e] = F(h_m) F(unit vector e), so that
         # sum_m F(h_m) F(e_m) is one contraction with the coefficients e_m
         unit_maps = structure_map(np.eye(d * d - 1))
         self._memory_maps = self.f_controls[:, None] @ unit_maps
-        self.weights = kernel.weight_table(grid)
         # zero out l >= j so the eta sums run over the past only
         mask = (np.arange(n)[None, :] < np.arange(n + 1)[:, None]).astype(float)
-        self._masked_weights = self.weights * mask[None, None, :, :]
-        self.has_memory = bool(np.any(self._masked_weights))
-        self._local_eta = np.einsum("pn,nab->pnab", kernel.local_weights, h_family.control_stack)
+        self.weights = np.empty((m, n + 1, m, n))
+        np.multiply(kernel.weight_table(grid).transpose(0, 2, 1, 3), mask[:, None], out=self.weights)
+        self.has_memory = bool(np.any(self.weights))
+        self._local_eta = kernel.local_weights @ h_controls
 
-        self.eta = np.empty((m, m, n + 1, d, d), dtype=complex)
-        self.eta[:, :, 0] = 0.0
+        self.f_steps = _coherent_maps(h_family, self.pulses)
+        self.eta = np.zeros((m, n + 1, d * d - 1))
         self.v_steps = np.empty((n, d * d - 1, d * d - 1))
         if self.has_memory:
-            self.u_steps = unitary_steps(h_family, self.pulses, grid.dt)
-            self.g = _node_sweep(self.u_steps, np.eye(d, dtype=complex))
-            self.k_ops = np.einsum(
-                "jba,mbc,jcd->mjad", np.conj(self.g), h_family.control_stack, self.g
-            )
+            g = _node_sweep(unitary_steps(h_family, self.pulses, grid.dt), np.eye(d, dtype=complex))
+            self.o = adjoint_map(g)
+            self.kappa = np.ascontiguousarray((h_controls @ self.o).swapaxes(0, 1))
         else:
-            self.u_steps = self.g = self.k_ops = None
+            self.o = self.kappa = None
             # eta is pulse independent, and so is the incoherent generator
-            self._static_incoherent = self._incoherent(self._local_eta[:, :, None])
+            self._static_incoherent = self._incoherent(self._local_eta[:, None])
         build_eta_table(self)
         self._build_v_steps(1, n)
 
@@ -202,13 +256,15 @@ class PropagatorCache:
         if not np.all(np.isfinite(values)):
             raise NumericalError(f"non-finite pulse update at step {k}")
         self.pulses[:, k - 1] = values
+        self.f_steps[k - 1] = _coherent_maps(self.h_family, self.pulses[:, k - 1 : k])[0]
         return self.refresh(k)
 
     def refresh(self, start_step):
-        """Rebuild the tables that a pulse change at step start_step makes stale.
+        """Rebuild the tables that a pulse change at step start_step makes
+        stale, once ``f_steps`` holds the new step map.
 
         With memory that is one step unitary, a rotation of the later
-        ``g`` and ``k_ops`` entries, and every ``eta`` and ``v_steps`` entry
+        ``o`` and ``kappa`` entries, and every ``eta`` and ``v_steps`` entry
         from start_step on; without memory it is the one step map of
         step start_step.  Returns the last rebuilt step.
         """
@@ -218,63 +274,54 @@ class PropagatorCache:
         if not self.has_memory:
             self._build_v_steps(k0, k0)
             return k0
-        # The new step unitary rotates every later node propagator,
-        # g'[j] = g[j] R for j >= k0.  Solving g[k0] R = g'[k0] keeps the
-        # chain at roundoff; R = g[k0]^dag g'[k0] would feed g's own
-        # deviation from unitarity back in, doubling it with every update.
+        # The new step unitary u rotates every later node propagator,
+        # O'_j = O_j R for j >= k0.  Solving O_k0 R = O(u) O_{k0-1} keeps the
+        # frame at roundoff; R = O_k0^T O(u) O_{k0-1} would feed O's own
+        # deviation from orthogonality back in, doubling it with every update.
         u = unitary_steps(self.h_family, self.pulses[:, k0 - 1 : k0], self.grid.dt)[0]
-        self.u_steps[k0 - 1] = u
-        rot = np.linalg.solve(self.g[k0], u @ self.g[k0 - 1])
-        self.g[k0:] = self.g[k0:] @ rot
-        self.k_ops[:, k0:] = dag(rot) @ self.k_ops[:, k0:] @ rot
+        rot = np.linalg.solve(self.o[k0], adjoint_map(u) @ self.o[k0 - 1])
+        self.o[k0:] = self.o[k0:] @ rot
+        self.kappa[:, k0:] = self.kappa[:, k0:] @ rot
         build_eta_table(self, start_node=k0)
         self._build_v_steps(k0, self.n_steps)
         return self.n_steps
 
     def _build_v_steps(self, first, last):
         """Step maps of steps first..last (1-based, inclusive)."""
-        dt = self.grid.dt
-        coherent = _coherent_maps(self.h_family, self.pulses[:, first - 1 : last])
         if self.has_memory:
-            incoherent = self._incoherent(self.eta[:, :, first : last + 1])
+            incoherent = self._incoherent(self.eta[:, first : last + 1])
         else:
             incoherent = self._static_incoherent
-        gen = coherent + incoherent
+        gen = self.f_steps[first - 1 : last] + incoherent
         if not np.all(np.isfinite(gen)):
             raise NumericalError("non-finite step generator")
-        self.v_steps[first - 1 : last] = expm(gen, scale=dt)
+        self.v_steps[first - 1 : last] = expm(gen, scale=self.grid.dt)
 
     def _incoherent(self, eta):
-        """Maps ``sum_m F(h_m) F(e_m)`` for a (M, M, K, d, d) eta slice, with
-        ``e_m`` the coefficients of ``E_m = sum_n eta_mn``: (K, d^2-1, d^2-1)."""
-        e = to_coherence(np.sum(eta, axis=1))
-        return np.tensordot(e, self._memory_maps, axes=([0, 2], [0, 1]))
+        """Maps ``sum_m F(h_m) F(e_m)`` for a (M, K, n) slice of coefficients
+        ``e_m``: (K, n, n)."""
+        return np.tensordot(eta, self._memory_maps, axes=([0, 2], [0, 1]))
 
 
 def build_eta_table(cache: PropagatorCache, start_node=0):
-    """Memory integrals for nodes >= start_node.
+    """Coefficients of the summed memory integrals for nodes >= start_node.
 
-    eta[n1, n2, j] = w[n1, n2] H_n2
-                     + dt * sum_{l=0}^{j-1} C[n1, n2](t_j, mid_l) htilde[n2, j, l],
+    e_p[node j] = sum_n w[p, n] h_n
+                  + dt * O_j sum_{n, l<j} C[p, n](t_j, mid_l) kappa[n, l],
 
-    with ``w`` the kernel's local weights; Hermitian whenever the kernel is
-    real, since each htilde entry is.  The Riemann sum is skipped when the
-    kernel has no weights in the past of any node.  Otherwise it is
-    evaluated in factored form: the kernel weights contract with the
-    interaction-picture controls first, and the single conjugation by g[j]
-    happens after.
+    with ``w`` the kernel's local weights.  The Riemann sum is skipped when
+    the kernel has no weights in the past of any node.  Otherwise the
+    kernel weights contract with the interaction-picture controls in one
+    product per control, and the single rotation by O_j happens after.
     """
     j0 = max(start_node, 1)
-    cache.eta[:, :, j0:] = cache._local_eta[:, :, None]
+    cache.eta[:, j0:] = cache._local_eta[:, None]
     if not cache.has_memory:
         return
-    m, n1, d = cache.k_ops.shape[:3]
-    weights = cache._masked_weights[:, :, j0:]
-    weighted = weights @ cache.k_ops[:, :-1].reshape(m, n1 - 1, d * d)
-    gs = cache.g[j0:]
-    cache.eta[:, :, j0:] += cache.grid.dt * (
-        gs @ weighted.reshape(weights.shape[:3] + (d, d)) @ dag(gs)
-    )
+    m, n1, n = cache.kappa.shape
+    weights = cache.weights[:, j0:].reshape(m, n1 - j0, m * (n1 - 1))
+    s = weights @ cache.kappa[:, :-1].reshape(m * (n1 - 1), n)
+    cache.eta[:, j0:] += cache.grid.dt * (cache.o[j0:] @ s[..., None])[..., 0]
 
 
 def _coherent_maps(h_family, pulses):

@@ -31,6 +31,15 @@ def unvec(v):
     return np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
 
 
+def node_sweep_loop(steps, x0):
+    """Node values x[k] = steps[k-1] @ x[k-1] from x[0] = x0, one node at a time."""
+    x = np.empty((len(steps) + 1,) + np.shape(x0), dtype=np.result_type(steps, x0))
+    x[0] = x0
+    for k in range(len(steps)):
+        np.matmul(steps[k], x[k], out=x[k + 1])
+    return x
+
+
 def to_vec_basis(v):
     """The (d**2, d**2) superoperator on column-stacked operators of a
     unital, trace-preserving map given by its (n, n) real coherence-vector
@@ -75,24 +84,34 @@ def ddme_backward_step(cache, k, chi):
     return unvec(np.conj(to_vec_basis(cache.v_steps[k - 1])).T @ vec(chi))
 
 
+def node_propagators(h_family, grid, pulses):
+    """(N+1, d, d) node propagators U(t_j, 0), chained one step unitary at a time."""
+    g = [np.eye(h_family.dim, dtype=complex)]
+    for k in range(1, grid.n_steps + 1):
+        g.append(unitary_step(h_family, pulses, k, grid.dt) @ g[-1])
+    return np.array(g)
+
+
 def relative_propagator(cache, j, l):
-    """U(t_j, t_l) between nodes, j >= l, from a cache with memory tables."""
+    """U(t_j, t_l) between nodes, j >= l, from the cache's pulses and grid."""
     if j < l:
         raise ValueError(f"need j >= l, got ({j}, {l})")
-    return cache.g[j] @ dag(cache.g[l])
+    g = node_propagators(cache.h_family, cache.grid, cache.pulses)
+    return g[j] @ dag(g[l])
 
 
 def htilde_row(cache, j):
     """Evolved controls ending at node j: (M, j+1, d, d) over start nodes l <= j,
-    from a cache with memory tables."""
-    gj = cache.g[j]
-    row = np.einsum("ab,mlbc,dc->mlad", gj, cache.k_ops[:, : j + 1], np.conj(gj))
+    each H_m conjugated by U(t_j, t_l) from the cache's pulses and grid."""
+    g = node_propagators(cache.h_family, cache.grid, cache.pulses)
+    u_rel = g[j] @ dag(g[: j + 1])
+    row = np.einsum("lab,mbc,ldc->mlad", u_rel, cache.h_family.control_stack, np.conj(u_rel))
     row[:, j] = cache.h_family.control_stack  # exact at equal nodes
     return row
 
 
 def build_htilde_table(cache):
-    """Dense evolved-control table of a cache with memory tables.
+    """Dense evolved-control table from the cache's pulses and grid.
 
     Returns the (M, N+1, N+1, d, d) array with entry [m, j, l] equal to H_m
     evolved from node l to node j for l <= j, and zeros above the diagonal.
@@ -142,10 +161,7 @@ def reference_generators(h_family, grid, pulses, kernel):
     dt, n = grid.dt, grid.n_steps
     pulses = as_pulses(pulses, grid, h_family.n_controls)
     controls = h_family.control_stack
-    u = [unitary_step(h_family, pulses, k, dt) for k in range(1, n + 1)]
-    g = [np.eye(h_family.dim, dtype=complex)]
-    for k in range(n):
-        g.append(u[k] @ g[k])
+    g = node_propagators(h_family, grid, pulses)
     weights = kernel.weight_table(grid)
     local = kernel.local_weights
     gens = []
@@ -166,17 +182,17 @@ def gradient_reference(cache, states, costates, m, k):
     """Pulse gradient D at control m and step k from operator states and
     costates (N+1, d, d): the coherent term and, for every node j >= k, the
     memory integrals' sensitivity to the pulse on step k, as nested
-    commutators.  Returns the complex value; the exact one is real."""
+    commutators.  Reads only the pulses, grid, Hamiltonians and kernel of
+    the cache.  Returns the complex value; the exact one is real."""
     hm = cache.h_family.controls[m]
     grad = np.trace(costates[k] @ (-1j * commutator(hm, states[k])))
-    if not cache.has_memory:
-        return grad
     dt = cache.grid.dt
+    g = node_propagators(cache.h_family, cache.grid, cache.pulses)
     b_kl = htilde_row(cache, k)[:, :k]  # (M, k, d, d)
     comms = hm @ b_kl - b_kl @ hm
-    w = cache.weights[:, :, k:, :k]  # (M, M, n-k+1, k)
+    w = cache.kernel.weight_table(cache.grid)[:, :, k:, :k]  # (M, M, n-k+1, k)
     deta = (-1j * dt * dt) * np.einsum("pnjl,nlab->pnjab", w, comms)
-    u_rel = np.einsum("jab,cb->jac", cache.g[k:], np.conj(cache.g[k]))
+    u_rel = np.einsum("jab,cb->jac", g[k:], np.conj(g[k]))
     evolved = np.einsum("jab,pnjbc,jdc->pnjad", u_rel, deta, np.conj(u_rel))
     phi = states[k:]
     inner = evolved @ phi - phi @ evolved

@@ -16,6 +16,7 @@ from ddcontrol.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    adjoint_map,
     bloch_vector,
     check_density_matrix,
     dag,
@@ -116,6 +117,13 @@ def test_coherence_vectors_and_structure_map(rng, d):
         got = f[a] @ x[(a + 1) % 3]
         want = to_coherence(-1j * commutator(xs[a], xs[(a + 1) % 3]))
         assert np.max(np.abs(got - want)) <= 1e-13
+    # U . U^dag acts on coefficients as the orthogonal O(U), O(UV) = O(U) O(V)
+    u = expm_hermitian(xs[:2], -1j)
+    o = adjoint_map(u)
+    assert o.dtype == np.float64 and o.shape == (2, d * d - 1, d * d - 1)
+    assert np.max(np.abs(o[0] @ x[2] - to_coherence(u[0] @ xs[2] @ dag(u[0])))) <= 1e-13
+    assert np.max(np.abs(o[0].T @ o[0] - np.eye(d * d - 1))) <= 1e-13
+    assert np.max(np.abs(adjoint_map(u[0] @ u[1]) - o[0] @ o[1])) <= 1e-13
 
 
 def test_expm_zero_scale_is_identity(rng):

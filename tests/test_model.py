@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reference import hamiltonian_at
-from ddcontrol.linalg import NumericalError, SIGMA_X, SIGMA_Y, SIGMA_Z
+from ddcontrol.linalg import NumericalError, SIGMA_X, SIGMA_Y, SIGMA_Z, from_coherence
 from ddcontrol.model import (
     CorrelationKernel,
     HamiltonianFamily,
@@ -172,11 +172,11 @@ def test_white_noise_tables():
     assert np.count_nonzero(two.weight_table(grid)) == 0
     fam = HamiltonianFamily(drift=SIGMA_Z, controls=(SIGMA_X, SIGMA_Y))
     cache = build_cache(fam, grid, np.linspace(-1.0, 1.0, 20).reshape(2, 10), two)
-    expected = np.zeros((2, 2, 2, 2), dtype=complex)
-    expected[0, 0] = 0.1 * SIGMA_X
-    expected[1, 1] = 0.1 * SIGMA_Y
-    assert np.array_equal(cache.eta[:, :, 1:], np.broadcast_to(expected[:, :, None], (2, 2, 10, 2, 2)))
-    assert np.count_nonzero(cache.eta[:, :, 0]) == 0
+    # E_p = sum_n eta_pn, kept as coefficients
+    expected = np.array([0.1 * SIGMA_X, 0.1 * SIGMA_Y])
+    eta = from_coherence(cache.eta)
+    assert np.array_equal(eta[:, 1:], np.broadcast_to(expected[:, None], (2, 10, 2, 2)))
+    assert np.count_nonzero(eta[:, 0]) == 0
 
 
 def test_tabulated_kernel_symmetry_check():

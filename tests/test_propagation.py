@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import WHITE_NOISE_PATHS, random_density, random_hermitian
 from reference import (
@@ -10,12 +11,22 @@ from reference import (
     ddme_backward_step,
     ddme_step,
     htilde_row,
+    node_sweep_loop,
     relative_propagator,
     unitary_average_reference,
     unitary_step,
 )
 from ddcontrol import cli
-from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dag, projector, trace_distance
+from ddcontrol.linalg import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    dag,
+    from_coherence,
+    projector,
+    to_coherence,
+    trace_distance,
+)
 from ddcontrol.model import (
     CorrelationKernel,
     HamiltonianFamily,
@@ -26,6 +37,7 @@ from ddcontrol.model import (
 from ddcontrol.krotov import ControlProblem
 from ddcontrol.propagation import (
     PropagatorCache,
+    _node_sweep,
     build_cache,
     build_eta_table,
     ddme_propagate,
@@ -83,27 +95,32 @@ def test_cache_invariants(rng):
     kern = CorrelationKernel.gaussian(0.05, 3.0)
     pulses = rng.standard_normal((1, 20)) * 0.5
     cache = build_cache(QUBIT, grid, pulses, kern)
-    # step unitaries and cumulative propagators stay unitary
-    for k in range(20):
-        assert np.max(np.abs(dag(cache.u_steps[k]) @ cache.u_steps[k] - np.eye(2))) <= 1e-10
-    for j in range(21):
-        assert np.max(np.abs(dag(cache.g[j]) @ cache.g[j] - np.eye(2))) <= 1e-10
+    # step unitaries stay unitary, and the adjoint representations of the
+    # cumulative propagators orthogonal
+    for u in unitary_steps(QUBIT, cache.pulses, grid.dt):
+        assert np.max(np.abs(dag(u) @ u - np.eye(2))) <= 1e-10
+    for o in cache.o:
+        assert np.max(np.abs(o.T @ o - np.eye(3))) <= 1e-10
     # evolved controls at coinciding nodes reproduce the control exactly
     table = build_htilde_table(cache)
     for j in (0, 7, 20):
         assert np.array_equal(table[0, j, j], SIGMA_X)
+    # the real frame factors the explicitly evolved controls
+    for j, l in ((7, 3), (20, 0), (20, 19)):
+        want = to_coherence(table[0, j, l])
+        assert np.max(np.abs(cache.o[j] @ cache.kappa[0, l] - want)) <= 1e-12
     # no memory accumulated at time zero
-    assert np.max(np.abs(cache.eta[:, :, 0])) == 0.0
-    # memory integrals are Hermitian for a real kernel
-    for j in range(21):
-        e = cache.eta[0, 0, j]
+    assert np.max(np.abs(cache.eta[:, 0])) == 0.0
+    # memory integrals are Hermitian for a real kernel: real coefficients
+    assert cache.eta.dtype == np.float64
+    for e in from_coherence(cache.eta[0]):
         assert np.max(np.abs(e - dag(e))) <= 1e-12
 
 
 def test_eta_zero_kernel_vanishes(rng):
     grid = TimeGrid(T=1.0, n_steps=10)
     cache = build_cache(QUBIT, grid, rng.standard_normal((1, 10)), CorrelationKernel.zero())
-    assert np.max(np.abs(cache.eta)) == 0.0
+    assert np.max(np.abs(from_coherence(cache.eta))) == 0.0
 
 
 def test_eta_commuting_closed_form():
@@ -118,7 +135,7 @@ def test_eta_commuting_closed_form():
         acc = grid.dt * sum(
             gaussian_kernel(grid.nodes[j], grid.midpoints[l], c0, t_corr) for l in range(j)
         )
-        assert np.allclose(cache.eta[0, 0, j], acc * SIGMA_X, atol=1e-13)
+        assert np.allclose(from_coherence(cache.eta[0, j]), acc * SIGMA_X, atol=1e-13)
 
 
 def test_htilde_row_matches_explicit_conjugation(rng):
@@ -154,9 +171,9 @@ def _cache_inputs(kind, grid):
 def _assert_matches_rebuild(cache, fam, grid, kern):
     """Every table the cache keeps equals a fresh build to 1e-12."""
     rebuilt = build_cache(fam, grid, cache.pulses, kern)
-    for name in ("u_steps", "g", "k_ops", "eta", "v_steps"):
+    for name in ("o", "kappa", "eta", "f_steps", "v_steps"):
         got, want = getattr(cache, name), getattr(rebuilt, name)
-        if not cache.has_memory and name in ("u_steps", "g", "k_ops"):
+        if not cache.has_memory and name in ("o", "kappa"):
             assert got is None and want is None
         else:
             assert np.max(np.abs(got - want)) <= 1e-12, name
@@ -187,6 +204,42 @@ def test_incremental_update_equals_full_rebuild(kind):
     for k in range(1, n + 1):
         cache.update_step(k, rng.standard_normal(m) * 0.5)
     _assert_matches_rebuild(cache, fam, grid, kern)
+
+
+SWEEP_LENGTHS = sorted(
+    {1, 2, 3, 100, 400} | {s * s + e for s in range(2, 21) for e in (-1, 1)}
+)
+
+
+@pytest.mark.parametrize("dim", [3, 8, 15])
+def test_blocked_sweep_matches_loop(dim):
+    # one map per node: the blocked sweep against the node-by-node loop, on
+    # contractive maps, forward and in the optimizer's costate form (the
+    # reversed, transposed maps)
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((max(SWEEP_LENGTHS), dim, dim)) / dim
+    b = rng.standard_normal((max(SWEEP_LENGTHS), dim, dim)) / dim
+    maps = scipy.linalg.expm(0.5 * (a - np.swapaxes(a, 1, 2)) - 0.01 * b @ np.swapaxes(b, 1, 2))
+    x0 = rng.standard_normal(dim)
+    x0 /= np.linalg.norm(x0)
+    for n in SWEEP_LENGTHS:
+        for steps in (maps[:n], maps[:n][::-1].swapaxes(1, 2)):
+            got, want = _node_sweep(steps, x0), node_sweep_loop(steps, x0)
+            assert got.shape == want.shape == (n + 1, dim)
+            assert np.max(np.abs(got - want)) <= 1e-13, n
+    # a matrix starting value, as for the cache's node propagators
+    u = unitary_steps(QUBIT, rng.standard_normal((1, 50)), 0.1)
+    eye = np.eye(2, dtype=complex)
+    assert np.max(np.abs(_node_sweep(u, eye) - node_sweep_loop(u, eye))) <= 1e-13
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_ket_stack_sweep_is_the_loop(count):
+    # a batch of maps per node keeps the node-by-node loop, bit for bit
+    rng = np.random.default_rng(count)
+    u = unitary_steps(QUBIT, rng.standard_normal((count, 1, 30)), 0.1).swapaxes(0, 1)
+    kets = np.broadcast_to(np.array([[1.0], [0.0]], dtype=complex), (count, 2, 1))
+    assert np.array_equal(_node_sweep(u, kets), node_sweep_loop(u, kets))
 
 
 def test_ddme_step_zero_kernel_is_unitary_conjugation(rng):

@@ -7,8 +7,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian
-from reference import reference_generators, to_vec_basis
+from conftest import random_density, random_hermitian
+from reference import gradient_reference, reference_generators, to_vec_basis
+from ddcontrol.krotov import ddme_gradient_D
+from ddcontrol.linalg import from_coherence, projector, to_coherence
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid
 from ddcontrol.propagation import build_cache
 
@@ -34,22 +36,34 @@ def _kernel(kind, m, grid, rng):
     return CorrelationKernel.tabulated(table(nodes, mids), table(mids, mids))
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("d", [2, 3, 4])
-@settings(max_examples=3, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-def test_step_maps_match_complex_reference_generator(d, m, kind, n, seed):
-    # the cache's real step maps, mapped to column-stacked operators, equal
-    # the exponentials of the complex superoperator generators, before and
-    # after an incremental pulse update
+def _problem(d, m, kind, n, seed):
+    """Grid, Hamiltonian family, kernel, pulses and random generator of one case."""
     rng = np.random.default_rng(seed)
     grid = TimeGrid(T=0.15 * n, n_steps=n)
     fam = HamiltonianFamily(
         drift=random_hermitian(rng, d), controls=tuple(random_hermitian(rng, d) for _ in range(m))
     )
     kernel = _kernel(kind, m, grid, rng)
-    pulses = rng.standard_normal((m, n))
+    return grid, fam, kernel, rng.standard_normal((m, n)), rng
+
+
+# every (d, M, kind) case, each with three derandomized Hypothesis examples
+# of grids of 1-5 steps, seeds and pulses, and no example database
+cases = pytest.mark.parametrize(
+    "d, m, kind", [(d, m, kind) for d in (2, 3, 4) for m in (1, 2) for kind in KINDS]
+)
+examples = settings(max_examples=3, deadline=None, derandomize=True, database=None)
+grids = given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+
+
+@cases
+@examples
+@grids
+def test_step_maps_match_complex_reference_generator(d, m, kind, n, seed):
+    # the cache's real step maps, mapped to column-stacked operators, equal
+    # the exponentials of the complex superoperator generators, before and
+    # after an incremental pulse update
+    grid, fam, kernel, pulses, rng = _problem(d, m, kind, n, seed)
     cache = build_cache(fam, grid, pulses, kernel)
     assert cache.v_steps.dtype == np.float64
     k = int(rng.integers(1, n + 1))
@@ -59,3 +73,46 @@ def test_step_maps_match_complex_reference_generator(d, m, kind, n, seed):
         gens = reference_generators(fam, grid, cache.pulses, kernel)
         for v, gen in zip(cache.v_steps, gens):
             assert np.max(np.abs(to_vec_basis(v) - scipy.linalg.expm(grid.dt * gen))) <= 1e-12
+
+
+@cases
+@examples
+@grids
+def test_ascending_updates_equal_fresh_build(d, m, kind, n, seed):
+    # the optimizer's pattern, an update at every step in ascending order,
+    # leaves every table the cache keeps equal to a fresh build
+    grid, fam, kernel, pulses, rng = _problem(d, m, kind, n, seed)
+    cache = build_cache(fam, grid, pulses, kernel)
+    for k in range(1, n + 1):
+        cache.update_step(k, rng.standard_normal(m))
+    fresh = build_cache(fam, grid, cache.pulses, kernel)
+    for name in ("o", "kappa", "eta", "f_steps", "v_steps"):
+        got, want = getattr(cache, name), getattr(fresh, name)
+        if got is None:
+            assert want is None and not cache.has_memory
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+@cases
+@examples
+@grids
+def test_gradient_matches_frame_independent_reference(d, m, kind, n, seed):
+    # the real-frame gradient against the nested-commutator formula on
+    # explicitly evolved controls, at every step and control
+    grid, fam, kernel, pulses, rng = _problem(d, m, kind, n, seed)
+    cache = build_cache(fam, grid, pulses, kernel)
+    states = np.empty((n + 1, d * d - 1))
+    costates = np.empty_like(states)
+    states[0] = to_coherence(random_density(rng, d))
+    costates[n] = to_coherence(projector(rng.standard_normal(d) + 1j * rng.standard_normal(d)))
+    for j in range(n):
+        states[j + 1] = cache.v_steps[j] @ states[j]
+        costates[n - j - 1] = cache.v_steps[n - j - 1].T @ costates[n - j]
+    phi = from_coherence(states, trace=1.0)
+    chi = from_coherence(costates, trace=1.0)
+    for mm in range(m):
+        for k in range(1, n + 1):
+            want = gradient_reference(cache, phi, chi, mm, k).real
+            got = ddme_gradient_D(cache, states, costates, mm, k)
+            assert abs(got - want) <= 1e-12 * abs(want)
