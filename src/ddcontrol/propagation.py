@@ -37,15 +37,15 @@ optimizer and :func:`ddme_propagate` follow the same map.
 :func:`white_noise_propagate` builds the Markovian generator on its own and
 is kept as an independent reference for that kind.
 
-Every node-by-node propagation goes through one function,
+Every propagation under one step map per node goes through one function,
 :func:`_node_sweep`, which applies a stack of step maps to a starting
-array: the step maps to the coherence vector of ``rho0`` in
+array in blocks: the step maps to the coherence vector of ``rho0`` in
 :func:`ddme_propagate` and :func:`white_noise_propagate`, the step unitaries
-to the identity for the cache's node propagators, the step maps and their
-transposes to the optimizer's states and costates, and the step unitaries
-of every realization to the eigenvectors of ``rho0`` in
-:func:`unitary_average`.  With one map per node it sweeps in blocks; with a
-batch of maps per node it loops over the nodes.
+to the identity for the cache's node propagators, and the step maps and
+their transposes to the optimizer's states and costates.  The brute-force
+ensemble of :func:`unitary_average` forms no step maps: it advances the
+kets of all realizations at once by the action of every step's
+exponential, a truncated Taylor series applied to the kets.
 
 Step indices ``k`` are 1-based (step ``k`` connects node ``k-1`` to node
 ``k``); node indices are 0-based.
@@ -57,6 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _TAYLOR_DEGREES,
+    _TAYLOR_THETA,
     NumericalError,
     adjoint_map,
     bloch_vector,
@@ -117,31 +119,22 @@ def unitary_steps(h_family, pulses, dt):
 def _node_sweep(steps, x0):
     """Node values x[k] = steps[k-1] @ x[k-1] from x[0] = x0.
 
-    ``steps`` is an (N, ..., m, m) stack of N >= 1 step maps and ``x0`` has
-    the shape of ``steps[0] @ x0``; returns the (N+1, ...) array of all
-    nodes.
+    ``steps`` is an (N, m, m) stack of N >= 1 step maps and ``x0`` an
+    (m,) vector or (m, p) matrix; returns the (N+1,) + x0.shape array of
+    all nodes.
 
-    One map per node, an (N, m, m) stack, is swept in blocks of
-    b = ceil(sqrt(N)) steps: the prefix products within every block are
-    formed for all blocks at once, the values at the block boundaries are
-    chained in order, and one batched product applies every prefix to its
-    block's starting value.  That is about 2 sqrt(N) numpy calls and
-    O(N m^3) work in place of N calls.  Against the loop (2 cores, one BLAS
-    thread) it took 48 against 136 us at N = 100 and 104 against 568 us at
-    N = 400 on m = 3, and 86 against 145 us and 296 against 658 us on
-    m = 15; at N = 10 the loop's 14 us beat its 19.  A batch of maps per
-    node, the (N, count, d, d) unitaries of :func:`unitary_average`, is
-    advanced node by node: every call already does ``count`` products
-    there, and the blocked form's matrix-matrix products lose from about
-    four maps per node on (d = 2 kets, N = 100: 301 against 255 us at four,
-    158 against 19 ms at 4000).
+    The maps are swept in blocks of b = ceil(sqrt(N)) steps: the prefix
+    products within every block are formed for all blocks at once, the
+    values at the block boundaries are chained in order, and one batched
+    product applies every prefix to its block's starting value.  That is
+    about 2 sqrt(N) numpy calls and O(N m^3) work in place of N calls.
+    Against the loop (2 cores, one BLAS thread) it took 48 against 136 us
+    at N = 100 and 104 against 568 us at N = 400 on m = 3, and 86 against
+    145 us and 296 against 658 us on m = 15; at N = 10 the loop's 14 us
+    beat its 19.
     """
     x = np.empty((len(steps) + 1,) + np.shape(x0), dtype=np.result_type(steps, x0))
     x[0] = x0
-    if np.ndim(steps) > 3:
-        for k in range(len(steps)):
-            np.matmul(steps[k], x[k], out=x[k + 1])
-        return x
     n_steps, dim = len(steps), steps.shape[-1]
     size = math.isqrt(n_steps - 1) + 1
     n_blocks = -(-n_steps // size)
@@ -172,10 +165,12 @@ class PropagatorCache:
 
     * ``has_memory``: whether the kernel has Riemann-sum weights in the
       past of some node; without them ``eta`` does not depend on the
-      pulses (zero and white-noise kernels);
+      pulses (zero and white-noise kernels, and a Gaussian or tabulated
+      kernel whose table is zero);
     * ``weights``: (M, N+1, M, N) Riemann-sum weights,
       ``weights[p, j, n, l] = C[p, n](t_j, mid_l)`` for l < j and zero for
-      l >= j;
+      l >= j; ``None`` for zero and white-noise kernels, which have no
+      values on the grid;
     * ``eta``: (M, N+1, n) coefficients ``e_p`` of the summed memory
       integrals ``E_p = sum_n eta_pn`` per node, the kernel's
       pulse-independent local term plus its Riemann sum; zero at node 0;
@@ -221,11 +216,17 @@ class PropagatorCache:
         # sum_m F(h_m) F(e_m) is one contraction with the coefficients e_m
         unit_maps = structure_map(np.eye(d * d - 1))
         self._memory_maps = self.f_controls[:, None] @ unit_maps
-        # zero out l >= j so the eta sums run over the past only
-        mask = (np.arange(n)[None, :] < np.arange(n + 1)[:, None]).astype(float)
-        self.weights = np.empty((m, n + 1, m, n))
-        np.multiply(kernel.weight_table(grid).transpose(0, 2, 1, 3), mask[:, None], out=self.weights)
-        self.has_memory = bool(np.any(self.weights))
+        if kernel.kind in ("zero", "white-noise"):
+            # no values on the grid, only a local term
+            self.weights = None
+            self.has_memory = False
+        else:
+            # zero out l >= j so the eta sums run over the past only
+            mask = (np.arange(n)[None, :] < np.arange(n + 1)[:, None]).astype(float)
+            self.weights = np.empty((m, n + 1, m, n))
+            table = kernel.weight_table(grid).transpose(0, 2, 1, 3)
+            np.multiply(table, mask[:, None], out=self.weights)
+            self.has_memory = bool(np.any(self.weights))
         self._local_eta = kernel.local_weights @ h_controls
 
         self.f_steps = _coherent_maps(h_family, self.pulses)
@@ -382,20 +383,66 @@ def unitary_average(problem, pulse_sets):
     Propagates kets rather than density matrices.  ``rho0`` is split into
     its eigenpairs ``w_i, v_i``, dropping the eigenvalues that lie within
     ``eigh``'s roundoff of zero, so a pure ``rho0`` needs one ket per set.
-    Every set evolves the kept ``v_i`` with the piecewise-constant midpoint
-    unitaries, and node k averages ``w_i |psi_ci(k)><psi_ci(k)|`` over sets
-    c and eigenpairs i as one weighted product of the kets, summed in
-    order of c.  Node 0 is ``rho0`` itself.  One set gives its own
-    closed-system trajectory.
+    Every set c evolves the kept ``v_i`` across step k by the action of the
+    midpoint unitary ``exp(A_k)``, ``A_k = -i dt (H_0 + sum_m f_mk(c) H_m)``,
+    as s substeps of the degree-m truncated Taylor series,
+    ``psi <- T_m(A_k / s)^s psi``, evaluated by Horner's rule
+    ``y <- x + A_k y / (s j)`` for j = m .. 1 (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488 (2011)).  One (m, s) serves every step and set:
+    the fewest products m * s whose backward-error bound ``theta[m]`` of
+    :mod:`ddcontrol.linalg` covers ``dt (|H_0|_1 + max_{c,k} sum_m
+    |f_mk(c)| |H_m|_1) / s``.  No per-set Hamiltonian or unitary is formed:
+    the kets of all sets sit in one (d, count * r) array, and one BLAS
+    product applies the drift and every control, each to the kets scaled
+    by that set's pulse value.  Node k averages ``w_i |psi_ci(k)><psi_ci(k)|``
+    over sets c and eigenpairs i as one weighted product of the kets,
+    summed in order of c.  Node 0 is ``rho0`` itself.  One set gives its
+    own closed-system trajectory.
     """
-    u = unitary_steps(problem.h_family, pulse_sets, problem.grid.dt)
-    count, n, d = u.shape[:3]
+    fam, dt = problem.h_family, problem.grid.dt
+    pulse_sets = np.asarray(pulse_sets, dtype=float)
+    if not np.all(np.isfinite(pulse_sets)):
+        raise NumericalError("pulse sets have non-finite entries")
+    count, n_controls, n = pulse_sets.shape
+    d = fam.dim
     w, v = np.linalg.eigh(problem.rho0)
     keep = np.abs(w) > d * np.finfo(float).eps * np.max(np.abs(w))
     w, v = w[keep], v[:, keep]
-    kets = _node_sweep(u.swapaxes(0, 1), np.broadcast_to(v, (count,) + v.shape))
+
+    ops = np.concatenate([fam.drift[None], fam.control_stack])
+    norms = np.max(np.sum(np.abs(ops), axis=-2), axis=-1)
+    bound = dt * (norms[0] + np.max(norms[1:] @ np.abs(pulse_sets)))
+    substeps = np.maximum(np.ceil(bound / _TAYLOR_THETA), 1.0)
+    best = int(np.argmin(_TAYLOR_DEGREES * substeps))
+    degree, s = int(_TAYLOR_DEGREES[best]), int(substeps[best])
+    # gens[j-1] = -i dt [H_0, H_1, .., H_M] / (s j), a (d, (M+1) d) block row
+    # that takes the (M+1) d rows of the kets scaled by 1, f_1k(c), ..,
+    # f_Mk(c) to A_k psi / (s j)
+    block_row = ops.transpose(1, 0, 2).reshape(d, -1)
+    gens = block_row * (-1j * dt / s / np.arange(1.0, degree + 1))[:, None, None]
+    scales = np.ones((n, n_controls + 1, 1, count, 1))
+    scales[:, 1:, 0, :, 0] = pulse_sets.transpose(2, 1, 0)
+
+    # kets[k, :, c, i]: eigenvector i evolved under set c to node k
+    kets = np.empty((n + 1, d, count, len(w)), dtype=complex)
+    kets[0] = v[:, None, :]
+    scaled = np.empty((n_controls + 1,) + kets.shape[1:], dtype=complex)
+    scaled_rows = scaled.reshape(-1, scaled[0, 0].size)
+    horner = list(gens[::-1])
+    for k in range(n):
+        x, y = kets[k], kets[k + 1]
+        y_rows = y.reshape(d, -1)
+        for sub in range(s):
+            if sub:
+                x = y.copy()
+            z = x
+            for gen in horner:
+                np.multiply(z, scales[k], out=scaled)
+                np.matmul(gen, scaled_rows, out=y_rows)
+                y += x
+                z = y
     # rows are the kets of all sets, eigenpair index fastest
-    psi = kets.swapaxes(-1, -2).reshape(n + 1, -1, d)
+    psi = kets.reshape(n + 1, d, -1).swapaxes(-1, -2)
     weighted = np.conj(psi)
     weighted *= np.tile(w, count)[:, None]
     return _trajectory(problem, psi.swapaxes(-1, -2) @ weighted / count)
@@ -406,9 +453,12 @@ def ensemble_average(problem, pulses, count, seed, kernel=None):
 
     Each realization adds a sampled perturbation to the pulses and evolves
     unitarily with the same piecewise-constant midpoint discretization;
-    :func:`unitary_average` averages the realization states at every node.
-    Deterministic for a fixed seed: every node is one weighted product of
-    the realizations' kets, summed in sampling order.
+    :func:`unitary_average` advances the kets of all realizations together,
+    each step by the truncated Taylor series of its exponential, and
+    averages the realization states at every node.  Deterministic for a
+    fixed seed: the Taylor degree and substep count depend only on the
+    sampled pulses, and every node is one weighted product of the
+    realizations' kets, summed in sampling order.
     """
     kernel = problem.kernel if kernel is None else kernel
     pulses = as_pulses(pulses, problem.grid, problem.h_family.n_controls)

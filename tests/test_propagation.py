@@ -18,9 +18,12 @@ from reference import (
 )
 from ddcontrol import cli
 from ddcontrol.linalg import (
+    _TAYLOR_DEGREES,
+    _TAYLOR_THETA,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    NumericalError,
     dag,
     from_coherence,
     projector,
@@ -206,6 +209,21 @@ def test_incremental_update_equals_full_rebuild(kind):
     _assert_matches_rebuild(cache, fam, grid, kern)
 
 
+def test_memoryless_kernels_build_no_weight_table(rng):
+    grid = TimeGrid(T=2.0, n_steps=12)
+    pulses = rng.standard_normal((1, 12))
+    for kern in (CorrelationKernel.zero(), CorrelationKernel.white_noise(0.1)):
+        cache = build_cache(QUBIT, grid, pulses, kern)
+        assert cache.weights is None and not cache.has_memory
+    # a Gaussian kernel whose table underflows to zero keeps its zero table
+    # and the zero kernel's dynamics
+    tiny = build_cache(QUBIT, grid, pulses, CorrelationKernel.gaussian(0.1, 1e-4))
+    assert tiny.weights.shape == (1, 13, 1, 12) and not np.any(tiny.weights)
+    assert not tiny.has_memory
+    zero = build_cache(QUBIT, grid, pulses, CorrelationKernel.zero())
+    assert np.array_equal(tiny.v_steps, zero.v_steps)
+
+
 SWEEP_LENGTHS = sorted(
     {1, 2, 3, 100, 400} | {s * s + e for s in range(2, 21) for e in (-1, 1)}
 )
@@ -231,15 +249,6 @@ def test_blocked_sweep_matches_loop(dim):
     u = unitary_steps(QUBIT, rng.standard_normal((1, 50)), 0.1)
     eye = np.eye(2, dtype=complex)
     assert np.max(np.abs(_node_sweep(u, eye) - node_sweep_loop(u, eye))) <= 1e-13
-
-
-@pytest.mark.parametrize("count", [1, 5])
-def test_ket_stack_sweep_is_the_loop(count):
-    # a batch of maps per node keeps the node-by-node loop, bit for bit
-    rng = np.random.default_rng(count)
-    u = unitary_steps(QUBIT, rng.standard_normal((count, 1, 30)), 0.1).swapaxes(0, 1)
-    kets = np.broadcast_to(np.array([[1.0], [0.0]], dtype=complex), (count, 2, 1))
-    assert np.array_equal(_node_sweep(u, kets), node_sweep_loop(u, kets))
 
 
 def test_ddme_step_zero_kernel_is_unitary_conjugation(rng):
@@ -503,6 +512,90 @@ def test_ensemble_is_deterministic():
     a = ensemble_average(prob, pulses, count=200, seed=9)
     b = ensemble_average(prob, pulses, count=200, seed=9)
     assert np.array_equal(a.states, b.states)
+
+
+def _ket_problem(rng, d, m, n, rho0):
+    fam = HamiltonianFamily(
+        drift=random_hermitian(rng, d), controls=tuple(random_hermitian(rng, d) for _ in range(m))
+    )
+    return ControlProblem(
+        rho0=rho0,
+        rho_targ=projector(np.eye(d)[0]),
+        h_family=fam,
+        grid=TimeGrid(T=0.1 * n, n_steps=n),
+        kernel=CorrelationKernel.zero(m),
+    )
+
+
+def _taylor_choice(problem, pulse_sets):
+    """(degree, substeps) that the ket propagation picks for these sets."""
+    fam = problem.h_family
+    norms = [np.max(np.sum(np.abs(h), axis=0)) for h in (fam.drift,) + fam.controls]
+    controls = np.tensordot(norms[1:], np.abs(pulse_sets), (0, 1))
+    bound = problem.grid.dt * (norms[0] + np.max(controls))
+    substeps = np.maximum(np.ceil(bound / _TAYLOR_THETA), 1)
+    best = np.argmin(_TAYLOR_DEGREES * substeps)
+    return _TAYLOR_DEGREES[best], substeps[best]
+
+
+def test_ket_taylor_top_degree_with_substeps(rng):
+    # pulses large enough for the top degree and several substeps per step,
+    # on a pure qubit and a mixed d = 3 two-control problem
+    for d, m in ((2, 1), (3, 2)):
+        prob = _ket_problem(rng, d, m, 30, random_density(rng, d) if d > 2 else projector("+"))
+        sets = 12.0 * rng.standard_normal((4, m, 30))
+        degree, substeps = _taylor_choice(prob, sets)
+        assert degree == _TAYLOR_DEGREES[-1] and substeps >= 2
+        got = unitary_average(prob, sets).states
+        assert np.max(np.abs(got - unitary_average_reference(prob, sets).states)) <= 1e-12
+
+
+def test_ket_taylor_zero_generator_keeps_rho0(rng):
+    # zero drift and zero pulses: a generator of norm 0 divides by nothing
+    # and leaves every node at rho0
+    rho0 = random_density(rng, 2)
+    prob = ControlProblem(
+        rho0=rho0,
+        rho_targ=projector("0"),
+        h_family=DRIFTLESS,
+        grid=TimeGrid(T=1.0, n_steps=10),
+        kernel=CorrelationKernel.zero(),
+    )
+    with np.errstate(all="raise"):
+        states = unitary_average(prob, np.zeros((3, 1, 10))).states
+    assert np.array_equal(states[0], rho0)
+    assert all(np.array_equal(s, states[1]) for s in states[1:])
+    assert np.max(np.abs(states - rho0)) <= 1e-12
+
+
+def test_ket_taylor_refuses_non_finite_pulses():
+    prob = qubit_problem(TimeGrid(T=1.0, n_steps=4), CorrelationKernel.zero())
+    sets = np.zeros((2, 1, 4))
+    sets[1, 0, 2] = np.nan
+    with pytest.raises(NumericalError):
+        unitary_average(prob, sets)
+
+
+def test_ket_taylor_keeps_unit_norm_over_400_steps(rng):
+    # one pure set per run: the trace of its state is the squared ket norm
+    prob = _ket_problem(rng, 2, 1, 400, projector("+"))
+    sets = rng.standard_normal((3, 1, 400))
+    for c in range(3):
+        states = unitary_average(prob, sets[c : c + 1]).states
+        assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-12
+        ref = unitary_average_reference(prob, sets[c : c + 1]).states
+        assert np.max(np.abs(states - ref)) <= 1e-12
+
+
+def test_ket_taylor_rank_deficient_rho0(rng):
+    # a rank-2 d = 4 state keeps two kets per set
+    basis = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    rho0 = 0.8 * np.outer(basis[:, 0], basis[:, 0].conj())
+    rho0 += 0.2 * np.outer(basis[:, 2], basis[:, 2].conj())
+    prob = _ket_problem(rng, 4, 2, 25, rho0)
+    sets = rng.standard_normal((7, 2, 25))
+    got = unitary_average(prob, sets).states
+    assert np.max(np.abs(got - unitary_average_reference(prob, sets).states)) <= 1e-12
 
 
 def test_first_order_convergence_in_dt():

@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian
-from reference import gradient_reference, reference_generators, to_vec_basis
-from ddcontrol.krotov import ddme_gradient_D
+from reference import (
+    gradient_reference,
+    reference_generators,
+    to_vec_basis,
+    unitary_average_reference,
+)
+from ddcontrol.krotov import ControlProblem, ddme_gradient_D
 from ddcontrol.linalg import from_coherence, projector, to_coherence
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid
-from ddcontrol.propagation import build_cache
+from ddcontrol.propagation import build_cache, unitary_average
 
 KINDS = ("zero", "stationary-gaussian", "white-noise", "tabulated")
 
@@ -116,3 +121,26 @@ def test_gradient_matches_frame_independent_reference(d, m, kind, n, seed):
             want = gradient_reference(cache, phi, chi, mm, k).real
             got = ddme_gradient_D(cache, states, costates, mm, k)
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "d, m, pure", [(d, m, pure) for d in (2, 3, 4) for m in (1, 2) for pure in (True, False)]
+)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5))
+def test_ket_average_matches_density_matrix_reference(d, m, pure, n, seed, count):
+    # the Taylor ket propagation against the density-matrix loop on
+    # eigh-based step unitaries, over pulse amplitudes from 0.1 to 10
+    grid, fam, _, _, rng = _problem(d, m, "zero", n, seed)
+    ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    problem = ControlProblem(
+        rho0=projector(ket) if pure else random_density(rng, d),
+        rho_targ=projector(np.eye(d)[0]),
+        h_family=fam,
+        grid=grid,
+        kernel=CorrelationKernel.zero(m),
+    )
+    sets = 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal((count, m, n))
+    got = unitary_average(problem, sets).states
+    want = unitary_average_reference(problem, sets).states
+    assert np.max(np.abs(got - want)) <= 1e-12
