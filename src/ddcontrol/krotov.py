@@ -25,10 +25,13 @@ With ``Tr(A B) = Tr(A) Tr(B) / d + 2 a.b`` for Hermitian A, B the cost is
 of coefficient vectors and real maps.  Its memory term reads the cache's
 real frame directly: the orthogonal node maps ``O_j`` and the
 interaction-picture controls ``kappa``, contracted with the kernel weights
-in one matrix product per control.  Every run of costates, and with memory
-of states, that an update makes stale is re-swept by one blocked
-:func:`~ddcontrol.propagation._node_sweep`, the costates on the reversed,
-transposed step maps; without memory an update moves a single state.
+in one matrix product per control; its sum over the later nodes and the
+controls is a single gemm, contracted once with ``F(kappa)``.  With memory the
+stale costates and the stale states of an update are re-swept together,
+by one blocked :func:`~ddcontrol.propagation._node_sweep` over a batch of
+two runs: the costates on the reversed, transposed step maps, padded with
+discarded maps to the length of the states' run.  Without memory an update
+moves a single state and the costates are swept once per iteration.
 
 A single optimization run is strictly sequential (each pulse update feeds
 the next); independent runs share no mutable state and can execute
@@ -193,9 +196,11 @@ def ddme_gradient_D(cache: PropagatorCache, states, costates, m, k):
     w = cache.weights[:, k:, :, :k].reshape(n_ctrl, n_later, n_ctrl * k)
     s = w @ cache.kappa[:, :k].reshape(n_ctrl * k, n)
     a = (costates[k:] @ cache.f_controls)[..., None, :] @ structure_map(states[k:])
-    # rows O_j^T a_pj, against the rows (F(kappa[m, k]) s_pj)^T
-    oa = (a @ cache.o[k:])[..., 0, :]
-    return float(grad - 2.0 * dt * dt * np.sum(oa * (s @ structure_map(cache.kappa[m, k]).T)))
+    # with rows O_j^T a_pj, the sum over (p, j) of (O_j^T a_pj).F(kappa[m, k]) s_pj
+    # is F(kappa[m, k]) contracted with G = sum_{p,j} (O_j^T a_pj) s_pj^T, one gemm
+    oa = (a @ cache.o[k:]).reshape(n_ctrl * n_later, n)
+    g = oa.T @ s.reshape(n_ctrl * n_later, n)
+    return float(grad - 2.0 * dt * dt * np.vdot(structure_map(cache.kappa[m, k]), g))
 
 
 def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
@@ -206,11 +211,11 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     computed with propagators that already contain the updates at steps
     < k.  An update makes steps k..L stale (L = N with memory, L = k
     without); the cache rebuilds them and only the nodes that depend on
-    them are propagated again, each run of nodes in one
-    :func:`~ddcontrol.propagation._node_sweep`.  So with memory the
-    costates are re-swept at every step and the states advanced to node N;
-    without memory the costates are swept once per iteration and only node
-    k is advanced.
+    them are propagated again by :func:`~ddcontrol.propagation._node_sweep`.
+    So with memory the costates of nodes k..N and the states of nodes
+    k-1..N are re-swept at every step, both in one paired sweep; without
+    memory the costates are swept once per iteration and only node k is
+    advanced.
     """
     _check_config(problem, config)
     grid = problem.grid
@@ -227,6 +232,11 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     # costates[fresh:] agree with the current step maps
     fresh = n
     offset = 1.0 - 1.0 / problem.dim
+    if cache.has_memory:
+        # the paired sweep's maps and starting values: run 0 the costates,
+        # run 1 the states
+        pair = np.empty((2, n) + v_steps.shape[1:])
+        ends = np.empty((2,) + states.shape[1:])
 
     j_val = offset - 2.0 * float(costates[n] @ states[n])
     j_values = [j_val]
@@ -236,14 +246,25 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     while not converged and iterations < config.i_max:
         iterations += 1
         for k in range(1, n + 1):
-            if fresh > k:
-                backward = v_steps[k:fresh][::-1].swapaxes(1, 2)
-                costates[k : fresh + 1] = _node_sweep(backward, costates[fresh])[::-1]
-            fresh = k
+            top, fresh = max(fresh, k), k
             if cache.has_memory:
-                # the memory term of the gradient reads every node from k on
-                states[k - 1 :] = _node_sweep(v_steps[k - 1 :], states[k - 1])
+                # the memory term of the gradient reads every node from k on:
+                # one sweep of the stale costates, nodes k..top on the
+                # reversed, transposed maps of steps k+1..top, and the states
+                # of nodes k-1..N; the costate run is padded with discarded
+                # zero maps to the length N - k + 1 of the state run
+                stale, run = top - k, n - k + 1
+                pair[0, :stale] = v_steps[k:top][::-1].swapaxes(1, 2)
+                pair[0, stale:run] = 0.0
+                pair[1, :run] = v_steps[k - 1 :]
+                ends[0], ends[1] = costates[top], states[k - 1]
+                swept = _node_sweep(pair[:, :run], ends)
+                costates[k : top + 1] = swept[0, stale::-1]
+                states[k - 1 :] = swept[1]
             else:
+                if top > k:
+                    backward = v_steps[k:top][::-1].swapaxes(1, 2)
+                    costates[k : top + 1] = _node_sweep(backward, costates[top])[::-1]
                 states[k] = v_steps[k - 1] @ states[k - 1]
             new_values = cache.pulses[:, k - 1].copy()
             for mm in range(m):
@@ -251,7 +272,7 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
                     continue
                 grad = ddme_gradient_D(cache, states, costates, mm, k)
                 new_values[mm] += config.shapes[mm, k - 1] / config.lambdas[mm] * grad
-            if not np.array_equal(new_values, cache.pulses[:, k - 1]):
+            if (new_values != cache.pulses[:, k - 1]).any():
                 fresh = cache.update_step(k, new_values)
             states[k] = v_steps[k - 1] @ states[k - 1]
         j_val = offset - 2.0 * float(costates[n] @ states[n])

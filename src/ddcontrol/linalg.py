@@ -13,7 +13,9 @@ never mutates its arguments, which makes all of them safe to share across
 threads.
 """
 
+import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -133,8 +135,19 @@ def structure_map(x):
     """``F(x)``, the action of ``-i[X, .]`` on coefficients: (..., n) -> (..., n, n)."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    fmaps = _coherence_tables(int(round(np.sqrt(n + 1))))[2]
+    fmaps = _coherence_tables(math.isqrt(n + 1))[2]
     return (x @ fmaps).reshape(x.shape[:-1] + (n, n))
+
+
+@lru_cache(maxsize=None)
+def _adjoint_tables(d):
+    """Halved conjugate and transposed flattened basis, read-only: the
+    factors on either side of the Kronecker product in :func:`adjoint_map`."""
+    lam = gell_mann(d).reshape(-1, d * d)
+    left, right = 0.5 * np.conj(lam), np.ascontiguousarray(lam.T)
+    for table in (left, right):
+        table.flags.writeable = False
+    return left, right
 
 
 def adjoint_map(u):
@@ -143,14 +156,15 @@ def adjoint_map(u):
 
     Real, and orthogonal for unitary ``U``; ``O(U V) = O(U) O(V)``.  Formed
     from the Kronecker product ``U (x) conj(U)``, which maps the flattened
-    ``X`` to the flattened ``U X U^dag``.
+    ``X`` to the flattened ``U X U^dag``, between basis tables built once
+    per d.
     """
     u = np.asarray(u, dtype=complex)
     d = u.shape[-1]
-    lam = gell_mann(d).reshape(-1, d * d)
+    left, right = _adjoint_tables(d)
     kron = u[..., :, None, :, None] * np.conj(u)[..., None, :, None, :]
     kron = kron.reshape(u.shape[:-2] + (d * d, d * d))
-    return 0.5 * np.real(np.conj(lam) @ kron @ lam.T)
+    return np.ascontiguousarray((left @ kron @ right).real)
 
 
 # Truncated-Taylor degrees whose Paterson-Stockmeyer evaluation costs one
@@ -166,9 +180,55 @@ _TAYLOR_THETA = np.array([
     7.802874256626574e-1, 1.438252596804337, 2.428582524442826,
     3.539666348743689,
 ])
-_TAYLOR_POWERS = np.ceil(np.sqrt(_TAYLOR_DEGREES)).astype(int)
-_TAYLOR_PRODUCTS = _TAYLOR_POWERS - 1 + _TAYLOR_DEGREES // _TAYLOR_POWERS - 1
 _INV_FACTORIALS = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, _TAYLOR_DEGREES[-1] + 1)])
+
+
+class _TaylorPlan(NamedTuple):
+    """Paterson-Stockmeyer layout of one Taylor degree m with p = ceil(sqrt(m))
+    powers and r = m / p blocks: T_m(A) = sum_{i<r} B_i (A^p)^i, where B_i =
+    sum_{j<p} A^j / (i p + j)! plus A^p / m! in the last block.  Row i of the
+    (r, p) ``weights`` holds the weights of A^1 .. A^p in B_i and
+    ``diagonal[i]`` that of the identity."""
+
+    theta: float
+    products: int
+    degree: int
+    powers: int
+    weights: np.ndarray
+    diagonal: np.ndarray
+
+
+def _taylor_plan(index):
+    m = int(_TAYLOR_DEGREES[index])
+    p = math.isqrt(m - 1) + 1
+    r = m // p
+    coef = np.zeros((r, p + 1))
+    coef[:, :p] = _INV_FACTORIALS[:m].reshape(r, p)
+    coef[-1, p] = _INV_FACTORIALS[m]
+    weights = np.ascontiguousarray(coef[:, 1:])
+    return _TaylorPlan(float(_TAYLOR_THETA[index]), p - 1 + r - 1, m, p, weights, coef[:, 0].copy())
+
+
+_TAYLOR_PLANS = tuple(_taylor_plan(i) for i in range(len(_TAYLOR_DEGREES)))
+
+
+def _taylor_choice(norm):
+    """The plan and number of squarings s for a stack of largest 1-norm
+    ``norm``: the fewest matrix products among the degrees whose bound
+    theta[m] covers norm / 2**s, the first such degree on a tie.  The
+    degrees cost 0, 1, 2, .. products and need ever fewer squarings, so no
+    degree after the first that needs none can be cheaper."""
+    norm = max(norm, 1e-300)
+    cost = None
+    for plan in _TAYLOR_PLANS:
+        s = max(math.ceil(math.log2(norm / plan.theta)), 0)
+        if cost is None or plan.products + s < cost:
+            cost, best, squarings = plan.products + s, plan, s
+        if s == 0:
+            break
+    return best, squarings
+
+
 # Smallest stack that :func:`expm` exponentiates in one batch.  Below it
 # scipy's per-matrix Pade method is as fast or faster: on 4x4 generators
 # the batch breaks even at about 5 matrices, on 16x16 ones at about 2.
@@ -199,37 +259,31 @@ def _expm_taylor(a):
     Evaluates the degree-m Taylor polynomial of A / 2**s in
     Paterson-Stockmeyer form, then squares s times.  (m, s) minimizes the
     matrix products among the degrees whose bound theta[m] covers the
-    largest 1-norm in the stack divided by 2**s.
+    largest 1-norm in the stack divided by 2**s (:func:`_taylor_choice`,
+    on Python scalars, from plans laid out once).
     """
-    norm = np.max(np.sum(np.abs(a), axis=-2))
-    squarings = np.ceil(np.log2(np.maximum(norm, 1e-300) / _TAYLOR_THETA))
-    squarings = np.maximum(squarings, 0.0)
-    best = int(np.argmin(_TAYLOR_PRODUCTS + squarings))
-    m, p, s = _TAYLOR_DEGREES[best], _TAYLOR_POWERS[best], int(squarings[best])
-    r = m // p
+    # einsum sums the columns in the order sum(axis=-2) does, and faster
+    plan, squarings = _taylor_choice(float(np.einsum("...ij->...j", np.abs(a)).max()))
+    p, weights, diagonal = plan.powers, plan.weights, plan.diagonal
+    r = len(diagonal)
 
     # powers[j] = (A / 2**s)^(j+1) for j < p
     powers = np.empty((p,) + a.shape, dtype=a.dtype)
-    np.multiply(a, 2.0**-s, out=powers[0])
+    np.multiply(a, 2.0**-squarings, out=powers[0])
     for j in range(1, p):
         np.matmul(powers[j - 1], powers[0], out=powers[j])
-    # T_m(A) = sum_{i<r} B_i (A^p)^i with B_i = sum_{j<p} A^j / (i p + j)!,
-    # plus A^p / m! in the last block; coef[i, j] is the weight of A^j in B_i
-    coef = np.zeros((r, p + 1))
-    coef[:, :p] = _INV_FACTORIALS[:m].reshape(r, p)
-    coef[-1, p] = _INV_FACTORIALS[m]
     # real weights: contract the real and imaginary parts as one real array
     flat = powers.reshape(p, -1).view(float)
-    blocks = (coef[:, 1:] @ flat).view(a.dtype).reshape((r,) + a.shape)
-    diag = np.arange(a.shape[-1])
-    blocks[..., diag, diag] += coef[:, 0].reshape((r,) + (1,) * (a.ndim - 1))
+    blocks = (weights @ flat).view(a.dtype).reshape((r,) + a.shape)
+    n = a.shape[-1]
+    blocks.reshape(r, -1, n * n)[..., :: n + 1] += diagonal[:, None, None]
 
     # Horner's rule in A^p
     result = blocks[r - 1]
     for i in range(r - 2, -1, -1):
         result = result @ powers[p - 1]
         result += blocks[i]
-    for _ in range(s):
+    for _ in range(squarings):
         result = result @ result
     return result
 

@@ -39,10 +39,12 @@ is kept as an independent reference for that kind.
 
 Every propagation under one step map per node goes through one function,
 :func:`_node_sweep`, which applies a stack of step maps to a starting
-array in blocks: the step maps to the coherence vector of ``rho0`` in
-:func:`ddme_propagate` and :func:`white_noise_propagate`, the step unitaries
-to the identity for the cache's node propagators, and the step maps and
-their transposes to the optimizer's states and costates.  The brute-force
+array in blocks, for one run or a small batch of runs at once: the step
+maps to the coherence vector of ``rho0`` in :func:`ddme_propagate` and
+:func:`white_noise_propagate`, the step unitaries to the identity for the
+cache's node propagators, and the step maps and their transposes to the
+optimizer's states and costates, paired into one batch of two runs.  The
+brute-force
 ensemble of :func:`unitary_average` forms no step maps: it advances the
 kets of all realizations at once by the action of every step's
 exponential, a truncated Taylor series applied to the kets.
@@ -117,43 +119,57 @@ def unitary_steps(h_family, pulses, dt):
 
 
 def _node_sweep(steps, x0):
-    """Node values x[k] = steps[k-1] @ x[k-1] from x[0] = x0.
+    """Node values x[k] = steps[k-1] @ x[k-1] from x[0] = x0, for one run
+    or for a small leading batch of independent runs.
 
-    ``steps`` is an (N, m, m) stack of N >= 1 step maps and ``x0`` an
-    (m,) vector or (m, p) matrix; returns the (N+1,) + x0.shape array of
-    all nodes.
+    ``steps`` is an (N, m, m) stack of N >= 1 step maps, or a (B..., N, m, m)
+    stack with one run of N maps per leading index; ``x0`` holds each run's
+    starting value, an (m,) vector or (m, p) matrix, after the same leading
+    axes.  Returns the (B...) + (N+1,) + value-shape array of all nodes.
 
     The maps are swept in blocks of b = ceil(sqrt(N)) steps: the prefix
-    products within every block are formed for all blocks at once, the
-    values at the block boundaries are chained in order, and one batched
-    product applies every prefix to its block's starting value.  That is
-    about 2 sqrt(N) numpy calls and O(N m^3) work in place of N calls.
-    Against the loop (2 cores, one BLAS thread) it took 48 against 136 us
-    at N = 100 and 104 against 568 us at N = 400 on m = 3, and 86 against
-    145 us and 296 against 658 us on m = 15; at N = 10 the loop's 14 us
-    beat its 19.
+    products within every block are formed for all blocks of all runs at
+    once, the values at the block boundaries are chained in order, and one
+    batched product applies every prefix to its block's starting value.
+    That is about 2 sqrt(N) numpy calls and O(N m^3) work in place of N
+    calls per run, and a batch of runs shares the calls.  Against the loop
+    (2 cores, one BLAS thread) one run took 48 against 136 us at N = 100
+    and 104 against 568 us at N = 400 on m = 3, and 86 against 145 us and
+    296 against 658 us on m = 15; at N = 10 the loop's 14 us beat its 19.
+    A batch of two runs took 0.4 to 0.8 of the time of two single runs
+    over N = 10 .. 400 on m = 3 and m = 15.
     """
-    x = np.empty((len(steps) + 1,) + np.shape(x0), dtype=np.result_type(steps, x0))
-    x[0] = x0
-    n_steps, dim = len(steps), steps.shape[-1]
+    x0 = np.asarray(x0)
+    batch, (n_steps, dim) = steps.shape[:-3], steps.shape[-3:-1]
+    runs = math.prod(batch)
     size = math.isqrt(n_steps - 1) + 1
     n_blocks = -(-n_steps // size)
-    # block b holds steps b*size .. b*size + size - 1, padded with identities;
-    # in place, prods[b, i] becomes steps[b*size + i] @ ... @ steps[b*size]
-    prods = np.empty((n_blocks * size, dim, dim), dtype=x.dtype)
-    prods[:n_steps] = steps
-    prods[n_steps:] = np.eye(dim)
-    prods = prods.reshape(n_blocks, size, dim, dim)
+    tail = n_steps - (n_blocks - 1) * size  # steps in the last block
+    dtype = np.result_type(steps, x0)
+    steps = steps.reshape(runs, n_steps, dim, dim)
+    # prods[:, b, i] = steps[b*size + i] @ ... @ steps[b*size] of every run,
+    # each product formed from the one before; the last block is padded
+    # with zero maps, whose products no kept node reads
+    prods = np.empty((runs, n_blocks, size, dim, dim), dtype=dtype)
+    prods[:, :, 0] = steps[:, ::size]
+    if tail < size:
+        prods[:, -1, tail:] = 0.0
     for i in range(1, size):
-        np.matmul(prods[:, i], prods[:, i - 1], out=prods[:, i])
-    # starts[b]: the value at the node before block b, as columns
-    starts = np.empty((n_blocks, dim, x[0].size // dim), dtype=x.dtype)
-    starts[0] = x[0].reshape(dim, -1)
+        full = n_blocks - (i >= tail)
+        np.matmul(steps[:, i::size], prods[:, :full, i - 1], out=prods[:, :full, i])
+    # starts[:, b]: the value at the node before block b, as columns
+    cols = x0.size // (runs * dim)
+    starts = np.empty((runs, n_blocks, dim, cols), dtype=dtype)
+    starts[:, 0] = x0.reshape(runs, dim, cols)
     for b in range(1, n_blocks):
-        np.matmul(prods[b - 1, -1], starts[b - 1], out=starts[b])
-    applied = prods.reshape(n_blocks, size * dim, dim) @ starts
-    x[1:] = applied.reshape((-1,) + x.shape[1:])[:n_steps]
-    return x
+        np.matmul(prods[:, b - 1, -1], starts[:, b - 1], out=starts[:, b])
+    # nodes 1 .. n_blocks * size, the padded ones after node N included, as
+    # one view of blocks: every prefix applied to its block's start at once
+    x = np.empty((runs, 1 + n_blocks * size, dim, cols), dtype=dtype)
+    x[:, 0] = starts[:, 0]
+    later = x.reshape(runs, -1, cols)[:, dim:].reshape(runs, n_blocks, size * dim, cols)
+    np.matmul(prods.reshape(runs, n_blocks, size * dim, dim), starts, out=later)
+    return x[:, : n_steps + 1].reshape(batch + (n_steps + 1,) + x0.shape[len(batch) :])
 
 
 class PropagatorCache:
@@ -196,6 +212,16 @@ class PropagatorCache:
     applies ``R`` to ``o[k:]`` and ``kappa[:, k:]`` (``kappa' = kappa R`` as
     rows), and rebuilds ``eta`` and ``v_steps`` from node k on.  The
     constructor forms the complex node propagators once, to build ``o``.
+
+    An update is a fixed number of small numpy calls on tables built with
+    the cache, whatever the kernel: the new row of ``f_steps`` is
+    ``F(h_0) + sum_m f_mk F(h_m)``, one product of the pulse values with the
+    stacked maps ``F(h_m)``; ``u`` comes from one d x d ``eigh`` of the step
+    Hamiltonian, formed the same way, and ``O(u)`` from its Kronecker form
+    between basis tables kept per d; the incoherent generators
+    ``sum_m F(h_m) F(e_m)`` of the whole suffix are one product of the
+    ``eta`` rows with a stacked ``(M n, n^2)`` table; and the finiteness of
+    the generators is checked once, by :func:`~ddcontrol.linalg.expm`.
     """
 
     def __init__(self, h_family, grid: TimeGrid, pulses, kernel: CorrelationKernel):
@@ -210,12 +236,19 @@ class PropagatorCache:
         self.pulses = as_pulses(pulses, grid, h_family.n_controls).copy()
 
         n, d, m = grid.n_steps, h_family.dim, h_family.n_controls
+        nc = d * d - 1
         h_controls = to_coherence(h_family.control_stack)
         self.f_controls = structure_map(h_controls)
-        # _memory_maps[m, e] = F(h_m) F(unit vector e), so that
-        # sum_m F(h_m) F(e_m) is one contraction with the coefficients e_m
-        unit_maps = structure_map(np.eye(d * d - 1))
-        self._memory_maps = self.f_controls[:, None] @ unit_maps
+        # Tables built once.  Step k's coherent map is F(h_0) plus the pulse
+        # values times the rows of _f_rows, F(h_m) flattened, and its
+        # Hamiltonian likewise from _h_rows.  Row (m, e) of _memory_rows is
+        # F(h_m) F(unit vector e) flattened, so sum_m F(h_m) F(e_m) is one
+        # product with the coefficients e_m laid out as one row.
+        self._f_drift = structure_map(to_coherence(h_family.drift))
+        self._f_rows = self.f_controls.reshape(m, nc * nc)
+        self._h_rows = h_family.control_stack.reshape(m, d * d)
+        unit_maps = structure_map(np.eye(nc))
+        self._memory_rows = (self.f_controls[:, None] @ unit_maps).reshape(m * nc, nc * nc)
         if kernel.kind in ("zero", "white-noise"):
             # no values on the grid, only a local term
             self.weights = None
@@ -229,9 +262,9 @@ class PropagatorCache:
             self.has_memory = bool(np.any(self.weights))
         self._local_eta = kernel.local_weights @ h_controls
 
-        self.f_steps = _coherent_maps(h_family, self.pulses)
-        self.eta = np.zeros((m, n + 1, d * d - 1))
-        self.v_steps = np.empty((n, d * d - 1, d * d - 1))
+        self.f_steps = self._f_drift + (self.pulses.T @ self._f_rows).reshape(n, nc, nc)
+        self.eta = np.zeros((m, n + 1, nc))
+        self.v_steps = np.empty((n, nc, nc))
         if self.has_memory:
             g = _node_sweep(unitary_steps(h_family, self.pulses, grid.dt), np.eye(d, dtype=complex))
             self.o = adjoint_map(g)
@@ -254,10 +287,12 @@ class PropagatorCache:
         memory, N with memory.
         """
         values = np.atleast_1d(np.asarray(values, dtype=float))
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise NumericalError(f"non-finite pulse update at step {k}")
         self.pulses[:, k - 1] = values
-        self.f_steps[k - 1] = _coherent_maps(self.h_family, self.pulses[:, k - 1 : k])[0]
+        self.f_steps[k - 1] = self._f_drift + (self.pulses[:, k - 1] @ self._f_rows).reshape(
+            self._f_drift.shape
+        )
         return self.refresh(k)
 
     def refresh(self, start_step):
@@ -279,7 +314,9 @@ class PropagatorCache:
         # O'_j = O_j R for j >= k0.  Solving O_k0 R = O(u) O_{k0-1} keeps the
         # frame at roundoff; R = O_k0^T O(u) O_{k0-1} would feed O's own
         # deviation from orthogonality back in, doubling it with every update.
-        u = unitary_steps(self.h_family, self.pulses[:, k0 - 1 : k0], self.grid.dt)[0]
+        drift = self.h_family.drift
+        w, v = np.linalg.eigh(drift + (self.pulses[:, k0 - 1] @ self._h_rows).reshape(drift.shape))
+        u = (v * np.exp(-1j * self.grid.dt * w)) @ v.conj().T
         rot = np.linalg.solve(self.o[k0], adjoint_map(u) @ self.o[k0 - 1])
         self.o[k0:] = self.o[k0:] @ rot
         self.kappa[:, k0:] = self.kappa[:, k0:] @ rot
@@ -288,20 +325,20 @@ class PropagatorCache:
         return self.n_steps
 
     def _build_v_steps(self, first, last):
-        """Step maps of steps first..last (1-based, inclusive)."""
+        """Step maps of steps first..last (1-based, inclusive); :func:`expm`
+        rejects a non-finite generator."""
         if self.has_memory:
-            incoherent = self._incoherent(self.eta[:, first : last + 1])
+            gen = self._incoherent(self.eta[:, first : last + 1])
+            gen += self.f_steps[first - 1 : last]
         else:
-            incoherent = self._static_incoherent
-        gen = self.f_steps[first - 1 : last] + incoherent
-        if not np.all(np.isfinite(gen)):
-            raise NumericalError("non-finite step generator")
+            gen = self.f_steps[first - 1 : last] + self._static_incoherent
         self.v_steps[first - 1 : last] = expm(gen, scale=self.grid.dt)
 
     def _incoherent(self, eta):
         """Maps ``sum_m F(h_m) F(e_m)`` for a (M, K, n) slice of coefficients
         ``e_m``: (K, n, n)."""
-        return np.tensordot(eta, self._memory_maps, axes=([0, 2], [0, 1]))
+        m, k, n = eta.shape
+        return (eta.transpose(1, 0, 2).reshape(k, m * n) @ self._memory_rows).reshape(k, n, n)
 
 
 def build_eta_table(cache: PropagatorCache, start_node=0):
@@ -323,11 +360,6 @@ def build_eta_table(cache: PropagatorCache, start_node=0):
     weights = cache.weights[:, j0:].reshape(m, n1 - j0, m * (n1 - 1))
     s = weights @ cache.kappa[:, :-1].reshape(m * (n1 - 1), n)
     cache.eta[:, j0:] += cache.grid.dt * (cache.o[j0:] @ s[..., None])[..., 0]
-
-
-def _coherent_maps(h_family, pulses):
-    """Maps ``F(h_k)`` of the total Hamiltonians for (M, K) pulses: (K, d^2-1, d^2-1)."""
-    return structure_map(to_coherence(h_family.stack(pulses)))
 
 
 def _trajectory(problem, states):
@@ -371,7 +403,7 @@ def white_noise_propagate(problem, pulses, alpha):
     pulses = as_pulses(pulses, grid, problem.h_family.n_controls)
     f_controls = structure_map(to_coherence(problem.h_family.control_stack))
     dissipator = 0.5 * alpha * np.sum(f_controls @ f_controls, axis=0)
-    gen = _coherent_maps(problem.h_family, pulses) + dissipator
+    gen = structure_map(to_coherence(problem.h_family.stack(pulses))) + dissipator
     r = _node_sweep(expm(gen, scale=grid.dt), to_coherence(problem.rho0))
     return _trajectory(problem, from_coherence(r, trace=1.0))
 

@@ -7,9 +7,17 @@ unoptimized form of something the package computes another way.
 import numpy as np
 
 from ddcontrol.krotov import OptimizationTrace
-from ddcontrol.linalg import TRACE_TOL, as_operator, dag, expm_hermitian, gell_mann
+from ddcontrol.linalg import (
+    TRACE_TOL,
+    as_operator,
+    dag,
+    expm_hermitian,
+    from_coherence,
+    gell_mann,
+    to_coherence,
+)
 from ddcontrol.model import as_pulses
-from ddcontrol.propagation import Trajectory, unitary_steps
+from ddcontrol.propagation import Trajectory, build_cache, unitary_steps
 
 
 def commutator(a, b):
@@ -252,6 +260,53 @@ def se_krotov_reference(problem, guess, config):
         j_val = 1.0 - _overlap(problem.rho_targ, rho)
         j_values.append(j_val)
         converged = config.j_tol is not None and j_val <= config.j_tol
+
+    return OptimizationTrace(
+        j_values=np.array(j_values), pulses=pulses, converged=converged, iterations=iterations
+    )
+
+
+def ddme_krotov_reference(problem, guess, config):
+    """Sequential Krotov update of the disorder-dressed evolution, node by node.
+
+    Before the update at step k every table is rebuilt: a fresh
+    :func:`~ddcontrol.propagation.build_cache` of the current pulses gives
+    the step maps, the states are propagated from ``rho0`` and the costates
+    pulled back from the target one node at a time, and every control's
+    gradient is :func:`gradient_reference` on the operator states.  The
+    values of all controls at step k change together.
+    """
+    grid = problem.grid
+    n, m, d = grid.n_steps, problem.n_controls, problem.dim
+    pulses = as_pulses(guess, grid, m).copy()
+    r0, c_final = to_coherence(problem.rho0), to_coherence(problem.rho_targ)
+
+    def tables():
+        cache = build_cache(problem.h_family, grid, pulses, problem.kernel)
+        states = node_sweep_loop(cache.v_steps, r0)
+        costates = node_sweep_loop(cache.v_steps[::-1].swapaxes(1, 2), c_final)[::-1]
+        return cache, states, costates
+
+    def cost():
+        states = tables()[1]
+        return 1.0 - 1.0 / d - 2.0 * float(c_final @ states[n])
+
+    j_values = [cost()]
+    converged = config.j_tol is not None and j_values[-1] <= config.j_tol
+    iterations = 0
+    while not converged and iterations < config.i_max:
+        iterations += 1
+        for k in range(1, n + 1):
+            cache, states, costates = tables()
+            phi = from_coherence(states, trace=1.0)
+            chi = from_coherence(costates, trace=1.0)
+            for mm in range(m):
+                if config.shapes[mm, k - 1] == 0.0:
+                    continue
+                grad = gradient_reference(cache, phi, chi, mm, k).real
+                pulses[mm, k - 1] += config.shapes[mm, k - 1] / config.lambdas[mm] * grad
+        j_values.append(cost())
+        converged = config.j_tol is not None and j_values[-1] <= config.j_tol
 
     return OptimizationTrace(
         j_values=np.array(j_values), pulses=pulses, converged=converged, iterations=iterations

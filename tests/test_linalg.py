@@ -12,7 +12,10 @@ from reference import (
     vec,
 )
 from ddcontrol.linalg import (
+    _TAYLOR_DEGREES,
+    _TAYLOR_THETA,
     NumericalError,
+    _taylor_choice,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -169,6 +172,49 @@ def test_expm_keeps_real_dtype(rng, count):
     got = expm(a, scale=0.5)
     assert got.dtype == np.float64
     assert np.max(np.abs(got - scipy.linalg.expm(0.5 * a + 0j))) <= 1e-13
+
+
+def _reference_taylor_choice(norm):
+    """The degree and squarings of the batched Taylor step, as the rule
+    reads on arrays: the fewest products plus squarings, the first degree
+    on a tie."""
+    powers = np.ceil(np.sqrt(_TAYLOR_DEGREES)).astype(int)
+    products = powers - 1 + _TAYLOR_DEGREES // powers - 1
+    squarings = np.maximum(np.ceil(np.log2(np.maximum(norm, 1e-300) / _TAYLOR_THETA)), 0.0)
+    best = int(np.argmin(products + squarings))
+    return int(_TAYLOR_DEGREES[best]), int(squarings[best])
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("index", range(len(_TAYLOR_THETA)))
+def test_expm_at_degree_boundaries(rng, index, side):
+    # stacks whose largest 1-norm sits just below or just above theta[m],
+    # where the degree or the number of squarings changes: the choice
+    # follows the rule, and the result matches scipy
+    target = _TAYLOR_THETA[index] * (1.0 + side * 1e-12)
+    for dtype in (float, complex):
+        a = rng.standard_normal((6, 5, 5)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal((6, 5, 5))
+        norms = np.sum(np.abs(a), axis=-2).max(axis=-1)
+        a *= (target * np.geomspace(1.0, 1e-3, 6) / norms)[:, None, None]
+        norm = np.sum(np.abs(a), axis=-2).max()
+        assert (norm > _TAYLOR_THETA[index]) == (side > 0)
+        plan, squarings = _taylor_choice(norm)
+        assert (plan.degree, squarings) == _reference_taylor_choice(norm)
+        want = scipy.linalg.expm(a)
+        got = expm(a)
+        assert got.dtype == want.dtype
+        err = np.max(np.abs(got - want), axis=(-2, -1)) / np.max(np.abs(want), axis=(-2, -1))
+        assert np.max(err) <= 1e-13
+
+
+def test_expm_of_zero_stack_is_identity():
+    plan, squarings = _taylor_choice(0.0)
+    assert (plan.degree, squarings) == _reference_taylor_choice(0.0) == (1, 0)
+    got = expm(np.zeros((5, 3, 3)))
+    assert np.array_equal(got, np.broadcast_to(np.eye(3), (5, 3, 3)))
+    assert np.max(np.abs(got - scipy.linalg.expm(np.zeros((5, 3, 3))))) <= 1e-13
 
 
 def test_expm_rejects_non_finite(rng):

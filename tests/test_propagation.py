@@ -245,10 +245,27 @@ def test_blocked_sweep_matches_loop(dim):
             got, want = _node_sweep(steps, x0), node_sweep_loop(steps, x0)
             assert got.shape == want.shape == (n + 1, dim)
             assert np.max(np.abs(got - want)) <= 1e-13, n
+        # the optimizer's paired form: run 0 the costates on the reversed,
+        # transposed maps of one step fewer, padded with a discarded map (at
+        # n = 1, the last update, an empty run), run 1 the states
+        pair = np.empty((2, n, dim, dim))
+        pair[0, : n - 1] = maps[1:n][::-1].swapaxes(1, 2)
+        pair[0, n - 1] = b[0]
+        pair[1] = maps[:n]
+        ends = np.stack([x0, x0[::-1]])
+        got = _node_sweep(pair, ends)
+        assert got.shape == (2, n + 1, dim)
+        assert np.max(np.abs(got[0, :n] - node_sweep_loop(pair[0, : n - 1], ends[0]))) <= 1e-13, n
+        assert np.max(np.abs(got[1] - node_sweep_loop(pair[1], ends[1]))) <= 1e-13, n
     # a matrix starting value, as for the cache's node propagators
     u = unitary_steps(QUBIT, rng.standard_normal((1, 50)), 0.1)
     eye = np.eye(2, dtype=complex)
     assert np.max(np.abs(_node_sweep(u, eye) - node_sweep_loop(u, eye))) <= 1e-13
+    # and a batch of them
+    runs = np.stack([u, u[::-1]])
+    got = _node_sweep(runs, np.stack([eye, eye]))
+    for run, nodes in zip(runs, got):
+        assert np.max(np.abs(nodes - node_sweep_loop(run, eye))) <= 1e-13
 
 
 def test_ddme_step_zero_kernel_is_unitary_conjugation(rng):

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian
 from reference import (
+    ddme_krotov_reference,
     gradient_reference,
     reference_generators,
     to_vec_basis,
     unitary_average_reference,
 )
-from ddcontrol.krotov import ControlProblem, ddme_gradient_D
+from ddcontrol.krotov import ControlProblem, KrotovConfig, ddme_gradient_D, ddme_krotov
 from ddcontrol.linalg import from_coherence, projector, to_coherence
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid
 from ddcontrol.propagation import build_cache, unitary_average
@@ -121,6 +122,33 @@ def test_gradient_matches_frame_independent_reference(d, m, kind, n, seed):
             want = gradient_reference(cache, phi, chi, mm, k).real
             got = ddme_gradient_D(cache, states, costates, mm, k)
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@cases
+@examples
+@grids
+def test_krotov_iterations_match_sequential_reference(d, m, kind, n, seed):
+    # two iterations of the optimizer, with its incremental cache updates,
+    # paired sweeps and real-frame gradient, against the loop that rebuilds
+    # the cache, propagates node by node and takes the nested-commutator
+    # gradient before every update
+    grid, fam, kernel, pulses, rng = _problem(d, m, kind, n, seed)
+    ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    problem = ControlProblem(
+        rho0=random_density(rng, d),
+        rho_targ=projector(ket),
+        h_family=fam,
+        grid=grid,
+        kernel=kernel,
+    )
+    shapes = rng.uniform(0.0, 1.0, (m, n))
+    shapes[rng.random((m, n)) < 0.2] = 0.0
+    config = KrotovConfig(lambdas=rng.uniform(0.5, 2.0, m), shapes=shapes, j_tol=None, i_max=2)
+    got = ddme_krotov(problem, pulses, config)
+    want = ddme_krotov_reference(problem, pulses, config)
+    assert got.iterations == want.iterations == 2
+    assert np.max(np.abs(got.j_values - want.j_values)) <= 1e-12
+    assert np.max(np.abs(got.pulses - want.pulses)) <= 1e-12
 
 
 @pytest.mark.parametrize(
