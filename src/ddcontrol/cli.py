@@ -344,18 +344,34 @@ def load_experiment(config_path=None, task=None, seed=None, out=None):
 
 
 def read_pulse_file(path, grid: TimeGrid, n_controls):
-    """Read a standalone pulse file: columns k, t_mid, f_1 ... f_M."""
+    """Read a standalone pulse file: columns k, t_mid, f_1 ... f_M.
+
+    Every row must have exactly one field per header column and numeric
+    pulse values; a row that does not is rejected with its line number.
+    """
+    names = [f"f_{m + 1}" for m in range(n_controls)]
+    rows = []
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            names = [f"f_{m + 1}" for m in range(n_controls)]
             missing = [c for c in names if c not in (reader.fieldnames or [])]
             if missing:
                 raise ValueError(
                     f"pulse file {path} lacks columns {missing}; "
                     f"found {reader.fieldnames}"
                 )
-            rows = list(reader)
+            for row in reader:
+                # DictReader files the fields past the header under the key
+                # None and fills the columns a short row lacks with None
+                if None in row or None in row.values():
+                    raise ValueError(
+                        f"pulse file {path} line {reader.line_num} does not have "
+                        f"the header's {len(reader.fieldnames)} fields"
+                    )
+                try:
+                    rows.append([float(row[c]) for c in names])
+                except ValueError as exc:
+                    raise ValueError(f"pulse file {path} line {reader.line_num}: {exc}") from None
     except OSError as exc:
         raise ValueError(f"cannot read pulse file {path}: {exc}") from None
     if len(rows) != grid.n_steps:
@@ -363,8 +379,7 @@ def read_pulse_file(path, grid: TimeGrid, n_controls):
             f"pulse file {path} has {len(rows)} rows but the grid has "
             f"{grid.n_steps} steps"
         )
-    values = np.array([[float(row[f"f_{m + 1}"]) for row in rows] for m in range(n_controls)])
-    return as_pulses(values, grid, n_controls)
+    return as_pulses(np.ascontiguousarray(np.array(rows).T), grid, n_controls)
 
 
 def write_pulse_file(path, grid: TimeGrid, pulses):

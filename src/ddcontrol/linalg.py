@@ -313,41 +313,10 @@ def purity(rho):
     return _float_or_array(np.real(np.einsum("...ab,...ba->...", rho, rho)))
 
 
-def fidelity_pure_target(rho_targ, rho):
-    """Uhlmann fidelity against a pure target: sqrt(<psi|rho|psi>).
-
-    The target must be a rank-1 projector; the general matrix-square-root
-    fidelity for mixed targets is deliberately not provided.  Batched over
-    the leading axes of ``rho``; the target is checked once per call.
-    """
-    rho_targ = np.asarray(rho_targ, dtype=complex)
-    if abs(purity(rho_targ) - 1.0) > 1e-10:
-        raise ValueError(
-            f"target state is not pure (purity {purity(rho_targ):.12g}); "
-            "only rank-1 projector targets are supported"
-        )
-    overlap = np.real(np.trace(rho_targ @ np.asarray(rho), axis1=-2, axis2=-1))
-    return _float_or_array(np.sqrt(np.maximum(overlap, 0.0)))
-
-
 def trace_distance(a, b):
     """(1/2) Tr |A - B| for Hermitian A, B.  Batched over leading axes."""
     diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
     return _float_or_array(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1))
-
-
-def bloch_vector(rho):
-    """(x, y, z) expectation values of the Pauli operators for a qubit state.
-
-    Batched over leading axes: a (..., 2, 2) stack gives (..., 3).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (2, 2):
-        raise ValueError("Bloch coordinates are only defined for qubit states")
-    return np.stack(
-        [np.real(np.trace(rho @ s, axis1=-2, axis2=-1)) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)],
-        axis=-1,
-    )
 
 
 def ket(label_or_vector):

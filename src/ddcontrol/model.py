@@ -204,18 +204,30 @@ class CorrelationKernel:
 
         This is the table consumed by the Riemann sums of the memory
         integrals; the first time argument runs over nodes, the second over
-        midpoints.  A delta-correlated kernel has no finite value on the
-        grid and enters through :attr:`local_weights` instead, so its table
-        is zero.
+        midpoints.  Entries with the midpoint after the node are included.
+        A delta-correlated kernel has no finite value on the grid and
+        enters through :attr:`local_weights` instead, so its table is zero.
+
+        On the uniform grid a stationary kernel depends only on the lag
+        ``t_j - mid_l = (j - l - 1/2) dt``, so the Gaussian kernel is
+        evaluated once on the 2 N lags and the table filled from a strided
+        view of them; entries agree with the kernel evaluated at the grid's
+        own nodes and midpoints to within ``1e-14 c0``.
+
+        Every call returns a fresh array that the caller owns and may
+        modify; :class:`~ddcontrol.propagation.PropagatorCache` masks its
+        future entries in place.
         """
         m, n = self.n_controls, grid.n_steps
         table = np.zeros((m, m, n + 1, n))
         if self.kind in ("zero", "white-noise"):
             return table
         if self.kind == "stationary-gaussian":
-            diag = gaussian_kernel(
-                grid.nodes[:, None], grid.midpoints[None, :], self.c0, self.t_corr
-            )
+            # lags[i] = (i - n + 1/2) dt runs over j - l - 1/2 = -(n - 1/2) .. n - 1/2,
+            # and row j of the table reads lags j + n - 1 - l for l = 0 .. n-1
+            lags = (np.arange(2 * n) - (n - 0.5)) * grid.dt
+            vals = gaussian_kernel(lags, 0.0, self.c0, self.t_corr)
+            diag = np.lib.stride_tricks.sliding_window_view(vals, n)[:, ::-1]
             for i in range(m):
                 table[i, i] = diag
             return table

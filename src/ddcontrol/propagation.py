@@ -49,6 +49,12 @@ ensemble of :func:`unitary_average` forms no step maps: it advances the
 kets of all realizations at once by the action of every step's
 exponential, a truncated Taylor series applied to the kets.
 
+A one-shot propagation does little besides building the cache and the
+sweep: the cache masks the future entries of the fresh kernel table from
+:meth:`~ddcontrol.model.CorrelationKernel.weight_table` in place, and
+:meth:`Trajectory.from_states` reads purity, fidelity and Bloch vector from
+the coherence vectors of the states, with no d x d products.
+
 Step indices ``k`` are 1-based (step ``k`` connects node ``k-1`` to node
 ``k``); node indices are 0-based.
 """
@@ -63,10 +69,8 @@ from .linalg import (
     _TAYLOR_THETA,
     NumericalError,
     adjoint_map,
-    bloch_vector,
     expm,
     expm_hermitian,
-    fidelity_pure_target,
     from_coherence,
     purity,
     structure_map,
@@ -77,7 +81,13 @@ from .model import CorrelationKernel, TimeGrid, as_pulses, sample_perturbations
 
 @dataclass
 class Trajectory:
-    """States on the node grid together with derived scalar series."""
+    """States on the node grid together with derived scalar series.
+
+    ``purity`` is ``Tr(rho^2)``, ``fidelity`` is ``sqrt(<psi|rho|psi>)``
+    against the pure target ``|psi><psi|`` (zero where roundoff makes the
+    overlap negative), and ``bloch`` holds the Pauli expectation values
+    ``(x, y, z)`` of a qubit state, ``None`` for d > 2.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -87,13 +97,32 @@ class Trajectory:
 
     @classmethod
     def from_states(cls, times, states, rho_targ):
+        """Series of unit-trace (n_nodes, d, d) states against a pure target.
+
+        Every series is read from the coherence vectors ``r`` of the states
+        and ``r_targ`` of the target: with ``Tr(lambda_a lambda_b) = 2
+        delta_ab``, the purity is ``1/d + 2 |r|^2``, the overlap
+        ``Tr(rho_targ rho) = Tr(rho_targ) / d + 2 r . r_targ``, and for
+        d = 2, where the Gell-Mann matrices are the Pauli matrices, the
+        Bloch vector is ``2 r``.  Raises ``ValueError`` for a target that is
+        not pure.
+        """
         states = np.asarray(states)
+        rho_targ = np.asarray(rho_targ, dtype=complex)
+        if abs(purity(rho_targ) - 1.0) > 1e-10:
+            raise ValueError(
+                f"target state is not pure (purity {purity(rho_targ):.12g}); "
+                "only rank-1 projector targets are supported"
+            )
+        d = states.shape[-1]
+        r = to_coherence(states)
+        overlap = np.trace(rho_targ).real / d + 2.0 * (r @ to_coherence(rho_targ))
         return cls(
             times=np.asarray(times),
             states=states,
-            purity=purity(states),
-            fidelity=fidelity_pure_target(rho_targ, states),
-            bloch=bloch_vector(states) if states.shape[-1] == 2 else None,
+            purity=1.0 / d + 2.0 * np.einsum("...e,...e->...", r, r),
+            fidelity=np.sqrt(np.maximum(overlap, 0.0)),
+            bloch=2.0 * r if d == 2 else None,
         )
 
     @property
@@ -185,8 +214,9 @@ class PropagatorCache:
       kernel whose table is zero);
     * ``weights``: (M, N+1, M, N) Riemann-sum weights,
       ``weights[p, j, n, l] = C[p, n](t_j, mid_l)`` for l < j and zero for
-      l >= j; ``None`` for zero and white-noise kernels, which have no
-      values on the grid;
+      l >= j, the kernel's table with its future entries zeroed in place;
+      ``None`` for zero and white-noise kernels, which have no values on
+      the grid;
     * ``eta``: (M, N+1, n) coefficients ``e_p`` of the summed memory
       integrals ``E_p = sum_n eta_pn`` per node, the kernel's
       pulse-independent local term plus its Riemann sum; zero at node 0;
@@ -254,11 +284,11 @@ class PropagatorCache:
             self.weights = None
             self.has_memory = False
         else:
-            # zero out l >= j so the eta sums run over the past only
-            mask = (np.arange(n)[None, :] < np.arange(n + 1)[:, None]).astype(float)
-            self.weights = np.empty((m, n + 1, m, n))
-            table = kernel.weight_table(grid).transpose(0, 2, 1, 3)
-            np.multiply(table, mask[:, None], out=self.weights)
+            # zero out l >= j in the fresh table so the eta sums run over
+            # the past only; the (M, N+1, M, N) layout is a copy for M > 1
+            table = kernel.weight_table(grid)
+            table *= np.tri(n + 1, n, -1, dtype=bool)
+            self.weights = np.ascontiguousarray(table.transpose(0, 2, 1, 3))
             self.has_memory = bool(np.any(self.weights))
         self._local_eta = kernel.local_weights @ h_controls
 

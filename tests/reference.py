@@ -8,12 +8,17 @@ import numpy as np
 
 from ddcontrol.krotov import OptimizationTrace
 from ddcontrol.linalg import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     TRACE_TOL,
+    _float_or_array,
     as_operator,
     dag,
     expm_hermitian,
     from_coherence,
     gell_mann,
+    purity,
     to_coherence,
 )
 from ddcontrol.model import as_pulses
@@ -130,6 +135,37 @@ def build_htilde_table(cache):
     for j in range(n + 1):
         table[:, j, : j + 1] = htilde_row(cache, j)
     return table
+
+
+def fidelity_pure_target(rho_targ, rho):
+    """Uhlmann fidelity against a pure target: sqrt(<psi|rho|psi>).
+
+    The target must be a rank-1 projector; the general matrix-square-root
+    fidelity for mixed targets is deliberately not provided.  Batched over
+    the leading axes of ``rho``; the target is checked once per call.
+    """
+    rho_targ = np.asarray(rho_targ, dtype=complex)
+    if abs(purity(rho_targ) - 1.0) > 1e-10:
+        raise ValueError(
+            f"target state is not pure (purity {purity(rho_targ):.12g}); "
+            "only rank-1 projector targets are supported"
+        )
+    overlap = np.real(np.trace(rho_targ @ np.asarray(rho), axis1=-2, axis2=-1))
+    return _float_or_array(np.sqrt(np.maximum(overlap, 0.0)))
+
+
+def bloch_vector(rho):
+    """(x, y, z) expectation values of the Pauli operators for a qubit state.
+
+    Batched over leading axes: a (..., 2, 2) stack gives (..., 3).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError("Bloch coordinates are only defined for qubit states")
+    return np.stack(
+        [np.real(np.trace(rho @ s, axis1=-2, axis2=-1)) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)],
+        axis=-1,
+    )
 
 
 def check_trace_preserving(s, tol=TRACE_TOL):

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ddcontrol import krotov
+from ddcontrol import krotov, propagation
 from ddcontrol.krotov import ControlProblem, KrotovConfig
 from ddcontrol.linalg import SIGMA_X, SIGMA_Z, projector
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid
@@ -52,4 +52,32 @@ def test_tracer_counts_the_krotov_layers(monkeypatch):
         "propagation.eta",
         "linalg.expm",
     ):
+        assert calls[name] > 0, name
+
+
+def test_tracer_counts_the_propagation_layers(monkeypatch):
+    # a one-shot propagation attributes time to the weight table and the
+    # trajectory readout only if the cache builds its table through
+    # CorrelationKernel.weight_table and the readout goes through
+    # Trajectory.from_states, the names the tracer wraps
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    grid = TimeGrid(T=1.0, n_steps=8)
+    problem = ControlProblem(
+        rho0=projector("0"),
+        rho_targ=projector("1"),
+        h_family=HamiltonianFamily(drift=0.5 * SIGMA_Z, controls=(SIGMA_X,)),
+        grid=grid,
+        kernel=CorrelationKernel.gaussian(0.05, 0.5),
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.phase("op"):
+            propagation.ddme_propagate(problem, np.full((1, 8), 0.5))
+    finally:
+        tracer.uninstall()
+    calls = tracer.totals("op")[0]
+    for name in ("propagation.ddme_propagate", "model.weight_table", "propagation.trajectory"):
         assert calls[name] > 0, name

@@ -405,3 +405,30 @@ def test_nan_pulse_file_is_numerical_failure(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     code = cli.main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o"), str(path)])
     assert code == 4
+
+
+@pytest.mark.parametrize("bad_row", ["7,2.1667", "7,2.1667,0.5,0.25"], ids=["short", "long"])
+def test_malformed_pulse_file_row_is_config_error(tmp_path, capsys, bad_row):
+    # a row with too few or too many fields is rejected at the config
+    # boundary, naming the file and the row's line
+    cfg = write_config(tmp_path)
+    path = tmp_path / "bad_pulse.csv"
+    lines = ["k,t_mid,f_1"] + [f"{k + 1},{(k + 0.5) / 3.0},0.5" for k in range(30)]
+    lines[7] = bad_row
+    path.write_text("\n".join(lines) + "\n")
+    code = cli.main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o"), str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 8" in err
+
+
+def test_non_numeric_pulse_value_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    path = tmp_path / "bad_pulse.csv"
+    lines = ["k,t_mid,f_1"] + [f"{k + 1},{(k + 0.5) / 3.0},0.5" for k in range(30)]
+    lines[3] = "3,0.8333,half"
+    path.write_text("\n".join(lines) + "\n")
+    code = cli.main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o"), str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 4" in err

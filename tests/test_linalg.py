@@ -4,10 +4,12 @@ import scipy.linalg
 
 from conftest import random_density, random_hermitian
 from reference import (
+    bloch_vector,
     check_trace_preserving,
     commutator,
     commutator_super,
     double_commutator_super,
+    fidelity_pure_target,
     unvec,
     vec,
 )
@@ -20,12 +22,10 @@ from ddcontrol.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     adjoint_map,
-    bloch_vector,
     check_density_matrix,
     dag,
     expm,
     expm_hermitian,
-    fidelity_pure_target,
     from_coherence,
     gell_mann,
     ket,

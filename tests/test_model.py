@@ -151,6 +151,39 @@ def test_kernel_weight_table_shapes_and_symmetry():
     assert np.max(np.abs(zero)) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 400])
+def test_gaussian_weight_table_matches_elementwise_kernel(n):
+    # the table filled from the kernel on the 2 N lags against the kernel
+    # evaluated at every (node, midpoint) pair of the grid, over final times
+    # and correlation times from 0.05 T to 1e3 T, on two controls
+    for big_t in (0.3, 1.0, 10.0, 137.0):
+        grid = TimeGrid(T=big_t, n_steps=n)
+        for ratio in (0.05, 0.2, 1.0, 5.0, 1e3):
+            c0 = 0.037
+            kern = CorrelationKernel.gaussian(c0, ratio * big_t, n_controls=2)
+            want = gaussian_kernel(grid.nodes[:, None], grid.midpoints[None, :], c0, kern.t_corr)
+            table = kern.weight_table(grid)
+            assert table.shape == (2, 2, n + 1, n)
+            for i in range(2):
+                assert np.max(np.abs(table[i, i] - want)) <= 1e-14 * c0
+            assert not np.any(table[0, 1]) and not np.any(table[1, 0])
+
+
+def test_weight_table_returns_fresh_arrays():
+    # callers own the table: writing to it changes neither the kernel nor
+    # the next table
+    grid = TimeGrid(T=2.0, n_steps=6)
+    gauss = CorrelationKernel.gaussian(0.1, 1.0)
+    t = np.exp(-((grid.nodes[:, None] - grid.midpoints[None, :]) ** 2))[None, None]
+    m = np.exp(-((grid.midpoints[:, None] - grid.midpoints[None, :]) ** 2))[None, None]
+    tab = CorrelationKernel.tabulated(t, m)
+    for kern in (gauss, tab, CorrelationKernel.zero()):
+        first = kern.weight_table(grid)
+        again = first.copy()
+        first *= 0.0
+        assert np.array_equal(kern.weight_table(grid), again)
+
+
 def test_quasistatic_weight_floor():
     # t_corr = 10 T keeps every kernel entry above C0 * exp(-0.01)
     grid = TimeGrid(T=10.0, n_steps=100)

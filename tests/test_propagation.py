@@ -7,9 +7,11 @@ import scipy.linalg
 
 from conftest import WHITE_NOISE_PATHS, random_density, random_hermitian
 from reference import (
+    bloch_vector,
     build_htilde_table,
     ddme_backward_step,
     ddme_step,
+    fidelity_pure_target,
     htilde_row,
     node_sweep_loop,
     relative_propagator,
@@ -40,6 +42,7 @@ from ddcontrol.model import (
 from ddcontrol.krotov import ControlProblem
 from ddcontrol.propagation import (
     PropagatorCache,
+    Trajectory,
     _node_sweep,
     build_cache,
     build_eta_table,
@@ -222,6 +225,38 @@ def test_memoryless_kernels_build_no_weight_table(rng):
     assert not tiny.has_memory
     zero = build_cache(QUBIT, grid, pulses, CorrelationKernel.zero())
     assert np.array_equal(tiny.v_steps, zero.v_steps)
+
+
+def test_cache_weights_are_the_causally_masked_table(rng):
+    # weights[p, j, n, l] is the kernel table's [p, n, j, l] for l < j and
+    # exactly zero for l >= j; building the cache leaves the kernel's own
+    # tables as they were
+    grid = TimeGrid(T=3.0, n_steps=9)
+    fam2 = HamiltonianFamily(
+        drift=random_hermitian(rng, 2), controls=(random_hermitian(rng, 2), random_hermitian(rng, 2))
+    )
+    coef = np.array([[0.3, -0.1], [-0.1, 0.2]])
+
+    def table(t, s):
+        return coef[:, :, None, None] * np.exp(-((t[:, None] - s[None, :]) ** 2))
+
+    tab = CorrelationKernel.tabulated(
+        table(grid.nodes, grid.midpoints), table(grid.midpoints, grid.midpoints)
+    )
+    stored = tab.node_mid_table.copy()
+    cases = [
+        (QUBIT, CorrelationKernel.gaussian(0.05, 1.3)),
+        (fam2, CorrelationKernel.gaussian(0.05, 1.3, n_controls=2)),
+        (fam2, tab),
+    ]
+    past = np.arange(9)[None, :] < np.arange(10)[:, None]
+    for fam, kern in cases:
+        cache = build_cache(fam, grid, rng.standard_normal((fam.n_controls, 9)), kern)
+        want = np.where(past, kern.weight_table(grid), 0.0).transpose(0, 2, 1, 3)
+        assert cache.weights.flags.c_contiguous
+        assert np.array_equal(cache.weights, want)
+        assert not np.any(cache.weights.transpose(0, 2, 1, 3)[..., ~past])
+    assert np.array_equal(tab.node_mid_table, stored)
 
 
 SWEEP_LENGTHS = sorted(
@@ -640,6 +675,44 @@ def test_trajectory_series_shapes():
     assert traj.bloch.shape == (11, 3)
     assert np.allclose(traj.times, grid.nodes)
     assert np.max(np.sum(traj.bloch**2, axis=1)) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_trajectory_readout_matches_matrix_formulas(rng, d):
+    # purity, overlap and Bloch vector read from coherence vectors against
+    # Tr(rho^2), Tr(rho_targ rho) and the Pauli traces, on random mixed and
+    # pure states and on the ensemble states of a two-control problem
+    ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    targ = projector(ket)
+    mixed = np.array([random_density(rng, d) for _ in range(12)])
+    pure = np.array([projector(rng.standard_normal(d) + 1j * rng.standard_normal(d)) for _ in range(4)])
+    fam = HamiltonianFamily(
+        drift=random_hermitian(rng, d), controls=(random_hermitian(rng, d), random_hermitian(rng, d))
+    )
+    grid = TimeGrid(T=2.0, n_steps=15)
+    prob = ControlProblem(
+        rho0=random_density(rng, d),
+        rho_targ=targ,
+        h_family=fam,
+        grid=grid,
+        kernel=CorrelationKernel.gaussian(0.1, 1.0, n_controls=2),
+    )
+    ens = ensemble_average(prob, rng.standard_normal((2, 15)) * 0.5, count=20, seed=3)
+    for states in (mixed, pure, np.concatenate([targ[None], np.eye(d)[None] / d]), ens.states):
+        traj = Trajectory.from_states(np.arange(len(states)), states, targ)
+        want_purity = np.real(np.einsum("sab,sba->s", states, states))
+        want_overlap = fidelity_pure_target(targ, states) ** 2
+        assert np.max(np.abs(traj.purity - want_purity)) <= 1e-14
+        assert np.max(np.abs(traj.fidelity**2 - want_overlap)) <= 1e-14
+        if d == 2:
+            assert np.max(np.abs(traj.bloch - bloch_vector(states))) <= 1e-14
+        else:
+            assert traj.bloch is None
+    # a target of purity 1 but trace -1 enters the overlap with its trace
+    flipped = Trajectory.from_states(np.arange(len(mixed)), mixed, -targ)
+    assert np.max(np.abs(flipped.fidelity - fidelity_pure_target(-targ, mixed))) <= 1e-14
+    with pytest.raises(ValueError, match="not pure"):
+        Trajectory.from_states(np.arange(4), pure, np.eye(d) / d)
 
 
 def test_ensemble_matches_density_matrix_reference(rng, tmp_path):

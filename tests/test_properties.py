@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian
 from reference import (
+    ddme_backward_step,
     ddme_krotov_reference,
+    ddme_step,
     gradient_reference,
     reference_generators,
+    se_krotov_reference,
     to_vec_basis,
     unitary_average_reference,
 )
@@ -23,16 +26,17 @@ from ddcontrol.propagation import build_cache, unitary_average
 KINDS = ("zero", "stationary-gaussian", "white-noise", "tabulated")
 
 
-def _kernel(kind, m, grid, rng):
+def _kernel(kind, m, grid, rng, scale=1.0):
+    """A random kernel of the kind, its amplitude multiplied by ``scale``."""
     if kind == "zero":
         return CorrelationKernel.zero(m)
     if kind == "stationary-gaussian":
-        return CorrelationKernel.gaussian(rng.uniform(0.05, 0.5), rng.uniform(0.1, 2.0), m)
+        return CorrelationKernel.gaussian(scale * rng.uniform(0.05, 0.5), rng.uniform(0.1, 2.0), m)
     if kind == "white-noise":
-        return CorrelationKernel.white_noise(rng.uniform(0.05, 0.5), m)
+        return CorrelationKernel.white_noise(scale * rng.uniform(0.05, 0.5), m)
     # symmetric amplitudes with cross correlations between the controls
     a = rng.uniform(-0.3, 0.3, (m, m))
-    coef = 0.5 * (a + a.T) + 0.4 * np.eye(m)
+    coef = scale * (0.5 * (a + a.T) + 0.4 * np.eye(m))
     t_corr = rng.uniform(0.1, 2.0)
 
     def table(t, s):
@@ -42,14 +46,15 @@ def _kernel(kind, m, grid, rng):
     return CorrelationKernel.tabulated(table(nodes, mids), table(mids, mids))
 
 
-def _problem(d, m, kind, n, seed):
-    """Grid, Hamiltonian family, kernel, pulses and random generator of one case."""
+def _problem(d, m, kind, n, seed, scale=1.0):
+    """Grid, Hamiltonian family, kernel, pulses and random generator of one
+    case; ``scale`` multiplies the kernel's amplitude."""
     rng = np.random.default_rng(seed)
     grid = TimeGrid(T=0.15 * n, n_steps=n)
     fam = HamiltonianFamily(
         drift=random_hermitian(rng, d), controls=tuple(random_hermitian(rng, d) for _ in range(m))
     )
-    kernel = _kernel(kind, m, grid, rng)
+    kernel = _kernel(kind, m, grid, rng, scale)
     return grid, fam, kernel, rng.standard_normal((m, n)), rng
 
 
@@ -146,6 +151,47 @@ def test_krotov_iterations_match_sequential_reference(d, m, kind, n, seed):
     config = KrotovConfig(lambdas=rng.uniform(0.5, 2.0, m), shapes=shapes, j_tol=None, i_max=2)
     got = ddme_krotov(problem, pulses, config)
     want = ddme_krotov_reference(problem, pulses, config)
+    assert got.iterations == want.iterations == 2
+    assert np.max(np.abs(got.j_values - want.j_values)) <= 1e-12
+    assert np.max(np.abs(got.pulses - want.pulses)) <= 1e-12
+
+
+@cases
+@examples
+@grids
+def test_backward_step_is_adjoint_of_forward_step(d, m, kind, n, seed):
+    # <backward_k(chi), rho> = <chi, forward_k(rho)> in the Hilbert-Schmidt
+    # inner product at every step, for Hermitian operators of any trace
+    grid, fam, kernel, pulses, rng = _problem(d, m, kind, n, seed)
+    cache = build_cache(fam, grid, pulses, kernel)
+    for k in range(1, n + 1):
+        chi, rho = random_hermitian(rng, d), random_hermitian(rng, d)
+        lhs = np.trace(ddme_backward_step(cache, k, chi).conj().T @ rho)
+        rhs = np.trace(chi.conj().T @ ddme_step(cache, k, rho))
+        scale = np.linalg.norm(chi) * np.linalg.norm(rho)
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@cases
+@examples
+@grids
+def test_zero_amplitude_kernel_reduces_to_closed_system(d, m, kind, n, seed):
+    # each kind with its amplitude set to zero makes the optimizer the
+    # closed-system Krotov update on step unitaries
+    grid, fam, kernel, pulses, rng = _problem(d, m, kind, n, seed, scale=0.0)
+    ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    problem = ControlProblem(
+        rho0=random_density(rng, d),
+        rho_targ=projector(ket),
+        h_family=fam,
+        grid=grid,
+        kernel=kernel,
+    )
+    shapes = rng.uniform(0.0, 1.0, (m, n))
+    shapes[rng.random((m, n)) < 0.2] = 0.0
+    config = KrotovConfig(lambdas=rng.uniform(0.5, 2.0, m), shapes=shapes, j_tol=None, i_max=2)
+    got = ddme_krotov(problem, pulses, config)
+    want = se_krotov_reference(problem, pulses, config)
     assert got.iterations == want.iterations == 2
     assert np.max(np.abs(got.j_values - want.j_values)) <= 1e-12
     assert np.max(np.abs(got.pulses - want.pulses)) <= 1e-12
