@@ -528,10 +528,10 @@ def run_sweep(exp: ResolvedExperiment, tcorr_list, iterations):
 
 
 def run_compare(exp: ResolvedExperiment, path_a, path_b):
-    out = exp.outputs
-    out.mkdir(parents=True, exist_ok=True)
     pulses_a = read_pulse_file(path_a, exp.grid, exp.problem.n_controls)
     pulses_b = read_pulse_file(path_b, exp.grid, exp.problem.n_controls)
+    out = exp.outputs
+    out.mkdir(parents=True, exist_ok=True)
     _, _, metrics_a = _evaluate_pulse(exp, pulses_a)
     _, _, metrics_b = _evaluate_pulse(exp, pulses_b)
     report = {
@@ -549,9 +549,9 @@ def run_compare(exp: ResolvedExperiment, path_a, path_b):
 
 
 def run_propagate(exp: ResolvedExperiment, pulse_path):
+    pulses = read_pulse_file(pulse_path, exp.grid, exp.problem.n_controls)
     out = exp.outputs
     out.mkdir(parents=True, exist_ok=True)
-    pulses = read_pulse_file(pulse_path, exp.grid, exp.problem.n_controls)
     traj = ddme_propagate(exp.problem, pulses)
     _check_finite_trajectory(traj, "master")
     write_trajectory(out / "trajectory.csv", traj)
@@ -570,14 +570,15 @@ def run_propagate(exp: ResolvedExperiment, pulse_path):
 
 
 def run_ensemble(exp: ResolvedExperiment, pulse_path, count=None, realization=None):
-    out = exp.outputs
-    out.mkdir(parents=True, exist_ok=True)
     pulses = read_pulse_file(pulse_path, exp.grid, exp.problem.n_controls)
     count = exp.count if count is None else count
     if realization is not None and not 0 <= realization < count:
         raise ValueError(f"realization index {realization} outside 0..{count - 1}")
-    # the draws of ensemble_average, sampled once for the average and draw r
+    # the draws of ensemble_average, sampled once for the average and draw r;
+    # sampling rejects a count below one
     sets = pulses + sample_perturbations(exp.kernel, exp.grid, count, exp.seed)
+    out = exp.outputs
+    out.mkdir(parents=True, exist_ok=True)
     traj = unitary_average(exp.problem, sets)
     _check_finite_trajectory(traj, "ensemble")
     write_trajectory(out / "trajectory_ensemble.csv", traj)

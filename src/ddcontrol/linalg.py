@@ -139,34 +139,6 @@ def structure_map(x):
     return (x @ fmaps).reshape(x.shape[:-1] + (n, n))
 
 
-@lru_cache(maxsize=None)
-def _adjoint_tables(d):
-    """Halved conjugate and transposed flattened basis, read-only: the
-    factors on either side of the Kronecker product in :func:`adjoint_map`."""
-    lam = gell_mann(d).reshape(-1, d * d)
-    left, right = 0.5 * np.conj(lam), np.ascontiguousarray(lam.T)
-    for table in (left, right):
-        table.flags.writeable = False
-    return left, right
-
-
-def adjoint_map(u):
-    """``O(U)_ab = Tr(lambda_a U lambda_b U^dag) / 2``, the action of
-    ``U . U^dag`` on coefficients: (..., d, d) -> (..., d**2 - 1, d**2 - 1).
-
-    Real, and orthogonal for unitary ``U``; ``O(U V) = O(U) O(V)``.  Formed
-    from the Kronecker product ``U (x) conj(U)``, which maps the flattened
-    ``X`` to the flattened ``U X U^dag``, between basis tables built once
-    per d.
-    """
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[-1]
-    left, right = _adjoint_tables(d)
-    kron = u[..., :, None, :, None] * np.conj(u)[..., None, :, None, :]
-    kron = kron.reshape(u.shape[:-2] + (d * d, d * d))
-    return np.ascontiguousarray((left @ kron @ right).real)
-
-
 # Truncated-Taylor degrees whose Paterson-Stockmeyer evaluation costs one
 # matrix product more than the previous one, and the largest 1-norm
 # theta[m] for which degree m has relative backward error <= 2**-53: the

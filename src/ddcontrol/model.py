@@ -105,12 +105,6 @@ class HamiltonianFamily:
     def n_controls(self):
         return len(self.controls)
 
-    def stack(self, pulses):
-        """Total Hamiltonians on every step: (..., n_steps, d, d) for (..., M, n_steps) pulses."""
-        return self.drift + np.einsum(
-            "...mk,mab->...kab", np.asarray(pulses, dtype=float), self.control_stack
-        )
-
 
 def gaussian_kernel(t, t_prime, c0, t_corr):
     """Stationary Gaussian correlation c0 * exp(-(t - t')**2 / t_corr**2)."""

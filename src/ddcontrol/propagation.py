@@ -21,10 +21,10 @@ node ``j``, ``Htilde[n, j, l] = U(t_j, t_l) H_n U(t_j, t_l)^dag``; ``w``
 holds the kernel's local weights (``alpha / 2`` on the diagonal for white
 noise, zero otherwise).  They are kept only as the coefficients ``e_p`` of
 their sums over ``n``, and evaluated in a real frame: with the adjoint
-representation ``O_j = O(U(t_j, 0))`` of the node propagators
-(:func:`~ddcontrol.linalg.adjoint_map`) and the interaction-picture controls
-``kappa[n, l] = O_l^T h_n``, the evolved control has coefficients
-``O_j kappa[n, l]``, so
+representation ``O_j = O(U(t_j, 0))`` of the node propagators, the
+orthogonal map that ``X -> U X U^dag`` is on coefficients, and the
+interaction-picture controls ``kappa[n, l] = O_l^T h_n``, the evolved
+control has coefficients ``O_j kappa[n, l]``, so
 
     e_p[node j] = sum_n w[p, n] h_n + dt * O_j sum_{n, l < j} C[p, n](t_j, mid_l) kappa[n, l].
 
@@ -41,13 +41,13 @@ Every propagation under one step map per node goes through one function,
 :func:`_node_sweep`, which applies a stack of step maps to a starting
 array in blocks, for one run or a small batch of runs at once: the step
 maps to the coherence vector of ``rho0`` in :func:`ddme_propagate` and
-:func:`white_noise_propagate`, the step unitaries to the identity for the
-cache's node propagators, and the step maps and their transposes to the
-optimizer's states and costates, paired into one batch of two runs.  The
-brute-force
-ensemble of :func:`unitary_average` forms no step maps: it advances the
-kets of all realizations at once by the action of every step's
-exponential, a truncated Taylor series applied to the kets.
+:func:`white_noise_propagate`, the coherent step maps ``O(U_k) = exp(dt
+F(h_k))`` to the identity for the cache's frame ``O_j``, and the step maps
+and their transposes to the optimizer's states and costates, paired into
+one batch of two runs.  The brute-force ensemble of
+:func:`unitary_average` forms no step maps: it advances the kets of all
+realizations at once by the action of every step's exponential, a
+truncated Taylor series applied to the kets.
 
 A one-shot propagation does little besides building the cache and the
 sweep: the cache masks the future entries of the fresh kernel table from
@@ -68,9 +68,8 @@ from .linalg import (
     _TAYLOR_DEGREES,
     _TAYLOR_THETA,
     NumericalError,
-    adjoint_map,
     expm,
-    expm_hermitian,
+    expm_hermitian,  # unused; kept while bench/tracing.py wraps propagation.expm_hermitian
     from_coherence,
     purity,
     structure_map,
@@ -140,11 +139,6 @@ class Trajectory:
     @property
     def min_purity(self):
         return float(np.min(self.purity))
-
-
-def unitary_steps(h_family, pulses, dt):
-    """All step unitaries at once: (..., n_steps, d, d) for (..., M, n_steps) pulses."""
-    return expm_hermitian(h_family.stack(pulses), -1j * dt)
 
 
 def _node_sweep(steps, x0):
@@ -228,7 +222,8 @@ class PropagatorCache:
     evaluated in; without memory both are ``None``:
 
     * ``o``: (N+1, n, n) adjoint representations ``O_j = O(g_j)`` of the
-      node propagators ``g_j = U(t_j, 0)``;
+      node propagators ``g_j = U(t_j, 0)``, the products of the coherent
+      step maps ``O(u_k) = exp(dt F(h_k))``;
     * ``kappa``: (M, N+1, n) interaction-picture controls
       ``kappa[m, j] = O_j^T h_m``, the coefficients of ``g_j^dag H_m g_j``;
       the control evolved from node l to node j has coefficients
@@ -238,17 +233,18 @@ class PropagatorCache:
     of step k.  Without memory :meth:`update_step` rebuilds only
     ``v_steps[k-1]``.  With memory the new step unitary ``u`` also rotates
     every later node propagator, ``O'_j = O_j R`` for j >= k, and so every
-    later ``eta``: the update forms ``O(u)``, solves ``O_k R = O(u) O_{k-1}``,
-    applies ``R`` to ``o[k:]`` and ``kappa[:, k:]`` (``kappa' = kappa R`` as
-    rows), and rebuilds ``eta`` and ``v_steps`` from node k on.  The
-    constructor forms the complex node propagators once, to build ``o``.
+    later ``eta``: the update forms ``O(u) = exp(dt F(h_k))`` from the new
+    ``f_steps`` row, solves ``O_k R = O(u) O_{k-1}``, applies ``R`` to
+    ``o[k:]`` and ``kappa[:, k:]`` (``kappa' = kappa R`` as rows), and
+    rebuilds ``eta`` and ``v_steps`` from node k on.  The constructor
+    chains the exponentials of all of ``f_steps`` to build ``o``; no
+    complex propagator is formed.
 
     An update is a fixed number of small numpy calls on tables built with
     the cache, whatever the kernel: the new row of ``f_steps`` is
     ``F(h_0) + sum_m f_mk F(h_m)``, one product of the pulse values with the
-    stacked maps ``F(h_m)``; ``u`` comes from one d x d ``eigh`` of the step
-    Hamiltonian, formed the same way, and ``O(u)`` from its Kronecker form
-    between basis tables kept per d; the incoherent generators
+    stacked maps ``F(h_m)``; ``O(u)`` is the exponential of that row, with
+    no d x d eigendecomposition; the incoherent generators
     ``sum_m F(h_m) F(e_m)`` of the whole suffix are one product of the
     ``eta`` rows with a stacked ``(M n, n^2)`` table; and the finiteness of
     the generators is checked once, by :func:`~ddcontrol.linalg.expm`.
@@ -270,13 +266,12 @@ class PropagatorCache:
         h_controls = to_coherence(h_family.control_stack)
         self.f_controls = structure_map(h_controls)
         # Tables built once.  Step k's coherent map is F(h_0) plus the pulse
-        # values times the rows of _f_rows, F(h_m) flattened, and its
-        # Hamiltonian likewise from _h_rows.  Row (m, e) of _memory_rows is
-        # F(h_m) F(unit vector e) flattened, so sum_m F(h_m) F(e_m) is one
-        # product with the coefficients e_m laid out as one row.
+        # values times the rows of _f_rows, F(h_m) flattened.  Row (m, e) of
+        # _memory_rows is F(h_m) F(unit vector e) flattened, so
+        # sum_m F(h_m) F(e_m) is one product with the coefficients e_m laid
+        # out as one row.
         self._f_drift = structure_map(to_coherence(h_family.drift))
         self._f_rows = self.f_controls.reshape(m, nc * nc)
-        self._h_rows = h_family.control_stack.reshape(m, d * d)
         unit_maps = structure_map(np.eye(nc))
         self._memory_rows = (self.f_controls[:, None] @ unit_maps).reshape(m * nc, nc * nc)
         if kernel.kind in ("zero", "white-noise"):
@@ -296,8 +291,7 @@ class PropagatorCache:
         self.eta = np.zeros((m, n + 1, nc))
         self.v_steps = np.empty((n, nc, nc))
         if self.has_memory:
-            g = _node_sweep(unitary_steps(h_family, self.pulses, grid.dt), np.eye(d, dtype=complex))
-            self.o = adjoint_map(g)
+            self.o = _node_sweep(expm(self.f_steps, scale=grid.dt), np.eye(nc))
             self.kappa = np.ascontiguousarray((h_controls @ self.o).swapaxes(0, 1))
         else:
             self.o = self.kappa = None
@@ -329,10 +323,12 @@ class PropagatorCache:
         """Rebuild the tables that a pulse change at step start_step makes
         stale, once ``f_steps`` holds the new step map.
 
-        With memory that is one step unitary, a rotation of the later
-        ``o`` and ``kappa`` entries, and every ``eta`` and ``v_steps`` entry
-        from start_step on; without memory it is the one step map of
-        step start_step.  Returns the last rebuilt step.
+        With memory that is the coherent step map ``exp(dt F(h_k))`` of the
+        new ``f_steps`` row, a real exponential with no d x d
+        eigendecomposition, a rotation of the later ``o`` and ``kappa``
+        entries, and every ``eta`` and ``v_steps`` entry from start_step
+        on; without memory it is the one step map of step start_step.
+        Returns the last rebuilt step.
         """
         k0 = start_step
         if not 1 <= k0 <= self.n_steps:
@@ -341,13 +337,12 @@ class PropagatorCache:
             self._build_v_steps(k0, k0)
             return k0
         # The new step unitary u rotates every later node propagator,
-        # O'_j = O_j R for j >= k0.  Solving O_k0 R = O(u) O_{k0-1} keeps the
-        # frame at roundoff; R = O_k0^T O(u) O_{k0-1} would feed O's own
-        # deviation from orthogonality back in, doubling it with every update.
-        drift = self.h_family.drift
-        w, v = np.linalg.eigh(drift + (self.pulses[:, k0 - 1] @ self._h_rows).reshape(drift.shape))
-        u = (v * np.exp(-1j * self.grid.dt * w)) @ v.conj().T
-        rot = np.linalg.solve(self.o[k0], adjoint_map(u) @ self.o[k0 - 1])
+        # O'_j = O_j R for j >= k0, with O(u) = exp(dt F(h_k0)).  Solving
+        # O_k0 R = O(u) O_{k0-1} keeps the frame at roundoff;
+        # R = O_k0^T O(u) O_{k0-1} would feed O's own deviation from
+        # orthogonality back in, doubling it with every update.
+        o_u = expm(self.f_steps[k0 - 1], scale=self.grid.dt)
+        rot = np.linalg.solve(self.o[k0], o_u @ self.o[k0 - 1])
         self.o[k0:] = self.o[k0:] @ rot
         self.kappa[:, k0:] = self.kappa[:, k0:] @ rot
         build_eta_table(self, start_node=k0)
@@ -431,9 +426,10 @@ def white_noise_propagate(problem, pulses, alpha):
         raise ValueError(f"white-noise rate must be nonnegative, got {alpha}")
     grid = problem.grid
     pulses = as_pulses(pulses, grid, problem.h_family.n_controls)
+    f_drift = structure_map(to_coherence(problem.h_family.drift))
     f_controls = structure_map(to_coherence(problem.h_family.control_stack))
     dissipator = 0.5 * alpha * np.sum(f_controls @ f_controls, axis=0)
-    gen = structure_map(to_coherence(problem.h_family.stack(pulses))) + dissipator
+    gen = f_drift + np.einsum("mk,mab->kab", pulses, f_controls) + dissipator
     r = _node_sweep(expm(gen, scale=grid.dt), to_coherence(problem.rho0))
     return _trajectory(problem, from_coherence(r, trace=1.0))
 

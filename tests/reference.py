@@ -4,6 +4,8 @@ None of these are used by the package itself: each one is a direct,
 unoptimized form of something the package computes another way.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from ddcontrol.krotov import OptimizationTrace
@@ -22,7 +24,7 @@ from ddcontrol.linalg import (
     to_coherence,
 )
 from ddcontrol.model import as_pulses
-from ddcontrol.propagation import Trajectory, build_cache, unitary_steps
+from ddcontrol.propagation import Trajectory, build_cache
 
 
 def commutator(a, b):
@@ -64,6 +66,46 @@ def to_vec_basis(v):
     block[1:, 1:] = v
     norms = np.r_[d, np.full(d * d - 1, 2.0)]
     return basis @ block @ (dag(basis) / norms[:, None])
+
+
+def hamiltonian_stack(h_family, pulses):
+    """Total Hamiltonians on every step: (..., n_steps, d, d) for (..., M, n_steps) pulses."""
+    return h_family.drift + np.einsum(
+        "...mk,mab->...kab", np.asarray(pulses, dtype=float), h_family.control_stack
+    )
+
+
+def unitary_steps(h_family, pulses, dt):
+    """All step unitaries at once: (..., n_steps, d, d) for (..., M, n_steps) pulses."""
+    return expm_hermitian(hamiltonian_stack(h_family, pulses), -1j * dt)
+
+
+@lru_cache(maxsize=None)
+def _adjoint_tables(d):
+    """Halved conjugate and transposed flattened basis, read-only: the
+    factors on either side of the Kronecker product in :func:`adjoint_map`."""
+    lam = gell_mann(d).reshape(-1, d * d)
+    left, right = 0.5 * np.conj(lam), np.ascontiguousarray(lam.T)
+    for table in (left, right):
+        table.flags.writeable = False
+    return left, right
+
+
+def adjoint_map(u):
+    """``O(U)_ab = Tr(lambda_a U lambda_b U^dag) / 2``, the action of
+    ``U . U^dag`` on coefficients: (..., d, d) -> (..., d**2 - 1, d**2 - 1).
+
+    Real, and orthogonal for unitary ``U``; ``O(U V) = O(U) O(V)``.  Formed
+    from the Kronecker product ``U (x) conj(U)``, which maps the flattened
+    ``X`` to the flattened ``U X U^dag``, between basis tables built once
+    per d.
+    """
+    u = np.asarray(u, dtype=complex)
+    d = u.shape[-1]
+    left, right = _adjoint_tables(d)
+    kron = u[..., :, None, :, None] * np.conj(u)[..., None, :, None, :]
+    kron = kron.reshape(u.shape[:-2] + (d * d, d * d))
+    return np.ascontiguousarray((left @ kron @ right).real)
 
 
 def hamiltonian_at(h_family, pulse_values):

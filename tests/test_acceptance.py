@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import WHITE_NOISE_PATHS, random_hermitian
-from reference import ddme_backward_step, ddme_step, se_krotov_reference
+from reference import ddme_backward_step, ddme_step, se_krotov_reference, unitary_steps
 from ddcontrol import cli
 from ddcontrol.linalg import SIGMA_X, SIGMA_Z, dag, expm, expm_hermitian, projector, to_coherence
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, sample_perturbations
@@ -40,7 +40,6 @@ from ddcontrol.propagation import (
     build_cache,
     ddme_propagate,
     ensemble_average,
-    unitary_steps,
 )
 from ddcontrol.tasks import TASK_PRESETS, default_grid, default_h_family, guess_pulses, task_states
 

@@ -53,6 +53,9 @@ def test_tracer_counts_the_krotov_layers(monkeypatch):
         "linalg.expm",
     ):
         assert calls[name] > 0, name
+    # every refresh with memory exponentiates the new coherent step map and
+    # the suffix generators, both through the module-level expm
+    assert calls["linalg.expm"] >= 2 * calls["propagation.refresh"]
 
 
 def test_tracer_counts_the_propagation_layers(monkeypatch):

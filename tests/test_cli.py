@@ -407,28 +407,61 @@ def test_nan_pulse_file_is_numerical_failure(tmp_path):
     assert code == 4
 
 
+def write_pulse_lines(tmp_path, name, bad_index=None, bad_row=None):
+    """A 30-step single-control pulse file, with line ``bad_index`` replaced."""
+    lines = ["k,t_mid,f_1"] + [f"{k + 1},{(k + 0.5) / 3.0},0.5" for k in range(30)]
+    if bad_index is not None:
+        lines[bad_index] = bad_row
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def pulse_commands(cfg, out, good, bad):
+    """Every command that reads a pulse file, reading ``bad`` last."""
+    common = ["--config", str(cfg), "--out", str(out)]
+    return {
+        "propagate": ["propagate", *common, str(bad)],
+        "ensemble": ["ensemble", *common, "--count", "3", str(bad)],
+        "compare": ["compare", *common, str(good), str(bad)],
+    }
+
+
 @pytest.mark.parametrize("bad_row", ["7,2.1667", "7,2.1667,0.5,0.25"], ids=["short", "long"])
 def test_malformed_pulse_file_row_is_config_error(tmp_path, capsys, bad_row):
     # a row with too few or too many fields is rejected at the config
-    # boundary, naming the file and the row's line
+    # boundary, naming the file and the row's line, before any output
+    # directory is made
     cfg = write_config(tmp_path)
-    path = tmp_path / "bad_pulse.csv"
-    lines = ["k,t_mid,f_1"] + [f"{k + 1},{(k + 0.5) / 3.0},0.5" for k in range(30)]
-    lines[7] = bad_row
-    path.write_text("\n".join(lines) + "\n")
-    code = cli.main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o"), str(path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert str(path) in err and "line 8" in err
+    good = write_pulse_lines(tmp_path, "pulse.csv")
+    path = write_pulse_lines(tmp_path, "bad_pulse.csv", 7, bad_row)
+    for command, argv in pulse_commands(cfg, tmp_path / "o", good, path).items():
+        assert cli.main(argv) == 2, command
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 8" in err, command
+        assert not (tmp_path / "o").exists(), command
 
 
 def test_non_numeric_pulse_value_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    path = tmp_path / "bad_pulse.csv"
-    lines = ["k,t_mid,f_1"] + [f"{k + 1},{(k + 0.5) / 3.0},0.5" for k in range(30)]
-    lines[3] = "3,0.8333,half"
-    path.write_text("\n".join(lines) + "\n")
-    code = cli.main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o"), str(path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert str(path) in err and "line 4" in err
+    good = write_pulse_lines(tmp_path, "pulse.csv")
+    path = write_pulse_lines(tmp_path, "bad_pulse.csv", 3, "3,0.8333,half")
+    for command, argv in pulse_commands(cfg, tmp_path / "o", good, path).items():
+        assert cli.main(argv) == 2, command
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 4" in err, command
+        assert not (tmp_path / "o").exists(), command
+
+
+def test_out_of_range_ensemble_flags_leave_no_output(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    path = write_pulse_lines(tmp_path, "pulse.csv")
+    argv = ["ensemble", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    for flags, message in (
+        (["--count", "3", "--realization", "3"], "realization index"),
+        (["--count", "3", "--realization", "-1"], "realization index"),
+        (["--count", "0"], "at least one realization"),
+    ):
+        assert cli.main(argv + flags + [str(path)]) == 2, flags
+        assert message in capsys.readouterr().err, flags
+        assert not (tmp_path / "o").exists(), flags

