@@ -34,7 +34,7 @@ from .linalg import NumericalError, pauli_string, projector, trace_distance
 from .model import CorrelationKernel, HamiltonianFamily, TimeGrid, as_pulses, sample_perturbations
 from .krotov import ControlProblem, KrotovConfig, ddme_krotov, run_correlation_sweep, se_krotov
 from .propagation import ddme_propagate, ensemble_average, unitary_average
-from .tasks import TASK_PRESETS, default_grid, guess_pulses, task_states
+from .tasks import TASK_PRESETS, guess_pulses, task_states
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -26,12 +26,15 @@ of coefficient vectors and real maps.  Its memory term reads the cache's
 real frame directly: the orthogonal node maps ``O_j`` and the
 interaction-picture controls ``kappa``, contracted with the kernel weights
 in one matrix product per control; its sum over the later nodes and the
-controls is a single gemm, contracted once with ``F(kappa)``.  With memory the
-stale costates and the stale states of an update are re-swept together,
-by one blocked :func:`~ddcontrol.propagation._node_sweep` over a batch of
-two runs: the costates on the reversed, transposed step maps, padded with
-discarded maps to the length of the states' run.  Without memory an update
-moves a single state and the costates are swept once per iteration.
+controls is a single gemm, contracted with ``F(kappa)`` of every control
+at once, so one call gives the gradient of all controls at a step.  With
+memory every update changes all later step maps, so before each update the
+costates and states are swept again, by one blocked
+:func:`~ddcontrol.propagation._node_sweep` over a batch of two runs of
+equal length: the costates from the target on the reversed, transposed
+maps of steps N..k, and the states from node k-1 on the maps of steps k..N.
+Without memory an update changes its own step map only: the costates are
+swept once per iteration and the states advance one node per step.
 
 A single optimization run is strictly sequential (each pulse update feeds
 the next); independent runs share no mutable state and can execute
@@ -155,9 +158,10 @@ def _check_config(problem: ControlProblem, config: KrotovConfig):
         )
 
 
-def cost_JT(problem: ControlProblem, pulses, kernel=None):
-    """Infidelity-type cost 1 - Tr(rho_targ rho_avg(T)) of a pulse set."""
-    traj = ddme_propagate(problem, pulses, kernel=kernel)
+def cost_JT(problem: ControlProblem, pulses):
+    """Infidelity-type cost 1 - Tr(rho_targ rho_avg(T)) of a pulse set under
+    the problem's kernel."""
+    traj = ddme_propagate(problem, pulses)
     return 1.0 - float(np.real(np.trace(problem.rho_targ @ traj.final_state)))
 
 
@@ -171,66 +175,68 @@ def se_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     return ddme_krotov(replace(problem, kernel=zero), guess, config)
 
 
-def ddme_gradient_D(cache: PropagatorCache, states, costates, m, k):
-    """Pulse gradient D at control m (0-based) and step k (1-based).
+def ddme_gradient_D(cache: PropagatorCache, states, costates, k):
+    """Pulse gradient D of every control at step k (1-based), an (M,) array.
 
     ``states`` and ``costates`` are (N+1, d^2-1) coherence vectors.  D sums
     the coherent term ``Tr(chi_k (-i [H_m, rho_k])) = 2 c_k.F(h_m) r_k`` and,
     for every node j >= k, the sensitivity of the step generator's memory
     term ``sum_p F(h_p) F(e_p)`` to the pulse value on step k.
     """
-    grad = 2.0 * costates[k] @ cache.f_controls[m] @ states[k]
+    grad = 2.0 * (costates[k] @ cache.f_controls) @ states[k]
     if not cache.has_memory:
         # eta, including a white-noise kernel's local term, is pulse independent
-        return float(grad)
+        return grad
 
-    # The pulse on step k rotates the node propagators g_j, j >= k, by
-    # 1 - i dt df K, with K = g_k^dag H_m g_k (coefficients kappa[m, k]); of
-    # the evolved controls in e_p[node j] only those from start nodes l < k
-    # move, and e_p[node j] moves by dt^2 O_j F(kappa[m, k]) s_pj df with
-    # s_pj = sum_{n, l<k} W[p, n, j, l] kappa[n, l].  Through F(h_p) F(x) that
-    # adds 2 c_j.F(h_p) F(x) r_j = -2 a_pj.x to D, a_pj = (c_j F(h_p)) F(r_j),
-    # since F(x) r = -F(r) x.
+    # The pulse of control m on step k rotates the node propagators g_j,
+    # j >= k, by 1 - i dt df K, with K = g_k^dag H_m g_k (coefficients
+    # kappa[m, k]); of the evolved controls in e_p[node j] only those from
+    # start nodes l < k move, and e_p[node j] moves by dt^2 O_j F(kappa[m, k])
+    # s_pj df with s_pj = sum_{n, l<k} W[p, n, j, l] kappa[n, l].  Through
+    # F(h_p) F(x) that adds 2 c_j.F(h_p) F(x) r_j = -2 a_pj.x to D,
+    # a_pj = (c_j F(h_p)) F(r_j), since F(x) r = -F(r) x.
     dt = cache.grid.dt
     n_ctrl, n_later, n = cache.kappa.shape[0], cache.n_steps - k + 1, states.shape[-1]
     w = cache.weights[:, k:, :, :k].reshape(n_ctrl, n_later, n_ctrl * k)
     s = w @ cache.kappa[:, :k].reshape(n_ctrl * k, n)
     a = (costates[k:] @ cache.f_controls)[..., None, :] @ structure_map(states[k:])
     # with rows O_j^T a_pj, the sum over (p, j) of (O_j^T a_pj).F(kappa[m, k]) s_pj
-    # is F(kappa[m, k]) contracted with G = sum_{p,j} (O_j^T a_pj) s_pj^T, one gemm
+    # is F(kappa[m, k]) contracted with G = sum_{p,j} (O_j^T a_pj) s_pj^T: one
+    # gemm for G, shared by every control m
     oa = (a @ cache.o[k:]).reshape(n_ctrl * n_later, n)
     g = oa.T @ s.reshape(n_ctrl * n_later, n)
-    return float(grad - 2.0 * dt * dt * np.vdot(structure_map(cache.kappa[m, k]), g))
+    f_kappa = structure_map(cache.kappa[:, k]).reshape(n_ctrl, -1)
+    return grad - 2.0 * dt * dt * (f_kappa @ g.ravel())
 
 
 def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     """Sequential Krotov optimization of the disorder-dressed evolution.
 
     Within each iteration the pulses are updated step by step; at update
-    index k the gradient reads the states and costates from node k on,
+    index k one gradient call reads the states and costates from node k on,
     computed with propagators that already contain the updates at steps
-    < k.  An update makes steps k..L stale (L = N with memory, L = k
-    without); the cache rebuilds them and only the nodes that depend on
-    them are propagated again by :func:`~ddcontrol.propagation._node_sweep`.
-    So with memory the costates of nodes k..N and the states of nodes
-    k-1..N are re-swept at every step, both in one paired sweep; without
-    memory the costates are swept once per iteration and only node k is
-    advanced.
+    < k, and gives the update ``f += (S / lambda) * D`` of every control.
+    With memory an update changes every later step map, so before each
+    update the costates are swept again from the target over steps N..k
+    and the states from node k-1 over steps k..N, both runs in one
+    :func:`~ddcontrol.propagation._node_sweep`.  Without memory an update
+    changes only its own step map: the costates are swept once per
+    iteration and the states advance one node per step.
     """
     _check_config(problem, config)
     grid = problem.grid
-    n, m = grid.n_steps, problem.n_controls
+    n = grid.n_steps
+    steps = config.shapes / config.lambdas[:, None]
     cache = build_cache(problem.h_family, grid, guess, problem.kernel)
 
     # refresh() writes into v_steps in place, so this alias stays current
     v_steps = cache.v_steps
     # states and costates, one coherence vector per node; the backward step
-    # c[j] = V_j^T c[j+1] is the forward sweep of the reversed, transposed maps
+    # c[j-1] = V_j^T c[j] is the forward sweep of the reversed, transposed maps
+    backward = v_steps[::-1].swapaxes(1, 2)
     states = _node_sweep(v_steps, to_coherence(problem.rho0))
     costates = np.empty_like(states)
     costates[n] = to_coherence(problem.rho_targ)
-    # costates[fresh:] agree with the current step maps
-    fresh = n
     offset = 1.0 - 1.0 / problem.dim
     if cache.has_memory:
         # the paired sweep's maps and starting values: run 0 the costates,
@@ -245,35 +251,24 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     iterations = 0
     while not converged and iterations < config.i_max:
         iterations += 1
+        if not cache.has_memory:
+            costates[:] = _node_sweep(backward, costates[n])[::-1]
         for k in range(1, n + 1):
-            top, fresh = max(fresh, k), k
             if cache.has_memory:
-                # the memory term of the gradient reads every node from k on:
-                # one sweep of the stale costates, nodes k..top on the
-                # reversed, transposed maps of steps k+1..top, and the states
-                # of nodes k-1..N; the costate run is padded with discarded
-                # zero maps to the length N - k + 1 of the state run
-                stale, run = top - k, n - k + 1
-                pair[0, :stale] = v_steps[k:top][::-1].swapaxes(1, 2)
-                pair[0, stale:run] = 0.0
+                # costates of nodes N..k-1 on the maps V_N^T..V_k^T, states
+                # of nodes k-1..N on the maps V_k..V_N: two runs of N - k + 1
+                run = n - k + 1
+                pair[0, :run] = backward[:run]
                 pair[1, :run] = v_steps[k - 1 :]
-                ends[0], ends[1] = costates[top], states[k - 1]
+                ends[0], ends[1] = costates[n], states[k - 1]
                 swept = _node_sweep(pair[:, :run], ends)
-                costates[k : top + 1] = swept[0, stale::-1]
+                costates[k - 1 :] = swept[0, ::-1]
                 states[k - 1 :] = swept[1]
             else:
-                if top > k:
-                    backward = v_steps[k:top][::-1].swapaxes(1, 2)
-                    costates[k : top + 1] = _node_sweep(backward, costates[top])[::-1]
                 states[k] = v_steps[k - 1] @ states[k - 1]
-            new_values = cache.pulses[:, k - 1].copy()
-            for mm in range(m):
-                if config.shapes[mm, k - 1] == 0.0:
-                    continue
-                grad = ddme_gradient_D(cache, states, costates, mm, k)
-                new_values[mm] += config.shapes[mm, k - 1] / config.lambdas[mm] * grad
-            if (new_values != cache.pulses[:, k - 1]).any():
-                fresh = cache.update_step(k, new_values)
+            new = cache.pulses[:, k - 1] + steps[:, k - 1] * ddme_gradient_D(cache, states, costates, k)
+            if (new != cache.pulses[:, k - 1]).any():
+                cache.update_step(k, new)
             states[k] = v_steps[k - 1] @ states[k - 1]
         j_val = offset - 2.0 * float(costates[n] @ states[n])
         j_values.append(j_val)

@@ -398,16 +398,16 @@ def build_cache(h_family, grid, pulses, kernel):
     return PropagatorCache(h_family, grid, pulses, kernel)
 
 
-def ddme_propagate(problem, pulses, kernel=None):
+def ddme_propagate(problem, pulses):
     """Propagate the disorder-averaged state over the whole grid.
 
-    Returns a :class:`Trajectory` on the node grid.  ``kernel`` overrides
-    the problem's kernel when given.  Every kernel kind uses the step maps
-    of a :class:`PropagatorCache`, the dynamics the optimizer follows; the
-    coherence vectors become density matrices once, after the sweep.
+    Returns a :class:`Trajectory` on the node grid.  Every kernel kind uses
+    the step maps of a :class:`PropagatorCache` built on the problem's
+    kernel, the dynamics the optimizer follows; the coherence vectors become
+    density matrices once, after the sweep.  Another kernel is a copy of the
+    problem, ``dataclasses.replace(problem, kernel=...)``.
     """
-    kernel = problem.kernel if kernel is None else kernel
-    cache = build_cache(problem.h_family, problem.grid, pulses, kernel)
+    cache = build_cache(problem.h_family, problem.grid, pulses, problem.kernel)
     r = _node_sweep(cache.v_steps, to_coherence(problem.rho0))
     return _trajectory(problem, from_coherence(r, trace=1.0))
 
@@ -506,19 +506,18 @@ def unitary_average(problem, pulse_sets):
     return _trajectory(problem, psi.swapaxes(-1, -2) @ weighted / count)
 
 
-def ensemble_average(problem, pulses, count, seed, kernel=None):
+def ensemble_average(problem, pulses, count, seed):
     """Brute-force disorder average over sampled pulse perturbations.
 
-    Each realization adds a sampled perturbation to the pulses and evolves
-    unitarily with the same piecewise-constant midpoint discretization;
-    :func:`unitary_average` advances the kets of all realizations together,
-    each step by the truncated Taylor series of its exponential, and
-    averages the realization states at every node.  Deterministic for a
-    fixed seed: the Taylor degree and substep count depend only on the
-    sampled pulses, and every node is one weighted product of the
-    realizations' kets, summed in sampling order.
+    Each realization adds a perturbation sampled from the problem's kernel
+    to the pulses and evolves unitarily with the same piecewise-constant
+    midpoint discretization; :func:`unitary_average` advances the kets of
+    all realizations together, each step by the truncated Taylor series of
+    its exponential, and averages the realization states at every node.
+    Deterministic for a fixed seed: the Taylor degree and substep count
+    depend only on the sampled pulses, and every node is one weighted
+    product of the realizations' kets, summed in sampling order.
     """
-    kernel = problem.kernel if kernel is None else kernel
     pulses = as_pulses(pulses, problem.grid, problem.h_family.n_controls)
-    perturbations = sample_perturbations(kernel, problem.grid, count, seed)
+    perturbations = sample_perturbations(problem.kernel, problem.grid, count, seed)
     return unitary_average(problem, pulses + perturbations)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_X, SIGMA_Z, projector
-from .model import HamiltonianFamily, TimeGrid
+from .linalg import projector
+from .model import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,6 @@ TASK_PRESETS = {
     "x-gate": TaskPreset("0", "1", "gaussian", 2.0, 2.0, 0.5, 0.003, 2.0),
     "hadamard": TaskPreset("0", "+", "sine", 0.3, 0.3, 1.25, 0.003, 4.0),
 }
-
-
-def default_h_family():
-    """Drift sigma_z with a single sigma_x control."""
-    return HamiltonianFamily(drift=SIGMA_Z, controls=(SIGMA_X,))
-
-
-def default_grid():
-    return TimeGrid(T=10.0, n_steps=100)
 
 
 def gaussian_guess(grid: TimeGrid):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ddcontrol.linalg import SIGMA_X, SIGMA_Z, to_coherence
+from ddcontrol.model import HamiltonianFamily, TimeGrid
 from ddcontrol.propagation import ddme_propagate, white_noise_propagate
 
 # The two ways to evolve under a white-noise kernel: the propagator cache that
@@ -11,6 +13,16 @@ WHITE_NOISE_PATHS = {
         problem, pulses, problem.kernel.c0
     ),
 }
+
+
+def default_h_family():
+    """The stock tasks' qubit: drift sigma_z with a single sigma_x control."""
+    return HamiltonianFamily(drift=SIGMA_Z, controls=(SIGMA_X,))
+
+
+def default_grid():
+    """The stock tasks' grid: T = 10 with 100 steps."""
+    return TimeGrid(T=10.0, n_steps=100)
 
 
 def random_hermitian(rng, d):
@@ -27,3 +39,17 @@ def random_density(rng, d):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230907)
+
+
+def swept_coherence(cache, rho0, rho_targ):
+    """States and costates of a cache as coherence vectors on every node."""
+    v = cache.v_steps
+    states = np.empty((len(v) + 1, v.shape[-1]))
+    costates = np.empty_like(states)
+    states[0] = to_coherence(rho0)
+    for j in range(len(v)):
+        states[j + 1] = v[j] @ states[j]
+    costates[-1] = to_coherence(rho_targ)
+    for j in range(len(v) - 1, -1, -1):
+        costates[j] = v[j].T @ costates[j + 1]
+    return states, costates

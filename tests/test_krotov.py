@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import default_grid, default_h_family, random_hermitian, swept_coherence
 from reference import ddme_backward_step, ddme_step, gradient_reference, se_krotov_reference
 from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, from_coherence, projector, to_coherence
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, update_shape
+from ddcontrol import krotov
 from ddcontrol.krotov import (
     ControlProblem,
     KrotovConfig,
@@ -17,7 +18,7 @@ from ddcontrol.krotov import (
     se_krotov,
 )
 from ddcontrol.propagation import build_cache, ddme_propagate
-from ddcontrol.tasks import TASK_PRESETS, default_grid, default_h_family, guess_pulses, task_states
+from ddcontrol.tasks import TASK_PRESETS, guess_pulses, task_states
 
 QUBIT = default_h_family()
 
@@ -150,20 +151,6 @@ def test_zero_kernel_reduction_matches_se_krotov():
             assert np.max(np.abs(tr_ref.j_values - tr.j_values)) <= 1e-12
 
 
-def _swept_coherence(cache, rho0, rho_targ):
-    """States and costates of a cache as coherence vectors on every node."""
-    v = cache.v_steps
-    states = np.empty((len(v) + 1, v.shape[-1]))
-    costates = np.empty_like(states)
-    states[0] = to_coherence(rho0)
-    for j in range(len(v)):
-        states[j + 1] = v[j] @ states[j]
-    costates[-1] = to_coherence(rho_targ)
-    for j in range(len(v) - 1, -1, -1):
-        costates[j] = v[j].T @ costates[j + 1]
-    return states, costates
-
-
 def test_gradient_matches_operator_reference(rng):
     # the real gradient against the complex nested-commutator formula at
     # every step, on the Gaussian qubit and on a d = 3 two-control problem
@@ -189,15 +176,15 @@ def test_gradient_matches_operator_reference(rng):
     for prob in (qubit, qutrit):
         pulses = rng.standard_normal((prob.n_controls, grid.n_steps)) * 0.5
         cache = build_cache(prob.h_family, grid, pulses, prob.kernel)
-        states, costates = _swept_coherence(cache, prob.rho0, prob.rho_targ)
+        states, costates = swept_coherence(cache, prob.rho0, prob.rho_targ)
         phi = from_coherence(states, trace=1.0)
         chi = from_coherence(costates, trace=1.0)
-        for m in range(prob.n_controls):
-            for k in range(1, grid.n_steps + 1):
-                got = ddme_gradient_D(cache, states, costates, m, k)
-                assert isinstance(got, float)
+        for k in range(1, grid.n_steps + 1):
+            got = ddme_gradient_D(cache, states, costates, k)
+            assert got.shape == (prob.n_controls,)
+            for m in range(prob.n_controls):
                 want = gradient_reference(cache, phi, chi, m, k)
-                assert abs(got - want.real) <= 1e-12 * abs(want.real)
+                assert abs(got[m] - want.real) <= 1e-12 * abs(want.real)
 
 
 def _frozen_gradient_setup(T, n, h_scale, c0, t_corr):
@@ -238,7 +225,7 @@ def test_frozen_gradient_matches_finite_differences():
     prob, pulses, cache, phi, chi = _frozen_gradient_setup(0.4, n, 0.3, 2.0, 0.3)
     states, costates = to_coherence(phi), to_coherence(chi)
     for k in (n // 4, n // 2):
-        analytic = prob.grid.dt * ddme_gradient_D(cache, states, costates, 0, k)
+        analytic = prob.grid.dt * ddme_gradient_D(cache, states, costates, k)[0]
         fd = _central_difference(prob, pulses, k)
         assert abs(analytic - fd) <= 1e-3 * abs(fd)
 
@@ -251,7 +238,7 @@ def test_frozen_gradient_memory_term_against_finite_differences():
     hm = prob.h_family.controls[0]
     states, costates = to_coherence(phi), to_coherence(chi)
     for k, tol, min_share in ((n // 4, 0.10, 0.8), (n // 2, 0.035, 0.4), (3 * n // 4, 0.005, 0.05)):
-        grad = ddme_gradient_D(cache, states, costates, 0, k)
+        grad = ddme_gradient_D(cache, states, costates, k)[0]
         coherent = float(
             np.real(np.trace(chi[k] @ (-1j * (hm @ phi[k] - phi[k] @ hm))))
         )
@@ -410,13 +397,30 @@ def test_two_control_gradient_matches_finite_differences():
     eps = 1e-5
     for m, tol in ((0, 2e-3), (1, 2.5e-2)):
         k = n // 4
-        grad = ddme_gradient_D(cache, to_coherence(phi), to_coherence(chi), m, k)
+        grad = ddme_gradient_D(cache, to_coherence(phi), to_coherence(chi), k)[m]
         plus = pulses.copy()
         plus[m, k - 1] += eps
         minus = pulses.copy()
         minus[m, k - 1] -= eps
         fd = (overlap(plus) - overlap(minus)) / (2 * eps)
         assert abs(prob.grid.dt * grad - fd) <= tol * abs(fd)
+
+
+def test_one_gradient_call_per_step(monkeypatch):
+    # one iteration on a two-control memory problem takes the gradient of
+    # both controls in one call per step
+    n = 12
+    prob, pulses, _ = _two_control_problem(n)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return ddme_gradient_D(*args)
+
+    monkeypatch.setattr(krotov, "ddme_gradient_D", counted)
+    config = KrotovConfig(lambdas=[1.0, 1.0], shapes=np.ones((2, n)), j_tol=None, i_max=1)
+    ddme_krotov(prob, pulses, config)
+    assert calls == list(range(1, n + 1))
 
 
 def test_two_control_sampler_cross_covariance():

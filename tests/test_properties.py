@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, swept_coherence
 from reference import (
     adjoint_map,
     ddme_backward_step,
@@ -23,7 +23,7 @@ from reference import (
 from ddcontrol.krotov import ControlProblem, KrotovConfig, ddme_gradient_D, ddme_krotov
 from ddcontrol.linalg import from_coherence, projector, to_coherence
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid
-from ddcontrol.propagation import build_cache, unitary_average
+from ddcontrol.propagation import build_cache, ddme_propagate, unitary_average
 
 KINDS = ("zero", "stationary-gaussian", "white-noise", "tabulated")
 
@@ -131,11 +131,73 @@ def test_gradient_matches_frame_independent_reference(d, m, kind, n, seed):
         costates[n - j - 1] = cache.v_steps[n - j - 1].T @ costates[n - j]
     phi = from_coherence(states, trace=1.0)
     chi = from_coherence(costates, trace=1.0)
-    for mm in range(m):
-        for k in range(1, n + 1):
+    for k in range(1, n + 1):
+        got = ddme_gradient_D(cache, states, costates, k)
+        for mm in range(m):
             want = gradient_reference(cache, phi, chi, mm, k).real
-            got = ddme_gradient_D(cache, states, costates, mm, k)
-            assert abs(got - want) <= 1e-12 * abs(want)
+            assert abs(got[mm] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "d, kind, tol",
+    [
+        (2, "stationary-gaussian", 1.0e-2),
+        (2, "tabulated", 6e-3),
+        (3, "stationary-gaussian", 1.0e-2),
+        (3, "tabulated", 7e-3),
+        (4, "stationary-gaussian", 1.3e-2),
+        (4, "tabulated", 9e-3),
+    ],
+)
+def test_gradient_matches_finite_differences_with_memory(d, kind, tol):
+    # dt * D of both controls at steps N/4, N/2 and 3N/4 against central
+    # differences of the overlap Tr(rho_targ rho(T)), on a generated
+    # two-control problem with smooth pulses, weak Hamiltonians (half the
+    # generated scale) and a strong kernel (four times the generated
+    # amplitude), so the memory term is at least 0.1 of the largest
+    # difference quotient.  Their gap is the O(dt) bias of the
+    # one-exponential step: it halves from N = 200 to N = 400 on every case.
+    # Measured at N = 400, relative to the largest difference quotient, it
+    # is 6.6e-3, 3.8e-3, 6.8e-3, 4.7e-3, 8.4e-3 and 5.7e-3 in the order of
+    # the cases; each tol is that envelope with a 1.5x margin.  A memory
+    # term that is dropped or wired to the wrong control overshoots it.
+    n, m, eps = 400, 2, 1e-5
+    rng = np.random.default_rng(0)
+    grid = TimeGrid(T=1.0, n_steps=n)
+    fam = HamiltonianFamily(
+        drift=0.5 * random_hermitian(rng, d),
+        controls=tuple(0.5 * random_hermitian(rng, d) for _ in range(m)),
+    )
+    kernel = _kernel(kind, m, grid, rng, scale=4.0)
+    ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    problem = ControlProblem(
+        rho0=random_density(rng, d), rho_targ=projector(ket), h_family=fam, grid=grid, kernel=kernel
+    )
+    c = rng.standard_normal((m, 3))
+    t = grid.midpoints / grid.T
+    pulses = c[:, :1] + c[:, 1:2] * np.sin(np.pi * t) + c[:, 2:] * np.cos(2 * np.pi * t)
+
+    cache = build_cache(fam, grid, pulses, kernel)
+    assert cache.has_memory
+    states, costates = swept_coherence(cache, problem.rho0, problem.rho_targ)
+
+    def overlap(p):
+        return float(np.real(np.trace(problem.rho_targ @ ddme_propagate(problem, p).final_state)))
+
+    analytic, memory, fd = [], [], []
+    for k in (n // 4, n // 2, 3 * n // 4):
+        grad = grid.dt * ddme_gradient_D(cache, states, costates, k)
+        coherent = grid.dt * 2.0 * (costates[k] @ cache.f_controls) @ states[k]
+        analytic.extend(grad)
+        memory.extend(grad - coherent)
+        for mm in range(m):
+            plus, minus = pulses.copy(), pulses.copy()
+            plus[mm, k - 1] += eps
+            minus[mm, k - 1] -= eps
+            fd.append((overlap(plus) - overlap(minus)) / (2.0 * eps))
+    scale = np.max(np.abs(fd))
+    assert np.max(np.abs(memory)) >= 0.1 * scale, "memory term too small to be exercised"
+    assert np.max(np.abs(np.subtract(analytic, fd))) <= tol * scale
 
 
 @cases
