@@ -318,9 +318,11 @@ def sample_perturbations(kernel: CorrelationKernel, grid: TimeGrid, count, seed)
     """Draw zero-mean Gaussian pulse perturbations with the kernel's covariance.
 
     Returns an array of shape (count, M, n_steps).  Sampling is
-    bit-reproducible for a fixed seed; to parallelize, split `count` over
+    bit-reproducible for a fixed seed.  To parallelize, split ``count`` over
     child streams spawned from ``np.random.SeedSequence(seed)`` and
-    concatenate in spawn order.
+    concatenate in spawn order.  The children draw other perturbations than
+    ``default_rng(seed)`` does, so the split gives a different, equally
+    valid sample, not this function's serial result.
     """
     if count < 1:
         raise ValueError(f"need at least one realization, got {count}")

@@ -47,7 +47,10 @@ and their transposes to the optimizer's states and costates, paired into
 one batch of two runs.  The brute-force ensemble of
 :func:`unitary_average` forms no step maps: it advances the kets of all
 realizations at once by the action of every step's exponential, a
-truncated Taylor series applied to the kets.
+truncated Taylor series applied to the kets.  Its arithmetic is real too:
+each ket is the real block ``[Re psi; Im psi]``, every Horner term is one
+real product, and each node's average is read from real Gram products of
+the kets.
 
 A one-shot propagation does little besides building the cache and the
 sweep: the cache masks the future entries of the fresh kernel table from
@@ -449,13 +452,26 @@ def unitary_average(problem, pulse_sets):
     Sci. Comput. 33, 488 (2011)).  One (m, s) serves every step and set:
     the fewest products m * s whose backward-error bound ``theta[m]`` of
     :mod:`ddcontrol.linalg` covers ``dt (|H_0|_1 + max_{c,k} sum_m
-    |f_mk(c)| |H_m|_1) / s``.  No per-set Hamiltonian or unitary is formed:
-    the kets of all sets sit in one (d, count * r) array, and one BLAS
-    product applies the drift and every control, each to the kets scaled
-    by that set's pulse value.  Node k averages ``w_i |psi_ci(k)><psi_ci(k)|``
-    over sets c and eigenpairs i as one weighted product of the kets,
-    summed in order of c.  Node 0 is ``rho0`` itself.  One set gives its
-    own closed-system trajectory.
+    |f_mk(c)| |H_m|_1) / s``.
+
+    The arithmetic is real.  A ket ``psi = a + i b`` is carried as the real
+    block ``[a; b]``, on which a complex matrix ``G = G_r + i G_i`` acts as
+    ``[[G_r, -G_i], [G_i, G_r]]``.  No per-set Hamiltonian or unitary is
+    formed: the kets of all sets and eigenpairs are the columns of one
+    (2d, r * count) array, stacked above their copies scaled by each set's
+    M pulse values and above the substep's starting kets ``x``, and one real
+    product with the block row ``[G_0, G_1, .., G_M, 1]`` of ``G_n = -i dt
+    H_n / (s j)`` applies a whole Horner term: the drift, every control and
+    the added ``x``.  Two such stacks take turns, so a term copies no kets.
+
+    Node k averages ``w_i |psi_ci(k)><psi_ci(k)|`` over sets c and
+    eigenpairs i from the real Gram products ``P_i = K_i K_i^T`` of every
+    eigenpair's kets over all sets, summed with the weights ``w_i``:
+    ``Re rho = P_aa + P_bb`` and ``Im rho = P_ba - P_ab`` for the blocks
+    of ``P``.  The weights multiply the products, never a square root of
+    them into the kets, since a kept eigenvalue may be slightly negative.
+    Node 0 is ``rho0`` itself.  One set gives its own closed-system
+    trajectory.
     """
     fam, dt = problem.h_family, problem.grid.dt
     pulse_sets = np.asarray(pulse_sets, dtype=float)
@@ -473,37 +489,49 @@ def unitary_average(problem, pulse_sets):
     substeps = np.maximum(np.ceil(bound / _TAYLOR_THETA), 1.0)
     best = int(np.argmin(_TAYLOR_DEGREES * substeps))
     degree, s = int(_TAYLOR_DEGREES[best]), int(substeps[best])
-    # gens[j-1] = -i dt [H_0, H_1, .., H_M] / (s j), a (d, (M+1) d) block row
-    # that takes the (M+1) d rows of the kets scaled by 1, f_1k(c), ..,
-    # f_Mk(c) to A_k psi / (s j)
-    block_row = ops.transpose(1, 0, 2).reshape(d, -1)
-    gens = block_row * (-1j * dt / s / np.arange(1.0, degree + 1))[:, None, None]
-    scales = np.ones((n, n_controls + 1, 1, count, 1))
-    scales[:, 1:, 0, :, 0] = pulse_sets.transpose(2, 1, 0)
+    # gens[i] is Horner term j = m - i: the real (2d, (M+2) 2d) block row
+    # [G_0, G_1, .., G_M, 1] of G_n = -i dt H_n / (s j) = (Im H_n - i Re H_n)
+    # dt / (s j), each G_n as [[Re G_n, -Im G_n], [Im G_n, Re G_n]]; it
+    # takes the stack [y; f_1k(c) y; ..; f_Mk(c) y; x] to x + A_k y / (s j)
+    h = ops.transpose(1, 0, 2)
+    block_row = np.concatenate(
+        [np.concatenate([h.imag, h.real], axis=-1), np.concatenate([-h.real, h.imag], axis=-1)]
+    ).reshape(2 * d, -1)
+    gens = [np.hstack([block_row * (dt / s / j), np.eye(2 * d)]) for j in range(degree, 0, -1)]
+    r = len(w)
+    # pulses[k, m - 1, 0, 0, c] = f_mk(c)
+    pulses = np.ascontiguousarray(pulse_sets.transpose(2, 1, 0))[:, :, None, None]
 
-    # kets[k, :, c, i]: eigenvector i evolved under set c to node k
-    kets = np.empty((n + 1, d, count, len(w)), dtype=complex)
-    kets[0] = v[:, None, :]
-    scaled = np.empty((n_controls + 1,) + kets.shape[1:], dtype=complex)
-    scaled_rows = scaled.reshape(-1, scaled[0, 0].size)
-    horner = list(gens[::-1])
+    # kets[k, :, i * count + c]: the real block [Re; Im] of eigenvector i
+    # evolved under set c to node k
+    kets = np.empty((n + 1, 2 * d, r * count))
+    kets[0] = np.repeat(np.concatenate([v.real, v.imag]), count, axis=1)
+    # Two stacks [y; f_1k y; ..; f_Mk y; x] take turns as the source and the
+    # destination of a Horner term: each term scales the source's y by the
+    # pulse values and writes the next y into the other stack with one gemm.
+    # The pulse values are laid out once per step like the scaled copies,
+    # since a product with a broadcast operand is slower.
+    stacks = np.empty((2, n_controls + 2) + kets.shape[1:])
+    src, dst = ((stack[0], stack[1:-1], stack.reshape(-1, r * count)) for stack in stacks)
+    scale = np.empty_like(src[1])
+    src[0][...] = kets[0]
     for k in range(n):
-        x, y = kets[k], kets[k + 1]
-        y_rows = y.reshape(d, -1)
-        for sub in range(s):
-            if sub:
-                x = y.copy()
-            z = x
-            for gen in horner:
-                np.multiply(z, scales[k], out=scaled)
-                np.matmul(gen, scaled_rows, out=y_rows)
-                y += x
-                z = y
-    # rows are the kets of all sets, eigenpair index fastest
-    psi = kets.reshape(n + 1, d, -1).swapaxes(-1, -2)
-    weighted = np.conj(psi)
-    weighted *= np.tile(w, count)[:, None]
-    return _trajectory(problem, psi.swapaxes(-1, -2) @ weighted / count)
+        scale.reshape(n_controls, 2 * d, r, count)[...] = pulses[k]
+        for _ in range(s):
+            stacks[:, -1] = src[0]
+            for gen in gens:
+                np.multiply(src[0], scale, out=src[1])
+                np.matmul(gen, src[2], out=dst[0])
+                src, dst = dst, src
+        kets[k + 1] = src[0]
+    # the Gram products P_i = K_i K_i^T of every eigenpair's kets over all
+    # sets, weighted by w_i
+    per_pair = kets.reshape(n + 1, 2 * d, r, count).swapaxes(1, 2)
+    grams = per_pair @ per_pair.swapaxes(-1, -2)
+    gram = (w @ grams.reshape(n + 1, r, -1)).reshape(n + 1, 2 * d, 2 * d)
+    re = gram[:, :d, :d] + gram[:, d:, d:]
+    im = gram[:, d:, :d] - gram[:, :d, d:]
+    return _trajectory(problem, (re + 1j * im) / count)
 
 
 def ensemble_average(problem, pulses, count, seed):
@@ -514,9 +542,13 @@ def ensemble_average(problem, pulses, count, seed):
     midpoint discretization; :func:`unitary_average` advances the kets of
     all realizations together, each step by the truncated Taylor series of
     its exponential, and averages the realization states at every node.
+    The kets are real blocks ``[Re psi; Im psi]``, so every Horner term is
+    one real product, and every node's average comes from real Gram
+    products of the kets weighted by the eigenvalues of ``rho0``.
     Deterministic for a fixed seed: the Taylor degree and substep count
-    depend only on the sampled pulses, and every node is one weighted
-    product of the realizations' kets, summed in sampling order.
+    depend only on the sampled pulses, and every node is the same fixed
+    sequence of products of the realizations' kets, laid out in sampling
+    order.
     """
     pulses = as_pulses(pulses, problem.grid, problem.h_family.n_controls)
     perturbations = sample_perturbations(problem.kernel, problem.grid, count, seed)

@@ -266,12 +266,21 @@ def reference_generators(h_family, grid, pulses, kernel):
 
 def gradient_reference(cache, states, costates, m, k):
     """Pulse gradient D at control m and step k from operator states and
-    costates (N+1, d, d): the coherent term and, for every node j >= k, the
-    memory integrals' sensitivity to the pulse on step k, as nested
-    commutators.  Reads only the pulses, grid, Hamiltonians and kernel of
-    the cache.  Returns the complex value; the exact one is real."""
+    costates (N+1, d, d), the sum of :func:`gradient_reference_terms`.
+    Returns the complex value; the exact one is real."""
+    coherent, memory = gradient_reference_terms(cache, states, costates, m, k)
+    return coherent + memory
+
+
+def gradient_reference_terms(cache, states, costates, m, k):
+    """The two terms of the pulse gradient D at control m and step k, from
+    operator states and costates (N+1, d, d): the coherent term and, summed
+    over every node j >= k, the memory integrals' sensitivity to the pulse
+    on step k, as nested commutators.  Reads only the pulses, grid,
+    Hamiltonians and kernel of the cache.  Returns the complex values; the
+    exact ones are real."""
     hm = cache.h_family.controls[m]
-    grad = np.trace(costates[k] @ (-1j * commutator(hm, states[k])))
+    coherent = np.trace(costates[k] @ (-1j * commutator(hm, states[k])))
     dt = cache.grid.dt
     g = node_propagators(cache.h_family, cache.grid, cache.pulses)
     b_kl = htilde_row(cache, k)[:, :k]  # (M, k, d, d)
@@ -284,7 +293,7 @@ def gradient_reference(cache, states, costates, m, k):
     inner = evolved @ phi - phi @ evolved
     h_stack = cache.h_family.control_stack[:, None, None]
     outer = h_stack @ inner - inner @ h_stack
-    return grad - np.einsum("jab,pnjba->", costates[k:], outer)
+    return coherent, -np.einsum("jab,pnjba->", costates[k:], outer)
 
 
 def _overlap(rho_targ, rho):

@@ -650,6 +650,43 @@ def test_ket_taylor_rank_deficient_rho0(rng):
     assert np.max(np.abs(got - unitary_average_reference(prob, sets).states)) <= 1e-12
 
 
+@pytest.mark.parametrize("amplitudes", [[0.7], [0.3, -1.1, 2.0, 0.5, 12.0]])
+def test_ket_taylor_sigma_y_drive_is_y_rotation(amplitudes):
+    # H = f sigma_y, the imaginary part of the Hamiltonian alone, turns |0>
+    # into cos(f t)|0> + sin(f t)|1>; each set holds one constant amplitude,
+    # and the largest needs several substeps per step
+    grid = TimeGrid(T=2.0, n_steps=20)
+    prob = ControlProblem(
+        rho0=projector("0"),
+        rho_targ=projector("1"),
+        h_family=HamiltonianFamily(drift=np.zeros((2, 2)), controls=(SIGMA_Y,)),
+        grid=grid,
+        kernel=CorrelationKernel.zero(),
+    )
+    amplitudes = np.array(amplitudes)
+    sets = np.broadcast_to(amplitudes[:, None, None], (len(amplitudes), 1, 20))
+    theta = amplitudes[:, None] * grid.nodes[None, :]  # (count, N+1)
+    kets = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    want = np.mean(kets[..., :, None] * kets[..., None, :], axis=0)
+    got = unitary_average(prob, sets).states
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_ket_taylor_slightly_negative_eigenvalue(rng):
+    # roundoff can leave rho0 an eigenvalue just below zero, inside the
+    # -1e-9 floor; the eigenpair is kept, and its weight enters the average
+    # as it is, not through a square root
+    basis = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    w = np.array([0.6 + 5e-10, 0.4, -5e-10])
+    rho0 = (basis * w) @ basis.conj().T
+    assert np.min(np.linalg.eigvalsh(rho0)) < -4e-10
+    prob = _ket_problem(rng, 3, 2, 25, rho0)
+    sets = rng.standard_normal((6, 2, 25))
+    got = unitary_average(prob, sets).states
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - unitary_average_reference(prob, sets).states)) <= 1e-12
+
+
 def test_first_order_convergence_in_dt():
     # halving dt halves the final-state error of the one-exponential scheme
     T, c0, t_corr = 2.0, 0.3, 1.0
