@@ -10,12 +10,15 @@ ensemble   brute-force disorder average of a pulse file
 sweep      fixed-iteration optimizations across correlation times
 compare    side-by-side evaluation of two pulse files
 
-Configuration is a single JSON file; every omitted field falls back to the
-task presets (defaults reproduce the stock single-qubit experiments: T = 10,
+Configuration is a single JSON file, layered over ``DEFAULT_CONFIG``: every
+omitted field takes its default (the stock single-qubit experiments: T = 10,
 100 steps, Gaussian kernel with C0 = 0.01 and t_corr = 100, 4000 ensemble
-realizations).  All floats are written with 17 significant digits, so
-re-running a command with the same config and seed reproduces its output
-files byte for byte.
+realizations).  The fields whose default is null (the states, the guess
+kind and the task-specific Krotov fields) then take the task's preset in
+:mod:`ddcontrol.tasks`, a partial config; a ``custom`` task has none, so
+its config must set them.  All floats are written with 17 significant
+digits, so re-running a command with the same config and seed reproduces
+its output files byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 optimizer did not converge
 (partial outputs are still written), 4 numerical failure.
@@ -34,7 +37,7 @@ from .linalg import NumericalError, pauli_string, projector, trace_distance
 from .model import CorrelationKernel, HamiltonianFamily, TimeGrid, as_pulses, sample_perturbations
 from .krotov import ControlProblem, KrotovConfig, ddme_krotov, run_correlation_sweep, se_krotov
 from .propagation import ddme_propagate, ensemble_average, unitary_average
-from .tasks import TASK_PRESETS, guess_pulses, task_states
+from .tasks import TASK_PRESETS, guess_pulses
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,12 +172,11 @@ def _integer(value, name):
     return int(value)
 
 
-def _parse_complex_entry(entry, name):
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
-    raise ValueError(f"{name}: matrix entries must be numbers or [re, im] pairs, got {entry!r}")
+def _complex(entry, name):
+    """A matrix or ket entry: a real number or an [re, im] pair."""
+    if isinstance(entry, list) and len(entry) == 2:
+        return complex(_real(entry[0], f"{name}[0]"), _real(entry[1], f"{name}[1]"))
+    return complex(_real(entry, name))
 
 
 def _parse_operator(spec, name):
@@ -184,11 +186,13 @@ def _parse_operator(spec, name):
             raise ValueError(f"{name}: empty Pauli-coefficient dictionary")
         out = None
         for label in sorted(spec):
-            term = float(spec[label]) * pauli_string(label)
+            term = _real(spec[label], f"{name}.{label}") * pauli_string(label)
             out = term if out is None else out + term
         return out
-    if isinstance(spec, (list, tuple)):
-        rows = [[_parse_complex_entry(e, name) for e in row] for row in spec]
+    if isinstance(spec, list):
+        rows = [
+            [_complex(e, f"{name}[{i}][{j}]") for j, e in enumerate(row)] for i, row in enumerate(spec)
+        ]
         return np.array(rows, dtype=complex)
     raise ValueError(f"{name}: expected a Pauli dictionary or a nested matrix, got {type(spec).__name__}")
 
@@ -196,10 +200,16 @@ def _parse_operator(spec, name):
 def _parse_state(spec, name):
     if isinstance(spec, str):
         return projector(spec)
-    if isinstance(spec, (list, tuple)):
-        entries = [_parse_complex_entry(e, name) for e in spec]
-        return projector(np.array(entries, dtype=complex))
+    if isinstance(spec, list):
+        return projector(np.array([_complex(e, f"{name}[{i}]") for i, e in enumerate(spec)]))
     raise ValueError(f"{name}: expected a ket label or an explicit ket vector")
+
+
+def _lambdas(value, name):
+    """An inverse step size: one number, or a list with one per control."""
+    if isinstance(value, list):
+        return [_real(x, f"{name}[{i}]") for i, x in enumerate(value)]
+    return _real(value, name)
 
 
 class ResolvedExperiment:
@@ -212,17 +222,28 @@ class ResolvedExperiment:
             raise ValueError(
                 f"unknown task {task!r}; expected one of {sorted(TASK_PRESETS)} or 'custom'"
             )
-        preset = TASK_PRESETS.get(task)
+        # the task's preset fills the fields left null; guess.path has none
+        preset = TASK_PRESETS.get(task, {})
+        missing = []
+        for section, fields in raw.items():
+            for key, value in fields.items() if isinstance(fields, dict) else ():
+                if value is None and key != "path":
+                    fields[key] = preset.get(section, {}).get(key)
+                    if fields[key] is None:
+                        missing.append(f"{section}.{key}")
+        if missing:
+            raise ValueError(f"task {task!r} requires {', '.join(missing)}")
 
         grid_cfg = raw["grid"]
         self.grid = TimeGrid(T=_real(grid_cfg["T"], "grid.T"), n_steps=_integer(grid_cfg["N_T"], "grid.N_T"))
 
-        drift = _parse_operator(raw["system"]["drift"], "system.drift")
-        controls = [
-            _parse_operator(c, f"system.controls[{i}]")
-            for i, c in enumerate(raw["system"]["controls"])
-        ]
-        self.h_family = HamiltonianFamily(drift=drift, controls=tuple(controls))
+        controls = raw["system"]["controls"]
+        if not isinstance(controls, list):
+            raise ValueError(f"system.controls must be a list of operators, got {controls!r}")
+        self.h_family = HamiltonianFamily(
+            drift=_parse_operator(raw["system"]["drift"], "system.drift"),
+            controls=tuple(_parse_operator(c, f"system.controls[{i}]") for i, c in enumerate(controls)),
+        )
 
         kern = raw["kernel"]
         kind = kern["kind"]
@@ -243,58 +264,34 @@ class ResolvedExperiment:
                 "expected 'zero', 'stationary-gaussian' or 'white-noise'"
             )
 
-        states = raw["states"]
-        if task == "custom":
-            if states["initial"] is None or states["target"] is None:
-                raise ValueError("task 'custom' requires states.initial and states.target")
-            rho0 = _parse_state(states["initial"], "states.initial")
-            rho_targ = _parse_state(states["target"], "states.target")
-        else:
-            rho0, rho_targ = task_states(task)
-            if states["initial"] is not None:
-                rho0 = _parse_state(states["initial"], "states.initial")
-            if states["target"] is not None:
-                rho_targ = _parse_state(states["target"], "states.target")
+        # the resolved config records each state as its unit ket
+        states = {key: _parse_state(spec, f"states.{key}") for key, spec in raw["states"].items()}
         raw["states"] = {
-            "initial": _jsonable([[x.real, x.imag] for x in np.linalg.eigh(rho0)[1][:, -1]]),
-            "target": _jsonable([[x.real, x.imag] for x in np.linalg.eigh(rho_targ)[1][:, -1]]),
+            key: _jsonable([[x.real, x.imag] for x in np.linalg.eigh(rho)[1][:, -1]])
+            for key, rho in states.items()
         }
         self.problem = ControlProblem(
-            rho0=rho0, rho_targ=rho_targ, h_family=self.h_family, grid=self.grid, kernel=self.kernel
+            rho0=states["initial"],
+            rho_targ=states["target"],
+            h_family=self.h_family,
+            grid=self.grid,
+            kernel=self.kernel,
         )
 
-        guess_kind = raw["guess"]["kind"]
-        if guess_kind is None:
-            if preset is None:
-                raise ValueError("task 'custom' requires guess.kind")
-            guess_kind = preset.guess
-        raw["guess"]["kind"] = guess_kind
-        if guess_kind == "tabulated":
-            path = raw["guess"].get("path")
-            if not path:
+        guess = raw["guess"]
+        if guess["kind"] == "tabulated":
+            if not guess.get("path"):
                 raise ValueError("guess.kind 'tabulated' requires guess.path")
-            self.guess = read_pulse_file(path, self.grid, m)
+            self.guess = read_pulse_file(guess["path"], self.grid, m)
         else:
-            one = guess_pulses(guess_kind, self.grid)
-            self.guess = np.tile(one, (m, 1))
+            self.guess = np.tile(guess_pulses(guess["kind"], self.grid), (m, 1))
 
         kro = raw["krotov"]
-        for key, fallback in (
-            ("lambda", preset.ddme_lambda if preset else None),
-            ("J_tol", preset.ddme_j_tol if preset else None),
-            ("t_on", preset.t_on if preset else None),
-            ("t_off", preset.t_off if preset else None),
-            ("se_lambda", preset.se_lambda if preset else None),
-        ):
-            if kro[key] is None:
-                if fallback is None:
-                    raise ValueError(f"task 'custom' requires krotov.{key}")
-                kro[key] = fallback
 
         def krotov_config(prefix):
             return KrotovConfig.with_blackman_ramps(
                 self.grid,
-                kro[f"{prefix}lambda"],
+                _lambdas(kro[f"{prefix}lambda"], f"krotov.{prefix}lambda"),
                 _real(kro["t_on"], "krotov.t_on"),
                 _real(kro["t_off"], "krotov.t_off"),
                 j_tol=_real(kro[f"{prefix}J_tol"], f"krotov.{prefix}J_tol"),

@@ -201,6 +201,16 @@ def _taylor_choice(norm):
     return best, squarings
 
 
+def horner_choice(bound):
+    """The degree m and substeps s that evaluate exp(A) for ||A||_1 <= ``bound``
+    as T_m(A / s)^s by Horner's rule: the fewest products m * s whose
+    backward-error bound theta[m] covers bound / s, the first degree on a
+    tie."""
+    substeps = np.maximum(np.ceil(bound / _TAYLOR_THETA), 1.0)
+    best = int(np.argmin(_TAYLOR_DEGREES * substeps))
+    return int(_TAYLOR_DEGREES[best]), int(substeps[best])
+
+
 # Smallest stack that :func:`expm` exponentiates in one batch.  Below it
 # scipy's per-matrix Pade method is about as fast or faster.  On the real
 # step generators the propagator cache feeds (2 cores, one BLAS thread),

@@ -68,12 +68,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    _TAYLOR_DEGREES,
-    _TAYLOR_THETA,
     NumericalError,
     expm,
     expm_hermitian,  # unused; kept while bench/tracing.py wraps propagation.expm_hermitian
     from_coherence,
+    horner_choice,
     purity,
     structure_map,
     to_coherence,
@@ -449,10 +448,9 @@ def unitary_average(problem, pulse_sets):
     as s substeps of the degree-m truncated Taylor series,
     ``psi <- T_m(A_k / s)^s psi``, evaluated by Horner's rule
     ``y <- x + A_k y / (s j)`` for j = m .. 1 (Al-Mohy & Higham, SIAM J.
-    Sci. Comput. 33, 488 (2011)).  One (m, s) serves every step and set:
-    the fewest products m * s whose backward-error bound ``theta[m]`` of
-    :mod:`ddcontrol.linalg` covers ``dt (|H_0|_1 + max_{c,k} sum_m
-    |f_mk(c)| |H_m|_1) / s``.
+    Sci. Comput. 33, 488 (2011)).  One (m, s) serves every step and set,
+    :func:`ddcontrol.linalg.horner_choice` of the bound ``dt (|H_0|_1 +
+    max_{c,k} sum_m |f_mk(c)| |H_m|_1)``.
 
     The arithmetic is real.  A ket ``psi = a + i b`` is carried as the real
     block ``[a; b]``, on which a complex matrix ``G = G_r + i G_i`` acts as
@@ -486,9 +484,7 @@ def unitary_average(problem, pulse_sets):
     ops = np.concatenate([fam.drift[None], fam.control_stack])
     norms = np.max(np.sum(np.abs(ops), axis=-2), axis=-1)
     bound = dt * (norms[0] + np.max(norms[1:] @ np.abs(pulse_sets)))
-    substeps = np.maximum(np.ceil(bound / _TAYLOR_THETA), 1.0)
-    best = int(np.argmin(_TAYLOR_DEGREES * substeps))
-    degree, s = int(_TAYLOR_DEGREES[best]), int(substeps[best])
+    degree, s = horner_choice(bound)
     # gens[i] is Horner term j = m - i: the real (2d, (M+2) 2d) block row
     # [G_0, G_1, .., G_M, 1] of G_n = -i dt H_n / (s j) = (Im H_n - i Re H_n)
     # dt / (s j), each G_n as [[Re G_n, -Im G_n], [Im G_n, Re G_n]]; it

@@ -7,35 +7,35 @@ frequency and hbar set to 1):
 * ``z-gate``:   |+> -> |->,  Gaussian guess,  ramps t_on = t_off = 2
 * ``x-gate``:   |0> -> |1>,  Gaussian guess,  ramps t_on = t_off = 2
 * ``hadamard``: |0> -> |+>,  sine guess,      ramps t_on = t_off = 0.3
-"""
 
-from dataclasses import dataclass
+A preset is a partial config, keyed like the CLI's config sections: it
+holds the fields whose config default is ``null``, and the CLI fills every
+such field the user leaves ``null`` from the task's preset.
+"""
 
 import numpy as np
 
-from .linalg import projector
 from .model import TimeGrid
 
-
-@dataclass(frozen=True)
-class TaskPreset:
-    initial: str
-    target: str
-    guess: str
-    t_on: float
-    t_off: float
-    ddme_lambda: float
-    ddme_j_tol: float
-    se_lambda: float
-
-
 # The closed-system stage has no published step size; the per-task values
-# below make that stage converge and leave the downstream disorder-aware
-# optimization at its reported operating point.
+# of se_lambda make that stage converge and leave the downstream
+# disorder-aware optimization at its reported operating point.
 TASK_PRESETS = {
-    "z-gate": TaskPreset("+", "-", "gaussian", 2.0, 2.0, 1.25, 0.003, 0.5),
-    "x-gate": TaskPreset("0", "1", "gaussian", 2.0, 2.0, 0.5, 0.003, 2.0),
-    "hadamard": TaskPreset("0", "+", "sine", 0.3, 0.3, 1.25, 0.003, 4.0),
+    "z-gate": {
+        "states": {"initial": "+", "target": "-"},
+        "guess": {"kind": "gaussian"},
+        "krotov": {"lambda": 1.25, "J_tol": 0.003, "t_on": 2.0, "t_off": 2.0, "se_lambda": 0.5},
+    },
+    "x-gate": {
+        "states": {"initial": "0", "target": "1"},
+        "guess": {"kind": "gaussian"},
+        "krotov": {"lambda": 0.5, "J_tol": 0.003, "t_on": 2.0, "t_off": 2.0, "se_lambda": 2.0},
+    },
+    "hadamard": {
+        "states": {"initial": "0", "target": "+"},
+        "guess": {"kind": "sine"},
+        "krotov": {"lambda": 1.25, "J_tol": 0.003, "t_on": 0.3, "t_off": 0.3, "se_lambda": 4.0},
+    },
 }
 
 
@@ -59,10 +59,3 @@ def guess_pulses(kind, grid: TimeGrid):
         raise ValueError(f"unknown guess kind {kind!r}; expected one of {sorted(GUESS_BUILDERS)}")
     return GUESS_BUILDERS[kind](grid)
 
-
-def task_states(task):
-    """Initial and target projectors for a stock task name."""
-    if task not in TASK_PRESETS:
-        raise ValueError(f"unknown task {task!r}; expected one of {sorted(TASK_PRESETS)}")
-    preset = TASK_PRESETS[task]
-    return projector(preset.initial), projector(preset.target)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ddcontrol.linalg import SIGMA_X, SIGMA_Z, to_coherence
+from ddcontrol.linalg import SIGMA_X, SIGMA_Z, projector, to_coherence
 from ddcontrol.model import HamiltonianFamily, TimeGrid
 from ddcontrol.propagation import ddme_propagate, white_noise_propagate
+from ddcontrol.tasks import TASK_PRESETS
 
 # The two ways to evolve under a white-noise kernel: the propagator cache that
 # the optimizer follows, and the directly built Markovian generator.
@@ -23,6 +24,12 @@ def default_h_family():
 def default_grid():
     """The stock tasks' grid: T = 10 with 100 steps."""
     return TimeGrid(T=10.0, n_steps=100)
+
+
+def task_states(task):
+    """Initial and target projectors of a stock task's preset."""
+    states = TASK_PRESETS[task]["states"]
+    return projector(states["initial"]), projector(states["target"])
 
 
 def random_hermitian(rng, d):

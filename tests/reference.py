@@ -268,7 +268,7 @@ def gradient_reference(cache, states, costates, m, k):
     """Pulse gradient D at control m and step k from operator states and
     costates (N+1, d, d), the sum of :func:`gradient_reference_terms`.
     Returns the complex value; the exact one is real."""
-    coherent, memory = gradient_reference_terms(cache, states, costates, m, k)
+    coherent, memory, _ = gradient_reference_terms(cache, states, costates, m, k)
     return coherent + memory
 
 
@@ -277,10 +277,14 @@ def gradient_reference_terms(cache, states, costates, m, k):
     operator states and costates (N+1, d, d): the coherent term and, summed
     over every node j >= k, the memory integrals' sensitivity to the pulse
     on step k, as nested commutators.  Reads only the pulses, grid,
-    Hamiltonians and kernel of the cache.  Returns the complex values; the
-    exact ones are real."""
+    Hamiltonians and kernel of the cache.  Returns the complex values, the
+    exact ones being real, and the size of the coherent term's summands,
+    ``sum_ab |chi_ab| |(-i[H_m, rho])_ba|``, which bounds its roundoff when
+    they cancel."""
     hm = cache.h_family.controls[m]
-    coherent = np.trace(costates[k] @ (-1j * commutator(hm, states[k])))
+    drive = -1j * commutator(hm, states[k])
+    coherent = np.trace(costates[k] @ drive)
+    summands = np.sum(np.abs(costates[k]) * np.abs(drive.T))
     dt = cache.grid.dt
     g = node_propagators(cache.h_family, cache.grid, cache.pulses)
     b_kl = htilde_row(cache, k)[:, :k]  # (M, k, d, d)
@@ -293,7 +297,7 @@ def gradient_reference_terms(cache, states, costates, m, k):
     inner = evolved @ phi - phi @ evolved
     h_stack = cache.h_family.control_stack[:, None, None]
     outer = h_stack @ inner - inner @ h_stack
-    return coherent, -np.einsum("jab,pnjba->", costates[k:], outer)
+    return coherent, -np.einsum("jab,pnjba->", costates[k:], outer), summands
 
 
 def _overlap(rho_targ, rho):

@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import WHITE_NOISE_PATHS, default_grid, default_h_family, random_hermitian
+from conftest import WHITE_NOISE_PATHS, default_grid, default_h_family, random_hermitian, task_states
 from reference import ddme_backward_step, ddme_step, se_krotov_reference, unitary_steps
 from ddcontrol import cli
 from ddcontrol.linalg import SIGMA_X, SIGMA_Z, dag, expm, expm_hermitian, projector, to_coherence
@@ -41,7 +41,7 @@ from ddcontrol.propagation import (
     ddme_propagate,
     ensemble_average,
 )
-from ddcontrol.tasks import TASK_PRESETS, guess_pulses, task_states
+from ddcontrol.tasks import TASK_PRESETS, guess_pulses
 
 TASKS = ("z-gate", "x-gate", "hadamard")
 SE_FIDELITY_BANDS = {"z-gate": (0.95, 0.99), "x-gate": (0.95, 0.99), "hadamard": (0.90, 0.96)}
@@ -74,6 +74,7 @@ def sweep_series():
     grid = default_grid()
     fam = default_h_family()
     preset = TASK_PRESETS["z-gate"]
+    kro = preset["krotov"]
     rho0, targ = task_states("z-gate")
     problem = ControlProblem(
         rho0=rho0,
@@ -86,11 +87,11 @@ def sweep_series():
         rho0=rho0, rho_targ=targ, h_family=fam, grid=grid, kernel=CorrelationKernel.zero()
     )
     cfg_se = KrotovConfig.with_blackman_ramps(
-        grid, preset.se_lambda, preset.t_on, preset.t_off, j_tol=1e-4, i_max=1000
+        grid, kro["se_lambda"], kro["t_on"], kro["t_off"], j_tol=1e-4, i_max=1000
     )
-    f_se = se_krotov(se_problem, guess_pulses(preset.guess, grid), cfg_se).pulses
+    f_se = se_krotov(se_problem, guess_pulses(preset["guess"]["kind"], grid), cfg_se).pulses
     cfg = KrotovConfig.with_blackman_ramps(
-        grid, preset.ddme_lambda, preset.t_on, preset.t_off, j_tol=preset.ddme_j_tol, i_max=50
+        grid, kro["lambda"], kro["t_on"], kro["t_off"], j_tol=kro["J_tol"], i_max=50
     )
     tcorr = [f * grid.T for f in (0.05, 0.2, 0.6, 1.0, 1.4)]
     return tcorr, run_correlation_sweep(problem, f_se, cfg, tcorr, iterations=30)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ddcontrol import cli
+from ddcontrol.linalg import projector
 from ddcontrol.model import sample_perturbations
 
 
@@ -52,9 +53,109 @@ def test_invalid_kernel_kind_is_config_error(tmp_path):
     assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_custom_task_requires_states(tmp_path):
+def test_custom_task_requires_states(tmp_path, capsys):
     cfg = write_config(tmp_path, task="custom")
     assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    # one message names every field that has no preset to fill it
+    err = capsys.readouterr().err
+    for name in CUSTOM_FIELDS:
+        assert name in err, name
+
+
+# the fields a custom task must set; the stock tasks' presets fill them
+CUSTOM_FIELDS = (
+    "states.initial",
+    "states.target",
+    "guess.kind",
+    "krotov.lambda",
+    "krotov.J_tol",
+    "krotov.t_on",
+    "krotov.t_off",
+    "krotov.se_lambda",
+)
+
+
+def run_recorded_config(tmp_path, name, command, *args, **overrides):
+    """Run a command on a test config; the resolved config its report records."""
+    cfg = write_config(tmp_path, name=f"{name}.json", **overrides)
+    out = tmp_path / name
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), *map(str, args)]) == 0
+    report = {"optimize": "summary.json", "propagate": "propagate.json"}[command]
+    return json.loads((out / report).read_text())["config"], out
+
+
+def test_explicit_matrix_operators(tmp_path):
+    # numbers and [re, im] pairs spell the Pauli matrices: the trajectory is
+    # the Pauli dictionaries' byte for byte, and the config records the
+    # matrices as written
+    pulses = write_pulse_lines(tmp_path, "pulse.csv")
+    system = {"drift": [[1, 0], [0, [-1.0, 0.0]]], "controls": [[[0.0, [1, 0]], [[1, 0], 0]]]}
+    config, out = run_recorded_config(tmp_path, "matrix", "propagate", pulses, system=system)
+    _, pauli = run_recorded_config(tmp_path, "pauli", "propagate", pulses)
+    assert config["system"] == system
+    assert (out / "trajectory.csv").read_bytes() == (pauli / "trajectory.csv").read_bytes()
+
+
+def test_explicit_ket_vectors(tmp_path):
+    # unnormalized vectors with number and [re, im] entries; the config
+    # records each state as a unit ket of [re, im] pairs that resolves to
+    # the same projector and records itself unchanged
+    pulses = write_pulse_lines(tmp_path, "pulse.csv")
+    states = {"initial": [2, [2.0, 0.0]], "target": [[0, 1], 1.0]}
+    config, _ = run_recorded_config(tmp_path, "kets", "propagate", pulses, states=states)
+    for key, want in (("initial", projector("+")), ("target", projector([1j, 1]))):
+        got = cli.load_experiment(config_path=write_config(tmp_path, states={key: config["states"][key]}))
+        rho = got.problem.rho0 if key == "initial" else got.problem.rho_targ
+        assert np.max(np.abs(rho - want)) <= 1e-15, key
+        assert got.resolved["states"][key] == config["states"][key], key
+
+
+def test_custom_two_control_task(tmp_path):
+    # a custom task sets every field a preset would; the config records
+    # them, and each control starts from the same guess
+    custom = {
+        "task": "custom",
+        "system": {"drift": {"z": 1.0}, "controls": [{"x": 1.0}, {"y": 1.0}]},
+        "states": {"initial": "0", "target": "1"},
+        "guess": {"kind": "sine"},
+        "krotov": {"lambda": [2.0, 4.0], "J_tol": 0.01, "t_on": 1.0, "t_off": 1.0, "se_lambda": 2.0},
+    }
+    config, out = run_recorded_config(tmp_path, "custom", "optimize", **custom)
+    assert config["task"] == "custom"
+    assert config["system"] == custom["system"]
+    assert config["guess"] == {"kind": "sine"}
+    assert config["krotov"] == {**custom["krotov"], "i_max": 50, "se_J_tol": 1e-4, "se_i_max": 1000}
+    assert config["states"] == {"initial": [[1.0, 0.0], [0.0, 0.0]], "target": [[0.0, 0.0], [1.0, 0.0]]}
+    exp = cli.load_experiment(config_path=write_config(tmp_path, **custom))
+    assert np.array_equal(exp.guess[0], exp.guess[1])
+    assert np.array_equal(exp.ddme_config.lambdas, [2.0, 4.0])
+    assert list(read_rows(out / "pulses.csv")[0])[2:] == [
+        "f_guess_1", "f_guess_2", "f_se_1", "f_se_2", "f_ddme_1", "f_ddme_2"
+    ]
+
+
+def test_tabulated_guess(tmp_path, capsys):
+    # a tabulated guess is read from guess.path, and the config records both
+    path = write_pulse_lines(tmp_path, "guess.csv")
+    guess = {"kind": "tabulated", "path": str(path)}
+    config, out = run_recorded_config(tmp_path, "tabulated", "optimize", guess=guess)
+    assert config["guess"] == guess
+    assert [float(r["f_guess"]) for r in read_rows(out / "pulses.csv")] == [0.5] * 30
+    cfg = write_config(tmp_path, guess={"kind": "tabulated"})
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "guess.path" in capsys.readouterr().err
+
+
+def test_zero_kernel_kind(tmp_path):
+    # kind 'zero' ignores C0 and t_corr: the config records the section with
+    # their defaults, and the evolution stays pure despite C0 = 0.01
+    pulses = write_pulse_lines(tmp_path, "pulse.csv")
+    config, out = run_recorded_config(tmp_path, "zero", "propagate", pulses, kernel={"kind": "zero"})
+    assert config["kernel"] == {"kind": "zero", "C0": 0.01, "t_corr": 100.0}
+    exp = cli.load_experiment(config_path=write_config(tmp_path, kernel={"kind": "zero"}))
+    assert exp.kernel.kind == "zero"
+    purity = [float(r["purity"]) for r in read_rows(out / "trajectory.csv")]
+    assert max(abs(p - 1.0) for p in purity) <= 1e-12
 
 
 def test_malformed_json_is_config_error(tmp_path):
@@ -97,6 +198,19 @@ def test_non_finite_or_fractional_config_value_is_config_error(tmp_path, section
         ({"outputs": None}, "outputs"),
         ({"grid": {"T": [10.0]}}, "grid.T"),
         ({"krotov": {"t_on": True}}, "krotov.t_on"),
+        ({"system": {"drift": {"z": "1.5"}, "controls": [{"x": 1.0}]}}, "system.drift.z"),
+        ({"system": {"drift": {"z": True}, "controls": [{"x": 1.0}]}}, "system.drift.z"),
+        ({"system": {"drift": [[1, 0], [0, "-1"]], "controls": [{"x": 1.0}]}}, "system.drift[1][1]"),
+        (
+            {"system": {"drift": {"z": 1.0}, "controls": [[[0, [1, False]], [1, 0]]]}},
+            "system.controls[0][0][1][1]",
+        ),
+        ({"system": {"drift": {"z": 1.0}, "controls": {"x": 1.0}}}, "system.controls must be a list"),
+        ({"states": {"initial": [True, 0]}}, "states.initial[0]"),
+        ({"states": {"target": [1, ["0", 0]]}}, "states.target[1][0]"),
+        ({"krotov": {"lambda": "1.25"}}, "krotov.lambda"),
+        ({"krotov": {"lambda": [None]}}, "krotov.lambda[0]"),
+        ({"krotov": {"se_lambda": True}}, "krotov.se_lambda"),
     ],
 )
 def test_null_or_mistyped_config_value_is_config_error(tmp_path, capsys, overrides, name):

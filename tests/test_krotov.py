@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import default_grid, default_h_family, random_hermitian, swept_coherence
+from conftest import default_grid, default_h_family, random_hermitian, swept_coherence, task_states
 from reference import ddme_backward_step, ddme_step, gradient_reference, se_krotov_reference
 from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, from_coherence, projector, to_coherence
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, update_shape
@@ -18,7 +18,7 @@ from ddcontrol.krotov import (
     se_krotov,
 )
 from ddcontrol.propagation import build_cache, ddme_propagate
-from ddcontrol.tasks import TASK_PRESETS, guess_pulses, task_states
+from ddcontrol.tasks import TASK_PRESETS, guess_pulses
 
 QUBIT = default_h_family()
 
@@ -31,12 +31,12 @@ def make_problem(task="z-gate", kernel=None, grid=None):
 
 
 def task_configs(task, grid, j_tol_se=1e-4):
-    preset = TASK_PRESETS[task]
+    kro = TASK_PRESETS[task]["krotov"]
     cfg_se = KrotovConfig.with_blackman_ramps(
-        grid, preset.se_lambda, preset.t_on, preset.t_off, j_tol=j_tol_se, i_max=1000
+        grid, kro["se_lambda"], kro["t_on"], kro["t_off"], j_tol=j_tol_se, i_max=1000
     )
     cfg_dd = KrotovConfig.with_blackman_ramps(
-        grid, preset.ddme_lambda, preset.t_on, preset.t_off, j_tol=preset.ddme_j_tol, i_max=50
+        grid, kro["lambda"], kro["t_on"], kro["t_off"], j_tol=kro["J_tol"], i_max=50
     )
     return cfg_se, cfg_dd
 

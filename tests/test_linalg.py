@@ -19,6 +19,7 @@ from ddcontrol.linalg import (
     _TAYLOR_THETA,
     NumericalError,
     _taylor_choice,
+    horner_choice,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -204,6 +205,15 @@ def _reference_taylor_choice(norm):
     return int(_TAYLOR_DEGREES[best]), int(squarings[best])
 
 
+def _reference_horner_choice(bound):
+    """The degree and substeps of the ket propagation's Horner evaluation,
+    as the rule reads inline: the fewest products m * s, the first degree
+    on a tie."""
+    substeps = np.maximum(np.ceil(bound / _TAYLOR_THETA), 1.0)
+    best = int(np.argmin(_TAYLOR_DEGREES * substeps))
+    return int(_TAYLOR_DEGREES[best]), int(substeps[best])
+
+
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 @pytest.mark.parametrize("index", range(len(_TAYLOR_THETA)))
 def test_expm_at_degree_boundaries(rng, index, side):
@@ -221,6 +231,9 @@ def test_expm_at_degree_boundaries(rng, index, side):
         assert (norm > _TAYLOR_THETA[index]) == (side > 0)
         plan, squarings = _taylor_choice(norm)
         assert (plan.degree, squarings) == _reference_taylor_choice(norm)
+        # the Horner choice changes degree m's substeps at s * theta[m]
+        for s in (1, 2, 3):
+            assert horner_choice(s * norm) == _reference_horner_choice(s * norm), s
         want = scipy.linalg.expm(a)
         got = expm(a)
         assert got.dtype == want.dtype
@@ -231,6 +244,7 @@ def test_expm_at_degree_boundaries(rng, index, side):
 def test_expm_of_zero_stack_is_identity():
     plan, squarings = _taylor_choice(0.0)
     assert (plan.degree, squarings) == _reference_taylor_choice(0.0) == (1, 0)
+    assert horner_choice(0.0) == _reference_horner_choice(0.0) == (1, 1)
     got = expm(np.zeros((5, 3, 3)))
     assert np.array_equal(got, np.broadcast_to(np.eye(3), (5, 3, 3)))
     assert np.max(np.abs(got - scipy.linalg.expm(np.zeros((5, 3, 3))))) <= 1e-13

@@ -3,6 +3,8 @@
 import math
 from pathlib import Path
 
+from ddcontrol import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -16,3 +18,13 @@ def test_readme_library_example_runs(capsys):
     values = [float(v) for v in capsys.readouterr().out.split()]
     assert len(values) == 3
     assert all(math.isfinite(v) and 0.0 < v <= 1.0 + 1e-9 for v in values)
+
+
+def test_readme_config_example_is_the_z_gate_preset(tmp_path):
+    # the configuration example spells out every field of the z-gate task,
+    # so it resolves to what the preset alone resolves to
+    section = README.read_text().split("Example with all sections", 1)[1]
+    path = tmp_path / "config.json"
+    path.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+    want = cli.load_experiment(task="z-gate").resolved
+    assert cli.load_experiment(config_path=path).resolved == want
