@@ -112,7 +112,8 @@ def _merge(user):
     """The default config overridden by a user config, one section deep.
 
     Rejects unknown keys (``guess.path`` is the one key without a default),
-    sections that are not objects, and null where the default is not null;
+    sections that are not objects, top-level values (``task``,
+    ``outputs``) that are not strings, and null where the default is not null;
     a null default means "take the task preset".  Values inside a section,
     such as a Pauli dictionary, replace the default whole.
     """
@@ -129,8 +130,10 @@ def _merge(user):
             fields += [(f"{key}.{k}", v, raw[key].get(k)) for k, v in value.items()]
             raw[key].update(copy.deepcopy(value))
         else:
+            if value is not None:
+                _string(value, key)
             fields.append((key, value, raw[key]))
-            raw[key] = copy.deepcopy(value)
+            raw[key] = value
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     nulls = sorted(name for name, value, default in fields if value is None and default is not None)
@@ -172,6 +175,13 @@ def _integer(value, name):
     return int(value)
 
 
+def _string(value, name):
+    """A text config field: a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _complex(entry, name):
     """A matrix or ket entry: a real number or an [re, im] pair."""
     if isinstance(entry, list) and len(entry) == 2:
@@ -190,6 +200,9 @@ def _parse_operator(spec, name):
             out = term if out is None else out + term
         return out
     if isinstance(spec, list):
+        for i, row in enumerate(spec):
+            if not isinstance(row, list):
+                raise ValueError(f"{name}[{i}]: expected a matrix row, a list, got {row!r}")
         rows = [
             [_complex(e, f"{name}[{i}][{j}]") for j, e in enumerate(row)] for i, row in enumerate(spec)
         ]
@@ -279,12 +292,15 @@ class ResolvedExperiment:
         )
 
         guess = raw["guess"]
-        if guess["kind"] == "tabulated":
+        kind = _string(guess["kind"], "guess.kind")
+        if guess.get("path") is not None:
+            _string(guess["path"], "guess.path")
+        if kind == "tabulated":
             if not guess.get("path"):
                 raise ValueError("guess.kind 'tabulated' requires guess.path")
             self.guess = read_pulse_file(guess["path"], self.grid, m)
         else:
-            self.guess = np.tile(guess_pulses(guess["kind"], self.grid), (m, 1))
+            self.guess = np.tile(guess_pulses(kind, self.grid), (m, 1))
 
         kro = raw["krotov"]
 

@@ -23,11 +23,14 @@ States and costates are the real coherence vectors of :mod:`ddcontrol.linalg`
 With ``Tr(A B) = Tr(A) Tr(B) / d + 2 a.b`` for Hermitian A, B the cost is
 ``1 - 1/d - 2 c[N].r[N]`` and the pulse gradient is a real sum of products
 of coefficient vectors and real maps.  Its memory term reads the cache's
-real frame directly: the orthogonal node maps ``O_j`` and the
-interaction-picture controls ``kappa``, contracted with the kernel weights
-in one matrix product per control; its sum over the later nodes and the
-controls is a single gemm, contracted with ``F(kappa)`` of every control
-at once, so one call gives the gradient of all controls at a step.  With
+real frame directly: the orthogonal node maps ``O_j``, the
+interaction-picture controls ``kappa`` and the running memory table
+``s_<k`` of :meth:`~ddcontrol.propagation.PropagatorCache.past_sums`, the
+kernel weights contracted with the kappa of the nodes before k, which the
+cache advances by one node per step of the ascending sweep.  Its sum over
+the later nodes and the controls is a single gemm, contracted with
+``F(kappa)`` of every control at once, so one call gives the gradient of
+all controls at a step.  With
 memory every update changes all later step maps, so before each update the
 costates and states are swept again, by one blocked
 :func:`~ddcontrol.propagation._node_sweep` over a batch of two runs of
@@ -192,13 +195,13 @@ def ddme_gradient_D(cache: PropagatorCache, states, costates, k):
     # j >= k, by 1 - i dt df K, with K = g_k^dag H_m g_k (coefficients
     # kappa[m, k]); of the evolved controls in e_p[node j] only those from
     # start nodes l < k move, and e_p[node j] moves by dt^2 O_j F(kappa[m, k])
-    # s_pj df with s_pj = sum_{n, l<k} W[p, n, j, l] kappa[n, l].  Through
+    # s_pj df with s_pj = sum_{n, l<k} W[p, n, j, l] kappa[n, l], the cache's
+    # running memory table at step k.  Through
     # F(h_p) F(x) that adds 2 c_j.F(h_p) F(x) r_j = -2 a_pj.x to D,
     # a_pj = (c_j F(h_p)) F(r_j), since F(x) r = -F(r) x.
     dt = cache.grid.dt
     n_ctrl, n_later, n = cache.kappa.shape[0], cache.n_steps - k + 1, states.shape[-1]
-    w = cache.weights[:, k:, :, :k].reshape(n_ctrl, n_later, n_ctrl * k)
-    s = w @ cache.kappa[:, :k].reshape(n_ctrl * k, n)
+    s = cache.past_sums(k)[:, k:]
     a = (costates[k:] @ cache.f_controls)[..., None, :] @ structure_map(states[k:])
     # with rows O_j^T a_pj, the sum over (p, j) of (O_j^T a_pj).F(kappa[m, k]) s_pj
     # is F(kappa[m, k]) contracted with G = sum_{p,j} (O_j^T a_pj) s_pj^T: one

@@ -13,6 +13,7 @@ never mutates its arguments, which makes all of them safe to share across
 threads.
 """
 
+import bisect
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -184,21 +185,54 @@ def _taylor_plan(index):
 _TAYLOR_PLANS = tuple(_taylor_plan(i) for i in range(len(_TAYLOR_DEGREES)))
 
 
+def _plan_table(top):
+    """Breakpoints and choices of the plan rule for largest 1-norms up to ``top``.
+
+    The rule takes the plan with the fewest products plus squarings
+    ``s_i(x) = max(ceil(log2(x / theta_i)), 0)``, the first plan on a tie.
+    Costs only rise with x, so the choice holds until the cost of the
+    chosen plan i rises, at its step from t to t + 1 squarings.  In exact
+    arithmetic that step is at ``theta_i 2**t``; with the rounded quotient
+    and log2 it is a few floats higher, more for larger t (18 at t = 60),
+    so the breakpoint is found by walking up from ``theta_i 2**t`` one float
+    at a time.  The next choice is the cheapest plan just above it, where
+    the other plans are far from their own steps.  Returns the ascending
+    breakpoints and the (plan, squarings) for the norms up to each of them,
+    with one more choice for the norms above the last.
+    """
+    (i, t), breaks, choices = (0, 0), [], [(_TAYLOR_PLANS[0], 0)]
+    while (step := (theta := _TAYLOR_PLANS[i].theta) * 2.0**t) <= top:
+        while math.ceil(math.log2(math.nextafter(step, math.inf) / theta)) <= t:
+            step = math.nextafter(step, math.inf)
+        breaks.append(step)
+        costs = [plan.products + max(math.ceil(math.log2(step / plan.theta)), 0) for plan in _TAYLOR_PLANS]
+        costs[i] = _TAYLOR_PLANS[i].products + t + 1
+        i = costs.index(min(costs))
+        t = costs[i] - _TAYLOR_PLANS[i].products
+        choices.append((_TAYLOR_PLANS[i], t))
+    return breaks, choices
+
+
+# The plan rule as a lookup, for largest 1-norms up to 2**_PLAN_TOP: the
+# choice for a norm x is the one for the interval (breaks[a-1], breaks[a]]
+# that holds x.  Above 2**(_PLAN_TOP - 1) every plan squares at least once,
+# and halving the norm takes one squaring off each, so above the table the
+# rule continues by exact halving.
+_PLAN_TOP = 64
+_PLAN_TOP_NORM = 2.0**_PLAN_TOP
+_PLAN_BREAKS, _PLAN_CHOICES = _plan_table(_PLAN_TOP_NORM)
+
+
 def _taylor_choice(norm):
     """The plan and number of squarings s for a stack of largest 1-norm
     ``norm``: the fewest matrix products among the degrees whose bound
-    theta[m] covers norm / 2**s, the first such degree on a tie.  The
-    degrees cost 0, 1, 2, .. products and need ever fewer squarings, so no
-    degree after the first that needs none can be cheaper."""
-    norm = max(norm, 1e-300)
-    cost = None
-    for plan in _TAYLOR_PLANS:
-        s = max(math.ceil(math.log2(norm / plan.theta)), 0)
-        if cost is None or plan.products + s < cost:
-            cost, best, squarings = plan.products + s, plan, s
-        if s == 0:
-            break
-    return best, squarings
+    theta[m] covers norm / 2**s, the first such degree on a tie.  Looked up
+    in breakpoints laid out once; up to 2**64 the choice is the rule's with
+    rounded quotients and log2 at every float, above it the rule continued
+    by exact halving."""
+    extra = math.frexp(norm)[1] - _PLAN_TOP if norm > _PLAN_TOP_NORM else 0
+    plan, squarings = _PLAN_CHOICES[bisect.bisect_left(_PLAN_BREAKS, math.ldexp(norm, -extra))]
+    return plan, squarings + extra
 
 
 def horner_choice(bound):
@@ -218,8 +252,10 @@ def horner_choice(bound):
 # 35 us batched at 3x3 (d = 2), and 44 / 54 / 77 / 89 us against
 # 47 / 52 / 58 / 39 us at 15x15 (d = 4): the batch breaks even at about 3
 # matrices on 3x3 maps and 2 on 15x15 ones.  A lone matrix goes to scipy
-# either way; a lower threshold would save at most about 20 us per
-# optimizer iteration and move the short stacks' maps by roundoff.
+# either way.  In the optimizer that is the step generator of a memoryless
+# update, and with memory the coherent step map of an update for d > 2: a
+# qubit's coherent step map is a rotation, which :func:`expm_skew` forms in
+# closed form without scipy.
 _TAYLOR_MIN_STACK = 4
 
 
@@ -230,39 +266,45 @@ def expm(a, scale=1.0):
     Batched over leading axes.  Stacks of fewer than ``_TAYLOR_MIN_STACK``
     matrices, a lone matrix among them, go to scipy's Pade method one
     matrix at a time.  Larger stacks are exponentiated all at once by
-    :func:`_expm_taylor`.
+    :func:`_expm_taylor`.  Raises :class:`NumericalError` for a generator
+    with non-finite entries.
     """
     a = np.asarray(a)
+    if a.size >= _TAYLOR_MIN_STACK * a.shape[-1] ** 2:
+        return _expm_taylor(a, scale)
     if not np.isfinite(a).all():
         raise NumericalError("expm: generator has non-finite entries")
-    a = scale * a
-    if a.size < _TAYLOR_MIN_STACK * a.shape[-1] ** 2:
-        return sla.expm(a)
-    return _expm_taylor(a)
+    return sla.expm(scale * a)
 
 
-def _expm_taylor(a):
-    """exp(A) for a (..., n, n) stack, all matrices at once.
+def _expm_taylor(a, scale):
+    """exp(scale * A) for a (..., n, n) stack, all matrices at once.
 
-    Evaluates the degree-m Taylor polynomial of A / 2**s in
+    Evaluates the degree-m Taylor polynomial of scale * A / 2**s in
     Paterson-Stockmeyer form, then squares s times.  (m, s) minimizes the
     matrix products among the degrees whose bound theta[m] covers the
     largest 1-norm in the stack divided by 2**s (:func:`_taylor_choice`,
-    on Python scalars, from plans laid out once).
+    a lookup in breakpoints laid out once).  That 1-norm is also the
+    finiteness check: it is NaN or inf for a stack with a non-finite entry.
+    The scale goes in with the power of two, in one product.
     """
     # einsum sums the columns in the order sum(axis=-2) does, and faster
-    plan, squarings = _taylor_choice(float(np.einsum("...ij->...j", np.abs(a)).max()))
+    norm = abs(scale) * float(np.einsum("...ij->...j", np.abs(a)).max())
+    if not norm < math.inf:
+        raise NumericalError("expm: generator has non-finite entries or 1-norm")
+    plan, squarings = _taylor_choice(norm)
     p, weights, diagonal = plan.powers, plan.weights, plan.diagonal
     r = len(diagonal)
 
-    # powers[j] = (A / 2**s)^(j+1) for j < p
-    powers = np.empty((p,) + a.shape, dtype=a.dtype)
-    np.multiply(a, 2.0**-squarings, out=powers[0])
+    # powers[j] = (scale * A / 2**s)^(j+1) for j < p
+    dtype = np.result_type(a, scale)
+    powers = np.empty((p,) + a.shape, dtype=dtype)
+    np.multiply(a, scale * 2.0**-squarings, out=powers[0])
     for j in range(1, p):
         np.matmul(powers[j - 1], powers[0], out=powers[j])
     # real weights: contract the real and imaginary parts as one real array
     flat = powers.reshape(p, -1).view(float)
-    blocks = (weights @ flat).view(a.dtype).reshape((r,) + a.shape)
+    blocks = (weights @ flat).view(dtype).reshape((r,) + a.shape)
     n = a.shape[-1]
     blocks.reshape(r, -1, n * n)[..., :: n + 1] += diagonal[:, None, None]
 
@@ -274,6 +316,47 @@ def _expm_taylor(a):
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+
+def expm_skew(a, scale=1.0):
+    """exp(scale * A) for real antisymmetric A, the coherent step maps of a
+    real frame; batched over leading axes.
+
+    For 3 x 3 maps (d = 2) the exponential is a rotation by theta, with
+    ``theta**2 = |A|_F**2 / 2``, and Rodrigues' formula gives it in closed
+    form, ``I + sinc(theta) A + sinc(theta / 2)**2 A**2 / 2`` with
+    ``sinc(x) = sin(x) / x``.  Both coefficients come from the half angle h:
+    ``sinc(theta) = sinc(h) cos(h)``.  A floor of 1e-300 on h keeps sin(h) / h
+    exactly 1 at theta = 0 without a branch; at any h below 1e-8 it is 1 in
+    floating point anyway.  A lone map takes its coefficients on Python
+    floats, a stack on arrays.  Other sizes go to :func:`expm`.  Raises
+    :class:`NumericalError` for a non-finite generator.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] != 3:
+        return expm(a, scale)
+    a = scale * a
+    if a.ndim == 2:
+        sq_norm = float(np.vdot(a, a))
+        finite = sq_norm < math.inf
+        sqrt, sin, cos, floor = math.sqrt, math.sin, math.cos, max
+    else:
+        sq_norm = np.einsum("...ij,...ij->...", a, a)[..., None, None]
+        finite = (sq_norm < math.inf).all()
+        sqrt, sin, cos, floor = np.sqrt, np.sin, np.cos, np.maximum
+    if not finite:
+        raise NumericalError("expm_skew: generator has non-finite entries or norm")
+    h = floor(sqrt(0.125 * sq_norm), 1e-300)
+    sinc_h = sin(h) / h
+    out = a @ a
+    out *= 0.5 * sinc_h * sinc_h
+    out += (sinc_h * cos(h)) * a
+    out += _EYE3
+    return out
 
 
 def expm_hermitian(h, scale=1.0):

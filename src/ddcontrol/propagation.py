@@ -33,7 +33,13 @@ Riemann sum vanishes and the local term makes ``K_k`` the Markovian
 double-commutator generator.  All tables live in a
 :class:`PropagatorCache` that can be partially rebuilt after a pulse
 changes, which is what the sequential optimizer relies on, so the
-optimizer and :func:`ddme_propagate` follow the same map.
+optimizer and :func:`ddme_propagate` follow the same map.  A pulse change
+at step k rotates the frame of every node from k on, which moves only the
+Riemann-sum terms from the nodes before k; the cache keeps their sums
+``s_<k`` as a running table, advanced by one node per step of the
+optimizer's ascending sweep, and both ``eta`` and the optimizer's gradient
+read it, so an update costs O(N n) flops for the memory sums in place of
+O(N^2 n).
 :func:`white_noise_propagate` builds the Markovian generator on its own and
 is kept as an independent reference for that kind.
 
@@ -71,6 +77,7 @@ from .linalg import (
     NumericalError,
     expm,
     expm_hermitian,  # unused; kept while bench/tracing.py wraps propagation.expm_hermitian
+    expm_skew,
     from_coherence,
     horner_choice,
     purity,
@@ -237,19 +244,31 @@ class PropagatorCache:
     every later node propagator, ``O'_j = O_j R`` for j >= k, and so every
     later ``eta``: the update forms ``O(u) = exp(dt F(h_k))`` from the new
     ``f_steps`` row, solves ``O_k R = O(u) O_{k-1}``, applies ``R`` to
-    ``o[k:]`` and ``kappa[:, k:]`` (``kappa' = kappa R`` as rows), and
-    rebuilds ``eta`` and ``v_steps`` from node k on.  The constructor
-    chains the exponentials of all of ``f_steps`` to build ``o``; no
-    complex propagator is formed.
+    ``o[k:]`` and ``kappa[:, k:]`` (``kappa' = kappa R`` as rows), moves
+    ``eta`` from node k on by the change of its terms from the nodes before
+    k, and rebuilds ``v_steps`` from step k on.  The constructor chains the
+    coherent step maps of all of ``f_steps`` to build ``o``; no complex
+    propagator is formed.
+
+    The terms from the nodes before k are the running memory table
+    ``s_<k`` (:meth:`past_sums`), ``s_<k[p, j] = sum_{n, l<k} W[p, n, j, l]
+    kappa[n, l]`` with ``W = weights``.  During the optimizer's ascending
+    sweep the kappa of the nodes before k no longer move, so the table grows
+    by the one node k - 1 per step: ``eta``'s update and the gradient's
+    memory term read it in place of a Riemann sum over all earlier nodes.
+    Any other order of updates starts it again from node 0.
 
     An update is a fixed number of small numpy calls on tables built with
     the cache, whatever the kernel: the new row of ``f_steps`` is
     ``F(h_0) + sum_m f_mk F(h_m)``, one product of the pulse values with the
-    stacked maps ``F(h_m)``; ``O(u)`` is the exponential of that row, with
-    no d x d eigendecomposition; the incoherent generators
-    ``sum_m F(h_m) F(e_m)`` of the whole suffix are one product of the
-    ``eta`` rows with a stacked ``(M n, n^2)`` table; and the finiteness of
-    the generators is checked once, by :func:`~ddcontrol.linalg.expm`.
+    stacked maps ``F(h_m)``; ``O(u)`` is :func:`~ddcontrol.linalg.expm_skew`
+    of that row, a closed-form rotation for d = 2 and an exponential with no
+    d x d eigendecomposition otherwise; the memory terms of ``eta`` move by
+    ``dt O_j (R - 1) s_<k`` per node, O(N n) flops; the incoherent
+    generators ``sum_m F(h_m) F(e_m)`` of the whole suffix are one product
+    of the ``eta`` rows with a stacked ``(M n, n^2)`` table; and the
+    finiteness of the generators is checked once, by
+    :func:`~ddcontrol.linalg.expm`.
     """
 
     def __init__(self, h_family, grid: TimeGrid, pulses, kernel: CorrelationKernel):
@@ -293,10 +312,12 @@ class PropagatorCache:
         self.eta = np.zeros((m, n + 1, nc))
         self.v_steps = np.empty((n, nc, nc))
         if self.has_memory:
-            self.o = _node_sweep(expm(self.f_steps, scale=grid.dt), np.eye(nc))
+            self.o = _node_sweep(expm_skew(self.f_steps, scale=grid.dt), np.eye(nc))
             self.kappa = np.ascontiguousarray((h_controls @ self.o).swapaxes(0, 1))
+            self._past = np.zeros((m, n + 1, nc))
+            self._past_end = 0
         else:
-            self.o = self.kappa = None
+            self.o = self.kappa = self._past = None
             # eta is pulse independent, and so is the incoherent generator
             self._static_incoherent = self._incoherent(self._local_eta[:, None])
         build_eta_table(self)
@@ -326,11 +347,11 @@ class PropagatorCache:
         stale, once ``f_steps`` holds the new step map.
 
         With memory that is the coherent step map ``exp(dt F(h_k))`` of the
-        new ``f_steps`` row, a real exponential with no d x d
-        eigendecomposition, a rotation of the later ``o`` and ``kappa``
-        entries, and every ``eta`` and ``v_steps`` entry from start_step
-        on; without memory it is the one step map of step start_step.
-        Returns the last rebuilt step.
+        new ``f_steps`` row, a rotation of the later ``o`` and ``kappa``
+        entries, the increment of every ``eta`` entry from start_step on
+        from the running memory table, and every ``v_steps`` entry from
+        start_step on; without memory it is the one step map of step
+        start_step.  Returns the last rebuilt step.
         """
         k0 = start_step
         if not 1 <= k0 <= self.n_steps:
@@ -343,13 +364,39 @@ class PropagatorCache:
         # O_k0 R = O(u) O_{k0-1} keeps the frame at roundoff;
         # R = O_k0^T O(u) O_{k0-1} would feed O's own deviation from
         # orthogonality back in, doubling it with every update.
-        o_u = expm(self.f_steps[k0 - 1], scale=self.grid.dt)
+        o_u = expm_skew(self.f_steps[k0 - 1], scale=self.grid.dt)
         rot = np.linalg.solve(self.o[k0], o_u @ self.o[k0 - 1])
         self.o[k0:] = self.o[k0:] @ rot
         self.kappa[:, k0:] = self.kappa[:, k0:] @ rot
-        build_eta_table(self, start_node=k0)
+        build_eta_table(self, start_node=k0, rotation=rot)
         self._build_v_steps(k0, self.n_steps)
         return self.n_steps
+
+    def past_sums(self, k):
+        """The running memory table ``s_<k``, (M, N+1, n): row j of control p
+        is ``sum_{n, l<k} W[p, n, j, l] kappa[n, l]``, the part of node j's
+        Riemann sum from the nodes before k (1 <= k <= N).
+
+        The table is kept from call to call, and a call adds the terms of
+        the nodes since the last one: in the optimizer's ascending order
+        that is one node and one product per step.  An update at step k
+        rotates only the kappa of the nodes >= k, so the terms kept stay
+        current while the updates come in ascending order; a k below the
+        last one starts the table again from node 0, and :meth:`refresh`
+        reads the table at its own step before it uses it.  Only with
+        memory.
+        """
+        if k < self._past_end:
+            self._past[...] = 0.0
+            self._past_end = 0
+        first = self._past_end
+        if k > first:
+            # the weights of nodes l >= first vanish at nodes j <= first
+            m, n1, nc = self._past.shape
+            w = self.weights[:, first + 1 :, :, first:k].reshape(m, n1 - first - 1, -1)
+            self._past[:, first + 1 :] += w @ self.kappa[:, first:k].reshape(-1, nc)
+            self._past_end = k
+        return self._past
 
     def _build_v_steps(self, first, last):
         """Step maps of steps first..last (1-based, inclusive); :func:`expm`
@@ -368,18 +415,34 @@ class PropagatorCache:
         return (eta.transpose(1, 0, 2).reshape(k, m * n) @ self._memory_rows).reshape(k, n, n)
 
 
-def build_eta_table(cache: PropagatorCache, start_node=0):
+def build_eta_table(cache: PropagatorCache, start_node=0, rotation=None):
     """Coefficients of the summed memory integrals for nodes >= start_node.
 
     e_p[node j] = sum_n w[p, n] h_n
                   + dt * O_j sum_{n, l<j} C[p, n](t_j, mid_l) kappa[n, l],
 
-    with ``w`` the kernel's local weights.  The Riemann sum is skipped when
-    the kernel has no weights in the past of any node.  Otherwise the
-    kernel weights contract with the interaction-picture controls in one
-    product per control, and the single rotation by O_j happens after.
+    with ``w`` the kernel's local weights.  Without ``rotation`` the table
+    is built: the Riemann sum is skipped when the kernel has no weights in
+    the past of any node; otherwise the kernel weights contract with the
+    interaction-picture controls in one product per control, and the
+    single rotation by O_j happens after.
+
+    With ``rotation`` the table is updated in place.  R is the rotation by
+    which :meth:`PropagatorCache.refresh` has just turned the frame from
+    node k = start_node on, ``O'_j = O_j R`` and ``kappa'[n, l] = R^T
+    kappa[n, l]``.  The terms from the nodes l >= k keep their values,
+    since ``O'_j R^T = O_j``.  Only those from l < k move, and their sum is
+    the running table ``s_<k`` (:meth:`PropagatorCache.past_sums`): every
+    ``e_p[node j]``, j >= k, moves by ``dt (O'_j - O_j) s_<k[p, j] = dt O'_j
+    (1 - R^T) s_<k[p, j]``.  That is one product with R and one with the
+    frame, O(N n) flops in place of the Riemann sum's O(N^2 n).
     """
     j0 = max(start_node, 1)
+    if rotation is not None:
+        past = cache.past_sums(j0)[:, j0:]
+        past = past - past @ rotation
+        cache.eta[:, j0:] += cache.grid.dt * (cache.o[j0:] @ past[..., None])[..., 0]
+        return
     cache.eta[:, j0:] = cache._local_eta[:, None]
     if not cache.has_memory:
         return
@@ -434,6 +497,24 @@ def white_noise_propagate(problem, pulses, alpha):
     gen = f_drift + np.einsum("mk,mab->kab", pulses, f_controls) + dissipator
     r = _node_sweep(expm(gen, scale=grid.dt), to_coherence(problem.rho0))
     return _trajectory(problem, from_coherence(r, trace=1.0))
+
+
+# Alignment of the ensemble's Horner stacks.  malloc aligns to 16 bytes, so
+# a plain np.empty starts at 0, 16, 32 or 48 mod 64, by the heap's history.
+# The Horner loop of a stock ensemble (d = 2, 4000 sets, one BLAS thread,
+# a 2-core Xeon) took 25 ms on stacks at 0 mod 64 and 38 to 41 ms at 16 or
+# 32, so its speed changed from one process to the next by 1.6x.  The
+# alignment of the pulse-value copies and of the kets made no difference.
+_STACK_ALIGN = 64
+
+
+def _aligned_empty(shape):
+    """Uninitialized C-contiguous float array whose first element starts
+    at a multiple of ``_STACK_ALIGN`` bytes."""
+    size = math.prod(shape)
+    raw = np.empty(size + _STACK_ALIGN // 8)
+    start = (-raw.ctypes.data % _STACK_ALIGN) // 8
+    return raw[start : start + size].reshape(shape)
 
 
 def unitary_average(problem, pulse_sets):
@@ -506,8 +587,9 @@ def unitary_average(problem, pulse_sets):
     # destination of a Horner term: each term scales the source's y by the
     # pulse values and writes the next y into the other stack with one gemm.
     # The pulse values are laid out once per step like the scaled copies,
-    # since a product with a broadcast operand is slower.
-    stacks = np.empty((2, n_controls + 2) + kets.shape[1:])
+    # since a product with a broadcast operand is slower.  The stacks start
+    # on a cache line, since the gemm runs at its speed only there.
+    stacks = _aligned_empty((2, n_controls + 2) + kets.shape[1:])
     src, dst = ((stack[0], stack[1:-1], stack.reshape(-1, r * count)) for stack in stacks)
     scale = np.empty_like(src[1])
     src[0][...] = kets[0]

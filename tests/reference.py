@@ -4,6 +4,7 @@ None of these are used by the package itself: each one is a direct,
 unoptimized form of something the package computes another way.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -14,6 +15,7 @@ from ddcontrol.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     TRACE_TOL,
+    _TAYLOR_PLANS,
     _float_or_array,
     as_operator,
     dag,
@@ -25,6 +27,23 @@ from ddcontrol.linalg import (
 )
 from ddcontrol.model import as_pulses
 from ddcontrol.propagation import Trajectory, build_cache
+
+
+def taylor_choice_loop(norm):
+    """The plan and squarings of the batched Taylor exponential, by the rule
+    run over the plans on every call: the fewest matrix products plus
+    squarings ``s = max(ceil(log2(norm / theta[m])), 0)``, the first degree
+    on a tie.  The degrees cost 0, 1, 2, .. products and need ever fewer
+    squarings, so no degree after the first that needs none can be cheaper."""
+    norm = max(norm, 1e-300)
+    cost = None
+    for plan in _TAYLOR_PLANS:
+        s = max(math.ceil(math.log2(norm / plan.theta)), 0)
+        if cost is None or plan.products + s < cost:
+            cost, best, squarings = plan.products + s, plan, s
+        if s == 0:
+            break
+    return best, squarings
 
 
 def commutator(a, b):

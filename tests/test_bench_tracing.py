@@ -53,9 +53,11 @@ def test_tracer_counts_the_krotov_layers(monkeypatch):
         "linalg.expm",
     ):
         assert calls[name] > 0, name
-    # every refresh with memory exponentiates the new coherent step map and
-    # the suffix generators, both through the module-level expm
-    assert calls["linalg.expm"] >= 2 * calls["propagation.refresh"]
+    # a qubit's coherent step maps are rotations in closed form, so the
+    # module-level expm runs once on the built cache's step generators and
+    # once per refresh on the suffix's
+    assert calls["propagation.build_cache"] == 1
+    assert calls["linalg.expm"] == 1 + calls["propagation.refresh"]
 
 
 def test_tracer_counts_the_propagation_layers(monkeypatch):

@@ -211,6 +211,12 @@ def test_non_finite_or_fractional_config_value_is_config_error(tmp_path, section
         ({"krotov": {"lambda": "1.25"}}, "krotov.lambda"),
         ({"krotov": {"lambda": [None]}}, "krotov.lambda[0]"),
         ({"krotov": {"se_lambda": True}}, "krotov.se_lambda"),
+        ({"system": {"drift": [1, 2], "controls": [{"x": 1.0}]}}, "system.drift[0]"),
+        ({"task": ["z-gate"]}, "task"),
+        ({"guess": {"kind": ["gaussian"]}}, "guess.kind"),
+        ({"outputs": 5}, "outputs"),
+        ({"guess": {"kind": "tabulated", "path": True}}, "guess.path"),
+        ({"guess": {"kind": "gaussian", "path": 3}}, "guess.path"),
     ],
 )
 def test_null_or_mistyped_config_value_is_config_error(tmp_path, capsys, overrides, name):

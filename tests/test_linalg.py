@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,10 +14,13 @@ from reference import (
     commutator_super,
     double_commutator_super,
     fidelity_pure_target,
+    taylor_choice_loop,
     unvec,
     vec,
 )
 from ddcontrol.linalg import (
+    _PLAN_BREAKS,
+    _PLAN_TOP,
     _TAYLOR_DEGREES,
     _TAYLOR_THETA,
     NumericalError,
@@ -27,6 +33,7 @@ from ddcontrol.linalg import (
     dag,
     expm,
     expm_hermitian,
+    expm_skew,
     from_coherence,
     gell_mann,
     ket,
@@ -239,6 +246,79 @@ def test_expm_at_degree_boundaries(rng, index, side):
         assert got.dtype == want.dtype
         err = np.max(np.abs(got - want), axis=(-2, -1)) / np.max(np.abs(want), axis=(-2, -1))
         assert np.max(err) <= 1e-13
+
+
+def _choice(result):
+    plan, squarings = result
+    return plan.degree, squarings
+
+
+def test_plan_lookup_equals_the_loop():
+    # at every breakpoint and both its neighbouring floats, where the rounded
+    # log2 of the loop decides, and on a dense log grid over the table and
+    # below it
+    assert _PLAN_BREAKS == sorted(set(_PLAN_BREAKS))
+    norms = [0.0, 5e-324, 1e-300, 2.0**_PLAN_TOP]
+    for b in _PLAN_BREAKS:
+        norms += [math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)]
+    norms += np.geomspace(1e-20, 2.0**_PLAN_TOP, 20001).tolist()
+    for norm in norms:
+        assert _choice(_taylor_choice(norm)) == _choice(taylor_choice_loop(norm)), norm
+    # the loop's squarings step one float above theta[m] 2**t for small t
+    # but more floats above it for larger t, so not every breakpoint is a
+    # theta[m] 2**t
+    exact = {float(theta) * 2.0**t for theta in _TAYLOR_THETA for t in range(200)}
+    assert not set(_PLAN_BREAKS) <= exact
+
+
+def test_plan_lookup_continues_the_rule_above_the_table():
+    # every plan squares there, so the rule continues by exact halving;
+    # away from the breakpoints it is the loop's choice
+    for norm in np.geomspace(2.0**_PLAN_TOP, 1e290, 2001)[1:].tolist():
+        assert _choice(_taylor_choice(norm)) == _choice(taylor_choice_loop(norm)), norm
+        plan, squarings = _taylor_choice(norm)
+        assert _choice(_taylor_choice(2.0 * norm)) == (plan.degree, squarings + 1)
+
+
+def _rotation_generator(theta, axis):
+    """The antisymmetric 3x3 generator of the rotation by theta about axis."""
+    x, y, z = theta * np.asarray(axis) / np.linalg.norm(axis)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def test_closed_form_rotation_matches_exponentials():
+    # Rodrigues' formula against scipy and a 50-digit exponential of the
+    # same float matrix, for a lone map and a stack, from the identity
+    # through the small-angle and half-turn regimes to several turns
+    thetas = [0.0, 1e-9, 1.0, np.pi - 1e-6, 10.0]
+    gens = np.stack([_rotation_generator(t, (0.3, -1.2, 0.7)) for t in thetas])
+    stacked = expm_skew(gens)
+    mpmath.mp.dps = 50
+    try:
+        for theta, a, from_stack in zip(thetas, gens, stacked):
+            want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+            lone = expm_skew(a)
+            for got in (lone, from_stack):
+                assert got.dtype == np.float64
+                assert np.max(np.abs(got - want)) <= 2e-15, theta
+                assert np.max(np.abs(got - scipy.linalg.expm(a))) <= 1e-13, theta
+                assert np.max(np.abs(got.T @ got - np.eye(3))) <= 2e-15, theta
+    finally:
+        mpmath.mp.dps = 15
+    assert np.array_equal(expm_skew(np.zeros((3, 3))), np.eye(3))
+    # the scale multiplies the generator; other sizes go to expm
+    assert np.max(np.abs(expm_skew(gens[2], scale=0.5) - expm_skew(0.5 * gens[2]))) <= 1e-16
+    f = structure_map(np.random.default_rng(3).standard_normal(8))
+    assert np.array_equal(expm_skew(f, scale=0.2), expm(f, scale=0.2))
+
+
+def test_closed_form_rotation_rejects_non_finite():
+    for shape in ((3, 3), (5, 3, 3)):
+        for entry in (np.nan, np.inf):
+            a = np.zeros(shape)
+            a[..., 0, 1] = entry
+            with pytest.raises(NumericalError):
+                expm_skew(a)
 
 
 def test_expm_of_zero_stack_is_identity():

@@ -44,6 +44,7 @@ from ddcontrol.krotov import ControlProblem
 from ddcontrol.propagation import (
     PropagatorCache,
     Trajectory,
+    _aligned_empty,
     _node_sweep,
     build_cache,
     build_eta_table,
@@ -210,6 +211,28 @@ def test_incremental_update_equals_full_rebuild(kind):
     for k in range(1, n + 1):
         cache.update_step(k, rng.standard_normal(m) * 0.5)
     _assert_matches_rebuild(cache, fam, grid, kern)
+
+
+@pytest.mark.parametrize("kind", ["stationary-gaussian", "tabulated"])
+def test_refresh_out_of_order_after_partial_sweep(kind):
+    # ascending updates over part of the grid advance the running memory
+    # table; an update below the last step starts it again from node 0, and
+    # every table the cache keeps still equals a fresh build
+    rng = np.random.default_rng(5)
+    n = 30
+    grid = TimeGrid(T=3.0, n_steps=n)
+    fam, kern = _cache_inputs(kind, grid)
+    m = fam.n_controls
+    cache = build_cache(fam, grid, rng.standard_normal((m, n)) * 0.5, kern)
+    for k in range(1, 18):
+        cache.update_step(k, rng.standard_normal(m) * 0.5)
+    for k in (9, 3, 25, 26, 12, 12, n, 1):
+        cache.update_step(k, rng.standard_normal(m) * 0.5)
+        _assert_matches_rebuild(cache, fam, grid, kern)
+        # the table holds the terms of the nodes before k, from the current
+        # interaction-picture controls
+        want = np.einsum("pjnl,nlc->pjc", cache.weights[..., :k], cache.kappa[:, :k])
+        assert np.max(np.abs(cache.past_sums(k) - want)) <= 1e-14
 
 
 def test_memoryless_kernels_build_no_weight_table(rng):
@@ -626,6 +649,16 @@ def test_ket_taylor_refuses_non_finite_pulses():
     sets[1, 0, 2] = np.nan
     with pytest.raises(NumericalError):
         unitary_average(prob, sets)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 4000), (1,), (2, 1, 7, 3)])
+def test_horner_stacks_start_on_a_cache_line(shape):
+    # the ensemble's Horner loop runs 1.6x slower on stacks off a 64-byte line
+    arrays = [_aligned_empty(shape) for _ in range(8)]  # held: eight addresses
+    for a in arrays:
+        assert a.shape == shape and a.dtype == float and a.flags.c_contiguous
+        assert a.ctypes.data % 64 == 0
+        a[...] = 1.0
 
 
 def test_ket_taylor_keeps_unit_norm_over_400_steps(rng):

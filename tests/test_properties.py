@@ -117,6 +117,25 @@ def test_ascending_updates_equal_fresh_build(d, m, kind, n, seed):
 @cases
 @examples
 @grids
+def test_running_memory_table_equals_direct_sum(d, m, kind, n, seed):
+    # the running table s_<k against the weights contracted with the current
+    # interaction-picture controls, read in the optimizer's ascending order
+    # with an update at every step, then at a random order of steps
+    grid, fam, kernel, pulses, rng = _problem(d, m, kind, n, seed)
+    cache = build_cache(fam, grid, pulses, kernel)
+    if not cache.has_memory:
+        assert cache.weights is None or not np.any(cache.weights)
+        return
+    order = list(range(1, n + 1)) + rng.integers(1, n + 1, size=n).tolist()
+    for k in order:
+        want = np.einsum("pjnl,nlc->pjc", cache.weights[..., :k], cache.kappa[:, :k])
+        assert np.max(np.abs(cache.past_sums(k) - want)) <= 1e-13
+        cache.update_step(k, rng.standard_normal(m))
+
+
+@cases
+@examples
+@grids
 def test_gradient_matches_frame_independent_reference(d, m, kind, n, seed):
     # the real-frame gradient against the nested-commutator formula on
     # explicitly evolved controls, at every step and control; the bound is
