@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -245,49 +244,21 @@ def horner_choice(bound):
     return int(_TAYLOR_DEGREES[best]), int(substeps[best])
 
 
-# Smallest stack that :func:`expm` exponentiates in one batch.  Below it
-# scipy's per-matrix Pade method is about as fast or faster.  On the real
-# step generators the propagator cache feeds (2 cores, one BLAS thread),
-# stacks of 1 to 4 took 16 / 27 / 38 / 49 us in scipy against 34 / 35 / 35 /
-# 35 us batched at 3x3 (d = 2), and 44 / 54 / 77 / 89 us against
-# 47 / 52 / 58 / 39 us at 15x15 (d = 4): the batch breaks even at about 3
-# matrices on 3x3 maps and 2 on 15x15 ones.  A lone matrix goes to scipy
-# either way.  In the optimizer that is the step generator of a memoryless
-# update, and with memory the coherent step map of an update for d > 2: a
-# qubit's coherent step map is a rotation, which :func:`expm_skew` forms in
-# closed form without scipy.
-_TAYLOR_MIN_STACK = 4
-
-
 def expm(a, scale=1.0):
-    """Matrix exponential exp(scale * A) by scaling and squaring.
+    """Matrix exponential exp(scale * A) of a (..., n, n) stack, all matrices
+    at once, by scaling and squaring.
 
     Keeps the dtype of ``scale * A``: real generators give real maps.
-    Batched over leading axes.  Stacks of fewer than ``_TAYLOR_MIN_STACK``
-    matrices, a lone matrix among them, go to scipy's Pade method one
-    matrix at a time.  Larger stacks are exponentiated all at once by
-    :func:`_expm_taylor`.  Raises :class:`NumericalError` for a generator
-    with non-finite entries.
-    """
-    a = np.asarray(a)
-    if a.size >= _TAYLOR_MIN_STACK * a.shape[-1] ** 2:
-        return _expm_taylor(a, scale)
-    if not np.isfinite(a).all():
-        raise NumericalError("expm: generator has non-finite entries")
-    return sla.expm(scale * a)
-
-
-def _expm_taylor(a, scale):
-    """exp(scale * A) for a (..., n, n) stack, all matrices at once.
-
     Evaluates the degree-m Taylor polynomial of scale * A / 2**s in
     Paterson-Stockmeyer form, then squares s times.  (m, s) minimizes the
     matrix products among the degrees whose bound theta[m] covers the
     largest 1-norm in the stack divided by 2**s (:func:`_taylor_choice`,
     a lookup in breakpoints laid out once).  That 1-norm is also the
-    finiteness check: it is NaN or inf for a stack with a non-finite entry.
-    The scale goes in with the power of two, in one product.
+    finiteness check: a generator with non-finite entries has a NaN or inf
+    norm and raises :class:`NumericalError`.  The scale goes in with the
+    power of two, in one product.
     """
+    a = np.asarray(a)
     # einsum sums the columns in the order sum(axis=-2) does, and faster
     norm = abs(scale) * float(np.einsum("...ij->...j", np.abs(a)).max())
     if not norm < math.inf:

@@ -195,9 +195,9 @@ def test_criterion_7a_expm_oracle(rng):
         worst = 0.0
         for d in (2, 3, 4):
             h = random_hermitian(rng, d)
-            pade = expm(h, scale=-1j * 0.61)
+            taylor = expm(h, scale=-1j * 0.61)
             eig = expm_hermitian(h, scale=-1j * 0.61)
-            worst = max(worst, float(np.max(np.abs(pade - eig))))
+            worst = max(worst, float(np.max(np.abs(taylor - eig))))
     report("7a", worst <= 1e-10, f"expm vs eigendecomposition, max deviation {worst:.2e}")
 
 

@@ -140,8 +140,7 @@ def test_coherence_vectors_and_structure_map(rng, d):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_coherent_step_map_is_adjoint_of_step_unitary(rng, d):
     # the real frame's step map exp(dt F(h)) is O(exp(-i dt H)), for lone
-    # matrices (scipy's Pade) and for a stack (the batched Taylor path),
-    # with dt |F(h)|_1 from 1e-3 to 20
+    # matrices and for a stack, with dt |F(h)|_1 from 1e-3 to 20
     n = d * d - 1
     hs = np.stack([random_hermitian(rng, d) for _ in range(4 * 12)])
     fs = structure_map(to_coherence(hs))
@@ -169,9 +168,9 @@ def test_expm_pauli_rotation_identity():
 def test_expm_matches_eigendecomposition_oracle(rng):
     for d in (2, 3, 5):
         h = random_hermitian(rng, d)
-        pade = expm(h, scale=-1j * 0.37)
+        taylor = expm(h, scale=-1j * 0.37)
         eig = expm_hermitian(h, scale=-1j * 0.37)
-        assert np.max(np.abs(pade - eig)) <= 1e-10 * np.max(np.abs(eig))
+        assert np.max(np.abs(taylor - eig)) <= 1e-10 * np.max(np.abs(eig))
 
 
 @pytest.mark.parametrize("count", [1, 2, 4, 100])
@@ -289,10 +288,14 @@ def _rotation_generator(theta, axis):
 def test_closed_form_rotation_matches_exponentials():
     # Rodrigues' formula against scipy and a 50-digit exponential of the
     # same float matrix, for a lone map and a stack, from the identity
-    # through the small-angle and half-turn regimes to several turns
+    # through the small-angle and half-turn regimes to several turns; and
+    # expm on lone real 3x3 generators of 1-norm 20, where scipy's Pade
+    # exponential is off by up to 1e-12
     thetas = [0.0, 1e-9, 1.0, np.pi - 1e-6, 10.0]
     gens = np.stack([_rotation_generator(t, (0.3, -1.2, 0.7)) for t in thetas])
     stacked = expm_skew(gens)
+    lone_gens = np.random.default_rng(11).standard_normal((20, 3, 3))
+    lone_gens *= 20.0 / np.sum(np.abs(lone_gens), axis=-2).max(axis=-1)[:, None, None]
     mpmath.mp.dps = 50
     try:
         for theta, a, from_stack in zip(thetas, gens, stacked):
@@ -303,6 +306,11 @@ def test_closed_form_rotation_matches_exponentials():
                 assert np.max(np.abs(got - want)) <= 2e-15, theta
                 assert np.max(np.abs(got - scipy.linalg.expm(a))) <= 1e-13, theta
                 assert np.max(np.abs(got.T @ got - np.eye(3))) <= 2e-15, theta
+        for a in lone_gens:
+            want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+            got = expm(a)
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     finally:
         mpmath.mp.dps = 15
     assert np.array_equal(expm_skew(np.zeros((3, 3))), np.eye(3))
