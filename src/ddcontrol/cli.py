@@ -46,6 +46,11 @@ EXIT_NUMERICAL = 4
 
 SWEEP_TCORR_FACTORS = (0.05, 0.2, 0.6, 1.0, 1.4)
 
+# The largest grid.N_T a config may set, checked before any array is built.
+# A memory kernel's Riemann-sum weights take 8 M^2 (N_T + 1) N_T bytes for M
+# controls, 0.8 GB for one control at this limit.
+MAX_STEPS = 10_000
+
 DEFAULT_CONFIG = {
     "task": "z-gate",
     "system": {"drift": {"z": 1.0}, "controls": [{"x": 1.0}]},
@@ -218,9 +223,11 @@ def _parse_state(spec, name):
     raise ValueError(f"{name}: expected a ket label or an explicit ket vector")
 
 
-def _lambdas(value, name):
+def _lambdas(value, name, n_controls):
     """An inverse step size: one number, or a list with one per control."""
     if isinstance(value, list):
+        if len(value) != n_controls:
+            raise ValueError(f"{name} lists {len(value)} values for {n_controls} controls")
         return [_real(x, f"{name}[{i}]") for i, x in enumerate(value)]
     return _real(value, name)
 
@@ -248,7 +255,10 @@ class ResolvedExperiment:
             raise ValueError(f"task {task!r} requires {', '.join(missing)}")
 
         grid_cfg = raw["grid"]
-        self.grid = TimeGrid(T=_real(grid_cfg["T"], "grid.T"), n_steps=_integer(grid_cfg["N_T"], "grid.N_T"))
+        n_steps = _integer(grid_cfg["N_T"], "grid.N_T")
+        if n_steps > MAX_STEPS:
+            raise ValueError(f"grid.N_T must be at most {MAX_STEPS}, got {n_steps}")
+        self.grid = TimeGrid(T=_real(grid_cfg["T"], "grid.T"), n_steps=n_steps)
 
         controls = raw["system"]["controls"]
         if not isinstance(controls, list):
@@ -307,7 +317,7 @@ class ResolvedExperiment:
         def krotov_config(prefix):
             return KrotovConfig.with_blackman_ramps(
                 self.grid,
-                _lambdas(kro[f"{prefix}lambda"], f"krotov.{prefix}lambda"),
+                _lambdas(kro[f"{prefix}lambda"], f"krotov.{prefix}lambda", m),
                 _real(kro["t_on"], "krotov.t_on"),
                 _real(kro["t_off"], "krotov.t_off"),
                 j_tol=_real(kro[f"{prefix}J_tol"], f"krotov.{prefix}J_tol"),

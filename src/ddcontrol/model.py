@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NumericalError, check_hermitian
+from .linalg import NumericalError, check_hermitian, structure_map, to_coherence
 
 BLACKMAN_A = 0.16
 
@@ -71,12 +71,27 @@ def as_pulses(values, grid: TimeGrid, n_controls=None):
 
 @dataclass(frozen=True)
 class HamiltonianFamily:
-    """Drift Hamiltonian plus a list of control Hamiltonians (all Hermitian)."""
+    """Drift Hamiltonian plus a list of control Hamiltonians (all Hermitian).
+
+    The family also forms, once and read-only, the real tables that every
+    :class:`~ddcontrol.propagation.PropagatorCache` on it reads (n = d^2 - 1,
+    ``F`` is :func:`~ddcontrol.linalg.structure_map`):
+
+    * ``control_stack``: (M, d, d) stack of the controls;
+    * ``control_coefficients``: (M, n) coherence vectors ``h_m`` of the
+      controls;
+    * ``drift_map``: (n, n) map ``F(h_0)`` of the drift;
+    * ``control_maps``: (M, n, n) maps ``F(h_m)`` of the controls;
+    * ``unit_maps``: (n, n, n) maps ``F(e)`` of the unit vectors e.
+    """
 
     drift: np.ndarray
     controls: tuple
-    # (M, d, d) read-only stack of the controls, formed once
     control_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    control_coefficients: np.ndarray = field(init=False, repr=False, compare=False)
+    drift_map: np.ndarray = field(init=False, repr=False, compare=False)
+    control_maps: np.ndarray = field(init=False, repr=False, compare=False)
+    unit_maps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         drift = check_hermitian(self.drift, name="drift Hamiltonian")
@@ -84,6 +99,8 @@ class HamiltonianFamily:
             check_hermitian(h, name=f"control Hamiltonian {m}")
             for m, h in enumerate(self.controls)
         )
+        if drift.shape[0] < 2:
+            raise ValueError(f"need a Hilbert space of dimension at least 2, got {drift.shape[0]}")
         if not controls:
             raise ValueError("need at least one control Hamiltonian")
         for m, h in enumerate(controls):
@@ -92,10 +109,20 @@ class HamiltonianFamily:
                     f"control Hamiltonian {m} has shape {h.shape}, drift has {drift.shape}"
                 )
         stack = np.stack(controls)
-        stack.flags.writeable = False
+        coefficients = to_coherence(stack)
+        n = coefficients.shape[-1]
+        tables = {
+            "control_stack": stack,
+            "control_coefficients": coefficients,
+            "drift_map": structure_map(to_coherence(drift)),
+            "control_maps": structure_map(coefficients),
+            "unit_maps": structure_map(np.eye(n)),
+        }
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "control_stack", stack)
+        for name, table in tables.items():
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def dim(self):
@@ -194,44 +221,61 @@ class CorrelationKernel:
         return self.kind == "zero" or (self.kind != "tabulated" and self.c0 == 0.0)
 
     def weight_table(self, grid: TimeGrid):
-        """C evaluated on (node, midpoint) pairs: shape (M, M, n_steps+1, n_steps).
+        """Causal Riemann-sum weights on (node, midpoint) pairs, or ``None``.
 
-        This is the table consumed by the Riemann sums of the memory
-        integrals; the first time argument runs over nodes, the second over
-        midpoints.  Entries with the midpoint after the node are included.
-        A delta-correlated kernel has no finite value on the grid and
-        enters through :attr:`local_weights` instead, so its table is zero.
+        Returns the (M, M, n_steps+1, n_steps) table ``[m, n, j, l] =
+        C[m, n](t_j, mid_l)`` for the midpoints in node j's past, l < j, and
+        exactly 0 for l >= j: the weights of the memory integrals' Riemann
+        sums.  Returns ``None`` when no weight in the past of any node is
+        nonzero: for the zero kernel, for a delta-correlated kernel, which has
+        no finite value on the grid and enters through :attr:`local_weights`
+        instead, and for a Gaussian or tabulated kernel whose past weights
+        vanish or underflow.
 
         On the uniform grid a stationary kernel depends only on the lag
         ``t_j - mid_l = (j - l - 1/2) dt``, so the Gaussian kernel is
-        evaluated once on the 2 N lags and the table filled from a strided
-        view of them; entries agree with the kernel evaluated at the grid's
-        own nodes and midpoints to within ``1e-14 c0``.
+        evaluated once on the N past lags of a 2N-lag vector whose other
+        half is zero, and every row of the table is a forward-strided window
+        of that vector; past entries agree with the kernel evaluated at the
+        grid's own nodes and midpoints to within ``1e-14 c0``.  Its table is
+        an (M, M, N+1, N) view of an array laid out in the (M, N+1, M, N)
+        order that :class:`~ddcontrol.propagation.PropagatorCache` keeps, so
+        the cache's ``table.transpose(0, 2, 1, 3)`` is contiguous as it is.
+        A tabulated kernel masks a copy of its stored table.
 
         Every call returns a fresh array that the caller owns and may
-        modify; :class:`~ddcontrol.propagation.PropagatorCache` masks its
-        future entries in place.
+        modify.
         """
         m, n = self.n_controls, grid.n_steps
-        table = np.zeros((m, m, n + 1, n))
-        if self.kind in ("zero", "white-noise"):
-            return table
         if self.kind == "stationary-gaussian":
-            # lags[i] = (i - n + 1/2) dt runs over j - l - 1/2 = -(n - 1/2) .. n - 1/2,
-            # and row j of the table reads lags j + n - 1 - l for l = 0 .. n-1
-            lags = (np.arange(2 * n) - (n - 0.5)) * grid.dt
-            vals = gaussian_kernel(lags, 0.0, self.c0, self.t_corr)
-            diag = np.lib.stride_tricks.sliding_window_view(vals, n)[:, ::-1]
+            # lags[i] = (n - 1/2 - i) dt: the lags i < n are the past ones,
+            # j - l - 1/2 > 0, and row j of the table reads the lags
+            # n - j .. 2n - 1 - j for l = 0 .. n-1, a window of vals that
+            # starts one entry earlier for each later row
+            lags = ((n - 0.5) - np.arange(n)) * grid.dt
+            vals = np.zeros(2 * n)
+            vals[:n] = gaussian_kernel(lags, 0.0, self.c0, self.t_corr)
+            if not vals.any():
+                return None
+            size = vals.itemsize
+            rows = np.ndarray((n + 1, n), buffer=vals, offset=n * size, strides=(-size, size))
+            # one write of every entry: a zeroed allocation would be written twice
+            table = np.empty((m, n + 1, m, n))
             for i in range(m):
-                table[i, i] = diag
-            return table
-        table = np.array(self.node_mid_table, dtype=float)
+                table[i, :, :i] = 0.0
+                table[i, :, i] = rows
+                table[i, :, i + 1 :] = 0.0
+            return table.transpose(0, 2, 1, 3)
+        if self.kind != "tabulated":
+            return None
+        table = np.asarray(self.node_mid_table, dtype=float)
         if table.shape != (m, m, n + 1, n):
             raise ValueError(
                 f"tabulated node/midpoint table has shape {table.shape}, "
                 f"expected {(m, m, n + 1, n)}"
             )
-        return table
+        table = np.tril(table, -1)
+        return table if table.any() else None
 
     @property
     def local_weights(self):

@@ -59,8 +59,11 @@ real product, and each node's average is read from real Gram products of
 the kets.
 
 A one-shot propagation does little besides building the cache and the
-sweep: the cache masks the future entries of the fresh kernel table from
-:meth:`~ddcontrol.model.CorrelationKernel.weight_table` in place, and
+sweep: the cache takes the causal weights from
+:meth:`~ddcontrol.model.CorrelationKernel.weight_table` as they are, with
+no mask, copy or scan of its own, and ``None`` for "no memory"; it reads
+the maps of the Hamiltonians from tables its
+:class:`~ddcontrol.model.HamiltonianFamily` forms once; and
 :meth:`Trajectory.from_states` reads purity, fidelity and Bloch vector from
 the coherence vectors of the states, with no d x d products.
 
@@ -81,7 +84,6 @@ from .linalg import (
     from_coherence,
     horner_choice,
     purity,
-    structure_map,
     to_coherence,
 )
 from .model import CorrelationKernel, TimeGrid, as_pulses, sample_perturbations
@@ -212,18 +214,21 @@ class PropagatorCache:
     n = d^2 - 1):
 
     * ``has_memory``: whether the kernel has Riemann-sum weights in the
-      past of some node; without them ``eta`` does not depend on the
-      pulses (zero and white-noise kernels, and a Gaussian or tabulated
-      kernel whose table is zero);
+      past of some node, that is whether its
+      :meth:`~ddcontrol.model.CorrelationKernel.weight_table` is not
+      ``None``; without them ``eta`` does not depend on the pulses (zero
+      and white-noise kernels, and a Gaussian or tabulated kernel whose
+      past weights vanish);
     * ``weights``: (M, N+1, M, N) Riemann-sum weights,
       ``weights[p, j, n, l] = C[p, n](t_j, mid_l)`` for l < j and zero for
-      l >= j, the kernel's table with its future entries zeroed in place;
-      ``None`` for zero and white-noise kernels, which have no values on
-      the grid;
+      l >= j, the kernel's causal table with its axes reordered (for the
+      Gaussian kernel a view, since the kernel lays its table out in this
+      order); ``None`` without memory;
     * ``eta``: (M, N+1, n) coefficients ``e_p`` of the summed memory
       integrals ``E_p = sum_n eta_pn`` per node, the kernel's
       pulse-independent local term plus its Riemann sum; zero at node 0;
-    * ``f_controls``: (M, n, n) maps ``F(h_m)`` of the controls;
+    * ``f_controls``: (M, n, n) maps ``F(h_m)`` of the controls, the
+      family's read-only ``control_maps``, shared by every cache on it;
     * ``f_steps``: (N, n, n) maps ``F(h_k)`` of the step Hamiltonians;
     * ``v_steps``: (N, n, n) one-step maps exp(dt * K_k).
 
@@ -282,30 +287,21 @@ class PropagatorCache:
         self.kernel = kernel
         self.pulses = as_pulses(pulses, grid, h_family.n_controls).copy()
 
-        n, d, m = grid.n_steps, h_family.dim, h_family.n_controls
-        nc = d * d - 1
-        h_controls = to_coherence(h_family.control_stack)
-        self.f_controls = structure_map(h_controls)
-        # Tables built once.  Step k's coherent map is F(h_0) plus the pulse
-        # values times the rows of _f_rows, F(h_m) flattened.  Row (m, e) of
-        # _memory_rows is F(h_m) F(unit vector e) flattened, so
+        n, m = grid.n_steps, h_family.n_controls
+        h_controls = h_family.control_coefficients
+        nc = h_controls.shape[-1]
+        # Read-only tables of the family.  Step k's coherent map is F(h_0)
+        # plus the pulse values times the rows of _f_rows, F(h_m) flattened.
+        # Row (m, e) of _memory_rows is F(h_m) F(unit vector e) flattened, so
         # sum_m F(h_m) F(e_m) is one product with the coefficients e_m laid
         # out as one row.
-        self._f_drift = structure_map(to_coherence(h_family.drift))
+        self.f_controls = h_family.control_maps
+        self._f_drift = h_family.drift_map
         self._f_rows = self.f_controls.reshape(m, nc * nc)
-        unit_maps = structure_map(np.eye(nc))
-        self._memory_rows = (self.f_controls[:, None] @ unit_maps).reshape(m * nc, nc * nc)
-        if kernel.kind in ("zero", "white-noise"):
-            # no values on the grid, only a local term
-            self.weights = None
-            self.has_memory = False
-        else:
-            # zero out l >= j in the fresh table so the eta sums run over
-            # the past only; the (M, N+1, M, N) layout is a copy for M > 1
-            table = kernel.weight_table(grid)
-            table *= np.tri(n + 1, n, -1, dtype=bool)
-            self.weights = np.ascontiguousarray(table.transpose(0, 2, 1, 3))
-            self.has_memory = bool(np.any(self.weights))
+        self._memory_rows = (self.f_controls[:, None] @ h_family.unit_maps).reshape(m * nc, nc * nc)
+        table = kernel.weight_table(grid)
+        self.has_memory = table is not None
+        self.weights = None if table is None else np.ascontiguousarray(table.transpose(0, 2, 1, 3))
         self._local_eta = kernel.local_weights @ h_controls
 
         self.f_steps = self._f_drift + (self.pulses.T @ self._f_rows).reshape(n, nc, nc)
@@ -491,10 +487,9 @@ def white_noise_propagate(problem, pulses, alpha):
         raise ValueError(f"white-noise rate must be nonnegative, got {alpha}")
     grid = problem.grid
     pulses = as_pulses(pulses, grid, problem.h_family.n_controls)
-    f_drift = structure_map(to_coherence(problem.h_family.drift))
-    f_controls = structure_map(to_coherence(problem.h_family.control_stack))
+    f_controls = problem.h_family.control_maps
     dissipator = 0.5 * alpha * np.sum(f_controls @ f_controls, axis=0)
-    gen = f_drift + np.einsum("mk,mab->kab", pulses, f_controls) + dissipator
+    gen = problem.h_family.drift_map + np.einsum("mk,mab->kab", pulses, f_controls) + dissipator
     r = _node_sweep(expm(gen, scale=grid.dt), to_coherence(problem.rho0))
     return _trajectory(problem, from_coherence(r, trace=1.0))
 

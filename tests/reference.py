@@ -25,7 +25,7 @@ from ddcontrol.linalg import (
     purity,
     to_coherence,
 )
-from ddcontrol.model import as_pulses
+from ddcontrol.model import as_pulses, gaussian_kernel
 from ddcontrol.propagation import Trajectory, build_cache
 
 
@@ -256,6 +256,22 @@ def double_commutator_super(a, b):
     return commutator_super(a) @ commutator_super(b)
 
 
+def reference_weights(kernel, grid):
+    """(M, M, N+1, N) kernel values ``C[p, n](t_j, mid_l)`` on every (node,
+    midpoint) pair, from the kernel's parameters: the Gaussian evaluated
+    pair by pair on the diagonal blocks, a tabulated kernel's stored node
+    table, zeros for kernels without values on the grid.  The references
+    read only the entries with l < j."""
+    m, n = kernel.n_controls, grid.n_steps
+    if kernel.kind == "tabulated":
+        return np.asarray(kernel.node_mid_table, dtype=float)
+    table = np.zeros((m, m, n + 1, n))
+    if kernel.kind == "stationary-gaussian":
+        block = gaussian_kernel(grid.nodes[:, None], grid.midpoints[None, :], kernel.c0, kernel.t_corr)
+        table[np.arange(m), np.arange(m)] = block
+    return table
+
+
 def reference_generators(h_family, grid, pulses, kernel):
     """(N, d**2, d**2) step generators on column-stacked operators,
 
@@ -267,7 +283,7 @@ def reference_generators(h_family, grid, pulses, kernel):
     pulses = as_pulses(pulses, grid, h_family.n_controls)
     controls = h_family.control_stack
     g = node_propagators(h_family, grid, pulses)
-    weights = kernel.weight_table(grid)
+    weights = reference_weights(kernel, grid)
     local = kernel.local_weights
     gens = []
     for j in range(1, n + 1):
@@ -308,7 +324,7 @@ def gradient_reference_terms(cache, states, costates, m, k):
     g = node_propagators(cache.h_family, cache.grid, cache.pulses)
     b_kl = htilde_row(cache, k)[:, :k]  # (M, k, d, d)
     comms = hm @ b_kl - b_kl @ hm
-    w = cache.kernel.weight_table(cache.grid)[:, :, k:, :k]  # (M, M, n-k+1, k)
+    w = reference_weights(cache.kernel, cache.grid)[:, :, k:, :k]  # (M, M, n-k+1, k)
     deta = (-1j * dt * dt) * np.einsum("pnjl,nlab->pnjab", w, comms)
     u_rel = np.einsum("jab,cb->jac", g[k:], np.conj(g[k]))
     evolved = np.einsum("jab,pnjbc,jdc->pnjad", u_rel, deta, np.conj(u_rel))

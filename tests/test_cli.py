@@ -1,13 +1,17 @@
+import copy
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddcontrol import cli
 from ddcontrol.linalg import projector
-from ddcontrol.model import sample_perturbations
+from ddcontrol.model import TimeGrid, sample_perturbations
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -217,6 +221,9 @@ def test_non_finite_or_fractional_config_value_is_config_error(tmp_path, section
         ({"outputs": 5}, "outputs"),
         ({"guess": {"kind": "tabulated", "path": True}}, "guess.path"),
         ({"guess": {"kind": "gaussian", "path": 3}}, "guess.path"),
+        ({"krotov": {"lambda": [1.0, 2.0]}}, "krotov.lambda lists 2 values for 1 controls"),
+        ({"krotov": {"se_lambda": []}}, "krotov.se_lambda lists 0 values"),
+        ({"system": {"drift": [[1]], "controls": [[[1]]]}}, "dimension at least 2"),
     ],
 )
 def test_null_or_mistyped_config_value_is_config_error(tmp_path, capsys, overrides, name):
@@ -585,3 +592,97 @@ def test_out_of_range_ensemble_flags_leave_no_output(tmp_path, capsys):
         assert cli.main(argv + flags + [str(path)]) == 2, flags
         assert message in capsys.readouterr().err, flags
         assert not (tmp_path / "o").exists(), flags
+
+
+@pytest.mark.parametrize("n_steps", [1e12, cli.MAX_STEPS + 1])
+def test_grid_size_limit_is_config_error(tmp_path, capsys, n_steps):
+    # a grid beyond the stated limit is refused before any array is built:
+    # 1e12 steps would need 8 TB for the node times alone
+    cfg = write_config(tmp_path, grid={"T": 10.0, "N_T": n_steps})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="grid.N_T must be at most"):
+            cli.load_experiment(config_path=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert cli.main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o"), "p.csv"]) == 2
+    assert "grid.N_T" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# A stock config with every section on a short grid and a small ensemble,
+# and the dotted path of every section and field that a generated value
+# replaces (guess.path has no default)
+GENERATED_BASE = copy.deepcopy(cli.DEFAULT_CONFIG)
+GENERATED_BASE["grid"]["N_T"] = 8
+GENERATED_BASE["ensemble"]["count"] = 4
+CONFIG_PATHS = [(section,) for section in GENERATED_BASE] + [
+    (section, key)
+    for section, fields in GENERATED_BASE.items()
+    if isinstance(fields, dict)
+    for key in list(fields) + (["path"] if section == "guess" else [])
+]
+
+
+def json_values(numbers):
+    """JSON values: null, booleans, the given numbers, short strings, and
+    lists and objects of them nested a little."""
+    leaves = st.none() | st.booleans() | numbers | st.text(max_size=3)
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=5,
+    )
+
+
+def replaced_config(path, value):
+    raw = copy.deepcopy(GENERATED_BASE)
+    if len(path) == 1:
+        raw[path[0]] = value
+    else:
+        raw[path[0]][path[1]] = value
+    return raw
+
+
+# Magnitudes stay far from the float limit: at grid.T = 1e200 the Gaussian
+# guess overflows while the config loads, a RuntimeWarning that this suite
+# turns into an error, and the run ends in a numerical failure
+MODERATE_FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    path=st.sampled_from(CONFIG_PATHS),
+    value=json_values(st.integers(-(10**7), 10**7) | MODERATE_FLOATS),
+)
+def test_generated_config_loads_or_is_config_error(tmp_path_factory, path, value):
+    # one field or section of a stock config replaced by a generated JSON
+    # value: load_experiment returns an experiment or raises ValueError with
+    # a message, and nothing else
+    cfg = tmp_path_factory.mktemp("generated") / "config.json"
+    cfg.write_text(json.dumps(replaced_config(path, value)))
+    try:
+        exp = cli.load_experiment(config_path=cfg)
+    except ValueError as exc:
+        assert str(exc)
+    else:
+        assert exp.grid.n_steps <= cli.MAX_STEPS
+
+
+SMALL_NUMBERS = st.integers(-2, 12) | st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(CONFIG_PATHS), value=SMALL_NUMBERS | json_values(SMALL_NUMBERS))
+def test_generated_config_propagate_exits_0_or_2(tmp_path_factory, path, value):
+    # the command line on a few of those configs, half of them with a number
+    # in place of a field: a run or a configuration error, never a traceback
+    tmp = tmp_path_factory.mktemp("generated-run")
+    pulses = tmp / "pulses.csv"
+    cli.write_pulse_file(pulses, TimeGrid(T=10.0, n_steps=8), np.full((1, 8), 0.3))
+    cfg = tmp / "config.json"
+    cfg.write_text(json.dumps(replaced_config(path, value)))
+    code = cli.main(["propagate", "--config", str(cfg), "--out", str(tmp / "o"), str(pulses)])
+    assert code in (0, 2)

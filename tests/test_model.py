@@ -140,24 +140,40 @@ def test_kernel_kinds_and_validation():
         CorrelationKernel(kind="banana")
 
 
+def _future(grid):
+    """(N+1, N) mask of the midpoints at or after each node, l >= j."""
+    return np.arange(grid.n_steps)[None, :] >= np.arange(grid.n_steps + 1)[:, None]
+
+
 def test_kernel_weight_table_shapes_and_symmetry():
     grid = TimeGrid(T=10.0, n_steps=50)
     kern = CorrelationKernel.gaussian(0.01, 100.0)
     w = kern.weight_table(grid)
     assert w.shape == (1, 1, 51, 50)
+    assert np.all(w[..., _future(grid)] == 0.0)
+    assert np.all(w[..., ~_future(grid)] > 0.0)
     cov = kern.covariance(grid)
     assert np.array_equal(cov, cov.T)
-    zero = CorrelationKernel.zero().weight_table(grid)
-    assert np.max(np.abs(zero)) == 0.0
+    # kernels with no weight in any node's past give no table
+    for none in (
+        CorrelationKernel.zero(),
+        CorrelationKernel.zero(n_controls=2),
+        CorrelationKernel.white_noise(0.2),
+        CorrelationKernel.gaussian(0.0, 1.0),
+        CorrelationKernel.gaussian(0.1, 1e-4, n_controls=2),
+    ):
+        assert none.weight_table(grid) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 400])
 def test_gaussian_weight_table_matches_elementwise_kernel(n):
     # the table filled from the kernel on the 2 N lags against the kernel
     # evaluated at every (node, midpoint) pair of the grid, over final times
-    # and correlation times from 0.05 T to 1e3 T, on two controls
+    # and correlation times from 0.05 T to 1e3 T, on two controls: the past
+    # entries within 1e-14 c0, the others exactly zero
     for big_t in (0.3, 1.0, 10.0, 137.0):
         grid = TimeGrid(T=big_t, n_steps=n)
+        future = _future(grid)
         for ratio in (0.05, 0.2, 1.0, 5.0, 1e3):
             c0 = 0.037
             kern = CorrelationKernel.gaussian(c0, ratio * big_t, n_controls=2)
@@ -165,31 +181,41 @@ def test_gaussian_weight_table_matches_elementwise_kernel(n):
             table = kern.weight_table(grid)
             assert table.shape == (2, 2, n + 1, n)
             for i in range(2):
-                assert np.max(np.abs(table[i, i] - want)) <= 1e-14 * c0
+                assert np.max(np.abs(table[i, i] - want)[~future]) <= 1e-14 * c0
+                assert np.all(table[i, i][future] == 0.0)
             assert not np.any(table[0, 1]) and not np.any(table[1, 0])
+            # laid out in the cache's (M, N+1, M, N) order
+            assert table.transpose(0, 2, 1, 3).flags.c_contiguous
 
 
 def test_weight_table_returns_fresh_arrays():
     # callers own the table: writing to it changes neither the kernel nor
-    # the next table
+    # the next table, and the tabulated kernel's stored table keeps its
+    # entries at and after each node
     grid = TimeGrid(T=2.0, n_steps=6)
-    gauss = CorrelationKernel.gaussian(0.1, 1.0)
+    gauss = CorrelationKernel.gaussian(0.1, 1.0, n_controls=2)
     t = np.exp(-((grid.nodes[:, None] - grid.midpoints[None, :]) ** 2))[None, None]
     m = np.exp(-((grid.midpoints[:, None] - grid.midpoints[None, :]) ** 2))[None, None]
     tab = CorrelationKernel.tabulated(t, m)
-    for kern in (gauss, tab, CorrelationKernel.zero()):
+    stored = tab.node_mid_table.copy()
+    for kern in (gauss, tab):
         first = kern.weight_table(grid)
         again = first.copy()
         first *= 0.0
         assert np.array_equal(kern.weight_table(grid), again)
+        assert not np.shares_memory(kern.weight_table(grid), kern.weight_table(grid))
+    assert np.array_equal(tab.node_mid_table, stored)
+    assert np.array_equal(tab.weight_table(grid)[0, 0], np.where(_future(grid), 0.0, t[0, 0]))
 
 
 def test_quasistatic_weight_floor():
-    # t_corr = 10 T keeps every kernel entry above C0 * exp(-0.01)
+    # t_corr = 10 T keeps every kernel entry above C0 * exp(-0.01); the
+    # table holds them in each node's past and zeros after it
     grid = TimeGrid(T=10.0, n_steps=100)
     kern = CorrelationKernel.gaussian(0.01, 100.0)
     w = kern.weight_table(grid)[0, 0]
-    assert np.min(w) >= 0.01 * np.exp(-0.01)
+    assert np.min(w[~_future(grid)]) >= 0.01 * np.exp(-0.01)
+    assert np.all(w[_future(grid)] == 0.0)
     cov = kern.covariance(grid)
     assert np.min(cov) >= 0.01 * np.exp(-0.01)
 
@@ -202,7 +228,7 @@ def test_white_noise_tables():
     # the delta kernel has no values on the grid: it enters eta as the exact
     # local term (alpha / 2) delta_mn H_n at every node after the first
     two = CorrelationKernel.white_noise(0.2, n_controls=2)
-    assert np.count_nonzero(two.weight_table(grid)) == 0
+    assert two.weight_table(grid) is None
     fam = HamiltonianFamily(drift=SIGMA_Z, controls=(SIGMA_X, SIGMA_Y))
     cache = build_cache(fam, grid, np.linspace(-1.0, 1.0, 20).reshape(2, 10), two)
     # E_p = sum_n eta_pn, kept as coefficients

@@ -238,16 +238,15 @@ def test_refresh_out_of_order_after_partial_sweep(kind):
 def test_memoryless_kernels_build_no_weight_table(rng):
     grid = TimeGrid(T=2.0, n_steps=12)
     pulses = rng.standard_normal((1, 12))
-    for kern in (CorrelationKernel.zero(), CorrelationKernel.white_noise(0.1)):
+    # a Gaussian kernel whose past weights underflow to zero has no table
+    # either, and the zero kernel's dynamics
+    tiny = CorrelationKernel.gaussian(0.1, 1e-4)
+    for kern in (CorrelationKernel.zero(), CorrelationKernel.white_noise(0.1), tiny):
         cache = build_cache(QUBIT, grid, pulses, kern)
         assert cache.weights is None and not cache.has_memory
-    # a Gaussian kernel whose table underflows to zero keeps its zero table
-    # and the zero kernel's dynamics
-    tiny = build_cache(QUBIT, grid, pulses, CorrelationKernel.gaussian(0.1, 1e-4))
-    assert tiny.weights.shape == (1, 13, 1, 12) and not np.any(tiny.weights)
-    assert not tiny.has_memory
+        assert cache.o is None and cache.kappa is None
     zero = build_cache(QUBIT, grid, pulses, CorrelationKernel.zero())
-    assert np.array_equal(tiny.v_steps, zero.v_steps)
+    assert np.array_equal(build_cache(QUBIT, grid, pulses, tiny).v_steps, zero.v_steps)
 
 
 def test_cache_weights_are_the_causally_masked_table(rng):
@@ -280,6 +279,30 @@ def test_cache_weights_are_the_causally_masked_table(rng):
         assert np.array_equal(cache.weights, want)
         assert not np.any(cache.weights.transpose(0, 2, 1, 3)[..., ~past])
     assert np.array_equal(tab.node_mid_table, stored)
+
+
+def test_caches_share_the_family_tables(rng):
+    # every cache on one family reads the family's read-only tables, so a
+    # write through a cache raises; a cache on a fresh, equal family is
+    # bit-identical
+    grid = TimeGrid(T=3.0, n_steps=9)
+    drift, c1, c2 = (random_hermitian(rng, 3) for _ in range(3))
+    fam = HamiltonianFamily(drift=drift, controls=(c1, c2))
+    gauss = CorrelationKernel.gaussian(0.05, 1.3, n_controls=2)
+    pulses = rng.standard_normal((2, 9))
+    first = build_cache(fam, grid, pulses, gauss)
+    second = build_cache(fam, grid, pulses, CorrelationKernel.white_noise(0.1, n_controls=2))
+    for cache in (first, second):
+        assert cache.f_controls is fam.control_maps and cache._f_drift is fam.drift_map
+        for table in (cache.f_controls, cache._f_drift, cache._f_rows):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+    for name in ("control_stack", "control_coefficients", "drift_map", "control_maps", "unit_maps"):
+        with pytest.raises(ValueError):
+            getattr(fam, name)[0] = 1.0
+    fresh = build_cache(HamiltonianFamily(drift=drift, controls=(c1, c2)), grid, pulses, gauss)
+    for name in ("v_steps", "eta", "o"):
+        assert np.array_equal(getattr(fresh, name), getattr(first, name)), name
 
 
 SWEEP_LENGTHS = sorted(
