@@ -34,7 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import NumericalError, pauli_string, projector, trace_distance
-from .model import CorrelationKernel, HamiltonianFamily, TimeGrid, as_pulses, sample_perturbations
+from .model import (
+    KERNEL_KINDS,
+    CorrelationKernel,
+    HamiltonianFamily,
+    TimeGrid,
+    as_pulses,
+    sample_perturbations,
+)
 from .krotov import ControlProblem, KrotovConfig, ddme_krotov, run_correlation_sweep, se_krotov
 from .propagation import ddme_propagate, ensemble_average, unitary_average
 from .tasks import TASK_PRESETS, guess_pulses
@@ -50,6 +57,11 @@ SWEEP_TCORR_FACTORS = (0.05, 0.2, 0.6, 1.0, 1.4)
 # A memory kernel's Riemann-sum weights take 8 M^2 (N_T + 1) N_T bytes for M
 # controls, 0.8 GB for one control at this limit.
 MAX_STEPS = 10_000
+
+# The largest ensemble.count (N_T + 1) a config or ``ensemble --count`` may
+# ask for, checked before sampling: each realization's kets take
+# 16 d (N_T + 1) bytes for dimension d, 3.2 GB for a qubit at this limit.
+MAX_ENSEMBLE_KETS = 10**8
 
 DEFAULT_CONFIG = {
     "task": "z-gate",
@@ -180,6 +192,18 @@ def _integer(value, name):
     return int(value)
 
 
+def _ensemble_count(count, grid, name):
+    """``count``, if the ensemble's ``count (N_T + 1)`` kets are within
+    ``MAX_ENSEMBLE_KETS``."""
+    limit = MAX_ENSEMBLE_KETS // (grid.n_steps + 1)
+    if count > limit:
+        raise ValueError(
+            f"{name} must be at most {limit} on a grid of N_T = {grid.n_steps} "
+            f"(count (N_T + 1) <= {MAX_ENSEMBLE_KETS}), got {count}"
+        )
+    return count
+
+
 def _string(value, name):
     """A text config field: a JSON string."""
     if not isinstance(value, str):
@@ -282,10 +306,7 @@ class ResolvedExperiment:
         elif kind == "white-noise":
             self.kernel = CorrelationKernel.white_noise(_real(kern["C0"], "kernel.C0"), m)
         else:
-            raise ValueError(
-                f"kernel kind {kind!r} is not available from the CLI; "
-                "expected 'zero', 'stationary-gaussian' or 'white-noise'"
-            )
+            raise ValueError(f"kernel.kind must be one of {KERNEL_KINDS}, got {kind!r}")
 
         # the resolved config records each state as its unit ket
         states = {key: _parse_state(spec, f"states.{key}") for key, spec in raw["states"].items()}
@@ -328,7 +349,8 @@ class ResolvedExperiment:
         self.ddme_config = krotov_config("")
         self.se_config = krotov_config("se_")
 
-        self.count = _integer(raw["ensemble"]["count"], "ensemble.count")
+        count = _integer(raw["ensemble"]["count"], "ensemble.count")
+        self.count = _ensemble_count(count, self.grid, "ensemble.count")
         if self.count < 1:
             raise ValueError(f"ensemble.count must be at least 1, got {self.count}")
         self.seed = _integer(raw["ensemble"]["seed"], "ensemble.seed")
@@ -594,7 +616,7 @@ def run_propagate(exp: ResolvedExperiment, pulse_path):
 
 def run_ensemble(exp: ResolvedExperiment, pulse_path, count=None, realization=None):
     pulses = read_pulse_file(pulse_path, exp.grid, exp.problem.n_controls)
-    count = exp.count if count is None else count
+    count = exp.count if count is None else _ensemble_count(count, exp.grid, "--count")
     if realization is not None and not 0 <= realization < count:
         raise ValueError(f"realization index {realization} outside 0..{count - 1}")
     # the draws of ensemble_average, sampled once for the average and draw r;

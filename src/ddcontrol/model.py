@@ -18,7 +18,7 @@ from .linalg import NumericalError, check_hermitian, structure_map, to_coherence
 
 BLACKMAN_A = 0.16
 
-KERNEL_KINDS = ("zero", "stationary-gaussian", "white-noise", "tabulated")
+KERNEL_KINDS = ("zero", "stationary-gaussian", "white-noise")
 
 
 @dataclass(frozen=True)
@@ -151,19 +151,20 @@ def gaussian_kernel(t, t_prime, c0, t_corr):
 class CorrelationKernel:
     """Second-order statistics of the pulse perturbations.
 
-    ``kind`` is one of 'zero', 'stationary-gaussian', 'white-noise' or
-    'tabulated'.  ``c0`` is the equal-time variance scale (the white-noise
-    rate alpha for kind 'white-noise').  Cross correlations between
-    different controls vanish for the built-in kinds; a tabulated kernel
-    may supply arbitrary symmetric M x M structure.
+    ``kind`` is one of :data:`KERNEL_KINDS`: 'zero', 'stationary-gaussian'
+    or 'white-noise', the kinds the command line builds.  ``c0`` is the
+    equal-time variance scale (the white-noise rate alpha for kind
+    'white-noise').  Cross correlations between different controls vanish.
+    The propagator cache and the sampler read a kernel only through
+    ``n_controls``, ``is_zero``, :meth:`weight_table`, :attr:`local_weights`
+    and :meth:`covariance`, so the tests' cross-correlated kernel in
+    ``tests/reference.py`` is a small class with those members.
     """
 
     kind: str
     c0: float = 0.0
     t_corr: float = 0.0
     n_controls: int = 1
-    node_mid_table: np.ndarray = field(default=None, repr=False)
-    mid_mid_table: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -188,37 +189,9 @@ class CorrelationKernel:
     def white_noise(cls, alpha, n_controls=1):
         return cls(kind="white-noise", c0=alpha, n_controls=n_controls)
 
-    @classmethod
-    def tabulated(cls, node_mid_table, mid_mid_table):
-        """Kernel given by explicit grid tables.
-
-        ``node_mid_table[m, n, j, l] = C[m, n](t_j, mid_l)`` feeds the memory
-        integrals; ``mid_mid_table[m, n, j, l] = C[m, n](mid_j, mid_l)`` is
-        the sampling covariance.  The midpoint table must be symmetric under
-        ``(m, j) <-> (n, l)``; it is symmetrized after a tolerance check.
-        """
-        node_mid = np.asarray(node_mid_table, dtype=float)
-        mid_mid = np.asarray(mid_mid_table, dtype=float)
-        if node_mid.ndim != 4 or mid_mid.ndim != 4:
-            raise ValueError("tabulated kernel tables must be 4-dimensional (M, M, ., .)")
-        m = node_mid.shape[0]
-        if node_mid.shape[1] != m or mid_mid.shape[:2] != (m, m):
-            raise ValueError("tabulated kernel tables must share the leading (M, M) axes")
-        swapped = np.swapaxes(np.swapaxes(mid_mid, 0, 1), 2, 3)
-        scale = max(np.max(np.abs(mid_mid)), 1.0)
-        if np.max(np.abs(mid_mid - swapped)) > 1e-12 * scale:
-            raise ValueError("tabulated midpoint table violates kernel symmetry")
-        mid_mid = 0.5 * (mid_mid + swapped)
-        return cls(
-            kind="tabulated",
-            n_controls=m,
-            node_mid_table=node_mid,
-            mid_mid_table=mid_mid,
-        )
-
     @property
     def is_zero(self):
-        return self.kind == "zero" or (self.kind != "tabulated" and self.c0 == 0.0)
+        return self.kind == "zero" or self.c0 == 0.0
 
     def weight_table(self, grid: TimeGrid):
         """Causal Riemann-sum weights on (node, midpoint) pairs, or ``None``.
@@ -229,8 +202,8 @@ class CorrelationKernel:
         sums.  Returns ``None`` when no weight in the past of any node is
         nonzero: for the zero kernel, for a delta-correlated kernel, which has
         no finite value on the grid and enters through :attr:`local_weights`
-        instead, and for a Gaussian or tabulated kernel whose past weights
-        vanish or underflow.
+        instead, and for a Gaussian kernel whose past weights vanish or
+        underflow.
 
         On the uniform grid a stationary kernel depends only on the lag
         ``t_j - mid_l = (j - l - 1/2) dt``, so the Gaussian kernel is
@@ -241,41 +214,31 @@ class CorrelationKernel:
         an (M, M, N+1, N) view of an array laid out in the (M, N+1, M, N)
         order that :class:`~ddcontrol.propagation.PropagatorCache` keeps, so
         the cache's ``table.transpose(0, 2, 1, 3)`` is contiguous as it is.
-        A tabulated kernel masks a copy of its stored table.
 
         Every call returns a fresh array that the caller owns and may
         modify.
         """
-        m, n = self.n_controls, grid.n_steps
-        if self.kind == "stationary-gaussian":
-            # lags[i] = (n - 1/2 - i) dt: the lags i < n are the past ones,
-            # j - l - 1/2 > 0, and row j of the table reads the lags
-            # n - j .. 2n - 1 - j for l = 0 .. n-1, a window of vals that
-            # starts one entry earlier for each later row
-            lags = ((n - 0.5) - np.arange(n)) * grid.dt
-            vals = np.zeros(2 * n)
-            vals[:n] = gaussian_kernel(lags, 0.0, self.c0, self.t_corr)
-            if not vals.any():
-                return None
-            size = vals.itemsize
-            rows = np.ndarray((n + 1, n), buffer=vals, offset=n * size, strides=(-size, size))
-            # one write of every entry: a zeroed allocation would be written twice
-            table = np.empty((m, n + 1, m, n))
-            for i in range(m):
-                table[i, :, :i] = 0.0
-                table[i, :, i] = rows
-                table[i, :, i + 1 :] = 0.0
-            return table.transpose(0, 2, 1, 3)
-        if self.kind != "tabulated":
+        if self.kind != "stationary-gaussian":
             return None
-        table = np.asarray(self.node_mid_table, dtype=float)
-        if table.shape != (m, m, n + 1, n):
-            raise ValueError(
-                f"tabulated node/midpoint table has shape {table.shape}, "
-                f"expected {(m, m, n + 1, n)}"
-            )
-        table = np.tril(table, -1)
-        return table if table.any() else None
+        m, n = self.n_controls, grid.n_steps
+        # lags[i] = (n - 1/2 - i) dt: the lags i < n are the past ones,
+        # j - l - 1/2 > 0, and row j of the table reads the lags
+        # n - j .. 2n - 1 - j for l = 0 .. n-1, a window of vals that
+        # starts one entry earlier for each later row
+        lags = ((n - 0.5) - np.arange(n)) * grid.dt
+        vals = np.zeros(2 * n)
+        vals[:n] = gaussian_kernel(lags, 0.0, self.c0, self.t_corr)
+        if not vals.any():
+            return None
+        size = vals.itemsize
+        rows = np.ndarray((n + 1, n), buffer=vals, offset=n * size, strides=(-size, size))
+        # one write of every entry: a zeroed allocation would be written twice
+        table = np.empty((m, n + 1, m, n))
+        for i in range(m):
+            table[i, :, :i] = 0.0
+            table[i, :, i] = rows
+            table[i, :, i + 1 :] = 0.0
+        return table.transpose(0, 2, 1, 3)
 
     @property
     def local_weights(self):
@@ -301,24 +264,15 @@ class CorrelationKernel:
         """
         m, n = self.n_controls, grid.n_steps
         cov = np.zeros((m * n, m * n))
-        if self.kind == "zero":
-            return cov
         if self.kind == "stationary-gaussian":
             block = gaussian_kernel(
                 grid.midpoints[:, None], grid.midpoints[None, :], self.c0, self.t_corr
             )
             for i in range(m):
                 cov[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
-            return cov
-        if self.kind == "white-noise":
+        elif self.kind == "white-noise":
             np.fill_diagonal(cov, self.c0 / grid.dt)
-            return cov
-        table = np.asarray(self.mid_mid_table, dtype=float)
-        if table.shape != (m, m, n, n):
-            raise ValueError(
-                f"tabulated midpoint table has shape {table.shape}, expected {(m, m, n, n)}"
-            )
-        return table.transpose(0, 2, 1, 3).reshape(m * n, m * n)
+        return cov
 
 
 def blackman(t, t0, t1):

@@ -217,8 +217,8 @@ class PropagatorCache:
       past of some node, that is whether its
       :meth:`~ddcontrol.model.CorrelationKernel.weight_table` is not
       ``None``; without them ``eta`` does not depend on the pulses (zero
-      and white-noise kernels, and a Gaussian or tabulated kernel whose
-      past weights vanish);
+      and white-noise kernels, and a Gaussian kernel whose past weights
+      vanish);
     * ``weights``: (M, N+1, M, N) Riemann-sum weights,
       ``weights[p, j, n, l] = C[p, n](t_j, mid_l)`` for l < j and zero for
       l >= j, the kernel's causal table with its axes reordered (for the

@@ -256,15 +256,47 @@ def double_commutator_super(a, b):
     return commutator_super(a) @ commutator_super(b)
 
 
+class TabulatedKernel:
+    """Cross-correlated kernel ``C[p, n](t, t') = coef[p, n] exp(-(t - t')**2
+    / t_corr**2)`` for a symmetric (M, M) amplitude matrix ``coef``, with
+    the members the package reads of a kernel and its tables evaluated on
+    the grid pair by pair.  The package's own kinds have no cross
+    correlations; this one has the general symmetric M x M structure.  An
+    indefinite ``coef`` gives an indefinite covariance."""
+
+    kind = "tabulated"
+    is_zero = False
+
+    def __init__(self, coef, t_corr):
+        self.coef = np.asarray(coef, dtype=float)
+        self.t_corr = t_corr
+        self.n_controls = self.coef.shape[0]
+        self.local_weights = np.zeros((self.n_controls, self.n_controls))
+
+    def table(self, t, s):
+        """(M, M, len(t), len(s)) values ``C[p, n](t_j, s_l)``."""
+        gauss = np.exp(-((t[:, None] - s[None, :]) ** 2) / self.t_corr**2)
+        return self.coef[:, :, None, None] * gauss
+
+    def weight_table(self, grid):
+        table = np.tril(self.table(grid.nodes, grid.midpoints), -1)
+        return table if table.any() else None
+
+    def covariance(self, grid):
+        m, n = self.n_controls, grid.n_steps
+        mids = grid.midpoints
+        return self.table(mids, mids).transpose(0, 2, 1, 3).reshape(m * n, m * n)
+
+
 def reference_weights(kernel, grid):
     """(M, M, N+1, N) kernel values ``C[p, n](t_j, mid_l)`` on every (node,
     midpoint) pair, from the kernel's parameters: the Gaussian evaluated
-    pair by pair on the diagonal blocks, a tabulated kernel's stored node
+    pair by pair on the diagonal blocks, a :class:`TabulatedKernel`'s full
     table, zeros for kernels without values on the grid.  The references
     read only the entries with l < j."""
     m, n = kernel.n_controls, grid.n_steps
     if kernel.kind == "tabulated":
-        return np.asarray(kernel.node_mid_table, dtype=float)
+        return kernel.table(grid.nodes, grid.midpoints)
     table = np.zeros((m, m, n + 1, n))
     if kernel.kind == "stationary-gaussian":
         block = gaussian_kernel(grid.nodes[:, None], grid.midpoints[None, :], kernel.c0, kernel.t_corr)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ddcontrol import cli
 from ddcontrol.linalg import projector
-from ddcontrol.model import TimeGrid, sample_perturbations
+from ddcontrol.model import KERNEL_KINDS, TimeGrid, sample_perturbations
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -52,9 +52,15 @@ def test_guess_path_is_a_known_key(tmp_path):
     assert isinstance(cli.load_experiment(config_path=cfg), cli.ResolvedExperiment)
 
 
-def test_invalid_kernel_kind_is_config_error(tmp_path):
-    cfg = write_config(tmp_path, kernel={"kind": "pink-noise", "C0": 0.01, "t_corr": 1.0})
-    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+def test_invalid_kernel_kind_is_config_error(tmp_path, capsys):
+    # the command line builds exactly the library's kernel kinds, and the
+    # message names them
+    for kind in ("pink-noise", "tabulated"):
+        cfg = write_config(tmp_path, kernel={"kind": kind, "C0": 0.01, "t_corr": 1.0})
+        assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "kernel.kind" in err and all(name in err for name in KERNEL_KINDS), kind
+        assert not (tmp_path / "o").exists()
 
 
 def test_custom_task_requires_states(tmp_path, capsys):
@@ -588,6 +594,7 @@ def test_out_of_range_ensemble_flags_leave_no_output(tmp_path, capsys):
         (["--count", "3", "--realization", "3"], "realization index"),
         (["--count", "3", "--realization", "-1"], "realization index"),
         (["--count", "0"], "at least one realization"),
+        (["--count", str(10**12)], "--count must be at most"),
     ):
         assert cli.main(argv + flags + [str(path)]) == 2, flags
         assert message in capsys.readouterr().err, flags
@@ -610,6 +617,35 @@ def test_grid_size_limit_is_config_error(tmp_path, capsys, n_steps):
     assert cli.main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o"), "p.csv"]) == 2
     assert "grid.N_T" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# the largest ensemble.count within the stated limit on the 30-step grid
+# of write_config
+COUNT_LIMIT = cli.MAX_ENSEMBLE_KETS // 31
+
+
+@pytest.mark.parametrize("count", [1e12, COUNT_LIMIT + 1])
+def test_ensemble_size_limit_is_config_error(tmp_path, capsys, count):
+    # an ensemble beyond the stated limit on count (N_T + 1) is refused
+    # before sampling: 1e12 realizations would need 1 PB of kets.  optimize
+    # exits before its optimization runs; the largest count within the
+    # limit loads
+    edge = write_config(tmp_path, "edge.json", ensemble={"count": COUNT_LIMIT, "seed": 7})
+    assert cli.load_experiment(config_path=edge).count == COUNT_LIMIT
+    cfg = write_config(tmp_path, ensemble={"count": count, "seed": 7})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="ensemble.count must be at most"):
+            cli.load_experiment(config_path=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    pulse = write_pulse_lines(tmp_path, "pulse.csv")
+    for argv in (["optimize"], ["ensemble", str(pulse)]):
+        assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2, argv
+        assert "ensemble.count" in capsys.readouterr().err, argv
+        assert not (tmp_path / "o").exists(), argv
 
 
 # A stock config with every section on a short grid and a small ensemble,

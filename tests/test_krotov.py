@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import default_grid, default_h_family, random_hermitian, swept_coherence, task_states
-from reference import ddme_backward_step, ddme_step, gradient_reference, se_krotov_reference
+from reference import (
+    TabulatedKernel,
+    ddme_backward_step,
+    ddme_step,
+    gradient_reference,
+    se_krotov_reference,
+)
 from ddcontrol.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, from_coherence, projector, to_coherence
 from ddcontrol.model import CorrelationKernel, HamiltonianFamily, TimeGrid, update_shape
 from ddcontrol import krotov
@@ -160,18 +166,12 @@ def test_gradient_matches_operator_reference(rng):
     fam = HamiltonianFamily(
         drift=random_hermitian(rng, 3), controls=(random_hermitian(rng, 3), random_hermitian(rng, 3))
     )
-    coef = np.array([[0.3, 0.1], [0.1, 0.2]])
-
-    def table(t, s):
-        return coef[:, :, None, None] * np.exp(-((t[:, None] - s[None, :]) ** 2) / 0.8**2)
-
-    nodes, mids = grid.nodes, grid.midpoints
     qutrit = ControlProblem(
         rho0=np.diag([1.0, 0.0, 0.0]),
         rho_targ=np.diag([0.0, 0.0, 1.0]),
         h_family=fam,
         grid=grid,
-        kernel=CorrelationKernel.tabulated(table(nodes, mids), table(mids, mids)),
+        kernel=TabulatedKernel([[0.3, 0.1], [0.1, 0.2]], 0.8),
     )
     for prob in (qubit, qutrit):
         pulses = rng.standard_normal((prob.n_controls, grid.n_steps)) * 0.5
@@ -275,7 +275,7 @@ def test_ddme_krotov_deterministic():
     assert np.array_equal(a.j_values, b.j_values)
 
 
-def kernel_of_kind(kind, grid):
+def kernel_of_kind(kind):
     """A single-control kernel of each kind at the stock disorder scale."""
     if kind == "zero":
         return CorrelationKernel.zero()
@@ -283,19 +283,14 @@ def kernel_of_kind(kind, grid):
         return CorrelationKernel.gaussian(0.01, 100.0)
     if kind == "white-noise":
         return CorrelationKernel.white_noise(0.01)
-    nodes, mids = grid.nodes, grid.midpoints
-
-    def table(t, s):
-        return (0.01 * np.exp(-((t[:, None] - s[None, :]) ** 2) / 2.0**2))[None, None]
-
-    return CorrelationKernel.tabulated(table(nodes, mids), table(mids, mids))
+    return TabulatedKernel([[0.01]], 2.0)
 
 
 @pytest.mark.parametrize("kind", ["zero", "stationary-gaussian", "white-noise", "tabulated"])
 def test_ddme_krotov_final_cost_matches_repropagation(kind):
     # the optimizer and ddme_propagate must follow the same dynamics
     grid = TimeGrid(T=5.0, n_steps=50)
-    prob = make_problem("z-gate", kernel=kernel_of_kind(kind, grid), grid=grid)
+    prob = make_problem("z-gate", kernel=kernel_of_kind(kind), grid=grid)
     cfg = KrotovConfig.with_blackman_ramps(grid, 1.25, 1.0, 1.0, j_tol=None, i_max=3)
     trace = ddme_krotov(prob, guess_pulses("gaussian", grid), cfg)
     assert trace.j_values[-1] == pytest.approx(cost_JT(prob, trace.pulses), abs=1e-13)
@@ -357,23 +352,15 @@ def _two_control_problem(n):
     # (n1, n2) index structure of the memory term
     grid = TimeGrid(T=2.0, n_steps=n)
     fam = HamiltonianFamily(drift=0.5 * SIGMA_Z, controls=(0.5 * SIGMA_X, 0.5 * SIGMA_Y))
-    coef = np.array([[0.3, 0.1], [0.1, 0.2]])
-    t_corr = 0.8
-    nodes, mids = grid.nodes, grid.midpoints
-    node_mid = coef[:, :, None, None] * np.exp(
-        -((nodes[:, None] - mids[None, :]) ** 2) / t_corr**2
-    )[None, None]
-    mid_mid = coef[:, :, None, None] * np.exp(
-        -((mids[:, None] - mids[None, :]) ** 2) / t_corr**2
-    )[None, None]
-    kern = CorrelationKernel.tabulated(node_mid, mid_mid)
+    kern = TabulatedKernel([[0.3, 0.1], [0.1, 0.2]], 0.8)
+    mids = grid.midpoints
     prob = ControlProblem(
         rho0=projector("0"), rho_targ=projector("+"), h_family=fam, grid=grid, kernel=kern
     )
     pulses = np.vstack(
         [0.7 * np.sin(np.pi * mids / grid.T) + 0.2, 0.4 * np.cos(2 * np.pi * mids / grid.T)]
     )
-    return prob, pulses, mid_mid
+    return prob, pulses, kern.table(mids, mids)
 
 
 def test_two_control_gradient_matches_finite_differences():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import hamiltonian_at, hamiltonian_stack
+from reference import TabulatedKernel, hamiltonian_at, hamiltonian_stack
 from ddcontrol.linalg import NumericalError, SIGMA_X, SIGMA_Y, SIGMA_Z, from_coherence
 from ddcontrol.model import (
     CorrelationKernel,
@@ -190,22 +190,14 @@ def test_gaussian_weight_table_matches_elementwise_kernel(n):
 
 def test_weight_table_returns_fresh_arrays():
     # callers own the table: writing to it changes neither the kernel nor
-    # the next table, and the tabulated kernel's stored table keeps its
-    # entries at and after each node
+    # the next table
     grid = TimeGrid(T=2.0, n_steps=6)
-    gauss = CorrelationKernel.gaussian(0.1, 1.0, n_controls=2)
-    t = np.exp(-((grid.nodes[:, None] - grid.midpoints[None, :]) ** 2))[None, None]
-    m = np.exp(-((grid.midpoints[:, None] - grid.midpoints[None, :]) ** 2))[None, None]
-    tab = CorrelationKernel.tabulated(t, m)
-    stored = tab.node_mid_table.copy()
-    for kern in (gauss, tab):
-        first = kern.weight_table(grid)
-        again = first.copy()
-        first *= 0.0
-        assert np.array_equal(kern.weight_table(grid), again)
-        assert not np.shares_memory(kern.weight_table(grid), kern.weight_table(grid))
-    assert np.array_equal(tab.node_mid_table, stored)
-    assert np.array_equal(tab.weight_table(grid)[0, 0], np.where(_future(grid), 0.0, t[0, 0]))
+    kern = CorrelationKernel.gaussian(0.1, 1.0, n_controls=2)
+    first = kern.weight_table(grid)
+    again = first.copy()
+    first *= 0.0
+    assert np.array_equal(kern.weight_table(grid), again)
+    assert not np.shares_memory(kern.weight_table(grid), kern.weight_table(grid))
 
 
 def test_quasistatic_weight_floor():
@@ -236,16 +228,6 @@ def test_white_noise_tables():
     eta = from_coherence(cache.eta)
     assert np.array_equal(eta[:, 1:], np.broadcast_to(expected[:, None], (2, 10, 2, 2)))
     assert np.count_nonzero(eta[:, 0]) == 0
-
-
-def test_tabulated_kernel_symmetry_check():
-    node_mid = np.zeros((1, 1, 4, 3))
-    good = np.zeros((1, 1, 3, 3))
-    CorrelationKernel.tabulated(node_mid, good)
-    bad = good.copy()
-    bad[0, 0, 0, 1] = 1.0
-    with pytest.raises(ValueError):
-        CorrelationKernel.tabulated(node_mid, bad)
 
 
 def test_sampler_zero_kernel_returns_zeros():
@@ -287,9 +269,9 @@ def test_sampler_covariance_matches_kernel():
 
 
 def test_sampler_rejects_indefinite_covariance():
-    node_mid = np.zeros((1, 1, 3, 2))
-    mid_mid = np.array([[[[1.0, 2.0], [2.0, 1.0]]]])  # eigenvalues 3, -1
-    kern = CorrelationKernel.tabulated(node_mid, mid_mid)
+    # amplitudes with eigenvalues 3 and -1 under a correlation time far
+    # beyond T: the covariance has an eigenvalue near -2
+    kern = TabulatedKernel([[1.0, 2.0], [2.0, 1.0]], 100.0)
     grid = TimeGrid(T=1.0, n_steps=2)
     with pytest.raises(NumericalError, match="eigenvalue"):
         sample_perturbations(kern, grid, 10, seed=0)

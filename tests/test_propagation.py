@@ -7,6 +7,7 @@ import scipy.linalg
 
 from conftest import WHITE_NOISE_PATHS, random_density, random_hermitian
 from reference import (
+    TabulatedKernel,
     bloch_vector,
     build_htilde_table,
     ddme_backward_step,
@@ -156,7 +157,7 @@ def test_htilde_row_matches_explicit_conjugation(rng):
     assert np.allclose(htilde_row(cache, j)[0, l], expected, atol=1e-12)
 
 
-def _cache_inputs(kind, grid):
+def _cache_inputs(kind):
     """Hamiltonian family and kernel for each kernel kind; tabulated has two
     controls with a cross correlation."""
     if kind == "zero":
@@ -166,13 +167,7 @@ def _cache_inputs(kind, grid):
     if kind == "stationary-gaussian":
         return QUBIT, CorrelationKernel.gaussian(0.1, 0.8)
     fam = HamiltonianFamily(drift=0.5 * SIGMA_Z, controls=(0.5 * SIGMA_X, 0.5 * SIGMA_Y))
-    coef = np.array([[0.3, 0.1], [0.1, 0.2]])
-
-    def table(t, s):
-        return coef[:, :, None, None] * np.exp(-((t[:, None] - s[None, :]) ** 2) / 0.8**2)
-
-    nodes, mids = grid.nodes, grid.midpoints
-    return fam, CorrelationKernel.tabulated(table(nodes, mids), table(mids, mids))
+    return fam, TabulatedKernel([[0.3, 0.1], [0.1, 0.2]], 0.8)
 
 
 def _assert_matches_rebuild(cache, fam, grid, kern):
@@ -192,7 +187,7 @@ def test_incremental_update_equals_full_rebuild(kind):
     # a random sequence of updates, including the first and the last step
     n = 12
     grid = TimeGrid(T=2.0, n_steps=n)
-    fam, kern = _cache_inputs(kind, grid)
+    fam, kern = _cache_inputs(kind)
     m = fam.n_controls
     cache = build_cache(fam, grid, rng.standard_normal((m, n)) * 0.5, kern)
     assert cache.has_memory == (kind in ("stationary-gaussian", "tabulated"))
@@ -206,7 +201,6 @@ def test_incremental_update_equals_full_rebuild(kind):
     # every update rotates all later tables of the previous ones
     n = 40
     grid = TimeGrid(T=4.0, n_steps=n)
-    fam, kern = _cache_inputs(kind, grid)
     cache = build_cache(fam, grid, rng.standard_normal((m, n)) * 0.5, kern)
     for k in range(1, n + 1):
         cache.update_step(k, rng.standard_normal(m) * 0.5)
@@ -221,7 +215,7 @@ def test_refresh_out_of_order_after_partial_sweep(kind):
     rng = np.random.default_rng(5)
     n = 30
     grid = TimeGrid(T=3.0, n_steps=n)
-    fam, kern = _cache_inputs(kind, grid)
+    fam, kern = _cache_inputs(kind)
     m = fam.n_controls
     cache = build_cache(fam, grid, rng.standard_normal((m, n)) * 0.5, kern)
     for k in range(1, 18):
@@ -251,25 +245,16 @@ def test_memoryless_kernels_build_no_weight_table(rng):
 
 def test_cache_weights_are_the_causally_masked_table(rng):
     # weights[p, j, n, l] is the kernel table's [p, n, j, l] for l < j and
-    # exactly zero for l >= j; building the cache leaves the kernel's own
-    # tables as they were
+    # exactly zero for l >= j; the cross-correlated table is the one not
+    # laid out in the cache's order, so the cache reorders a copy of it
     grid = TimeGrid(T=3.0, n_steps=9)
     fam2 = HamiltonianFamily(
         drift=random_hermitian(rng, 2), controls=(random_hermitian(rng, 2), random_hermitian(rng, 2))
     )
-    coef = np.array([[0.3, -0.1], [-0.1, 0.2]])
-
-    def table(t, s):
-        return coef[:, :, None, None] * np.exp(-((t[:, None] - s[None, :]) ** 2))
-
-    tab = CorrelationKernel.tabulated(
-        table(grid.nodes, grid.midpoints), table(grid.midpoints, grid.midpoints)
-    )
-    stored = tab.node_mid_table.copy()
     cases = [
         (QUBIT, CorrelationKernel.gaussian(0.05, 1.3)),
         (fam2, CorrelationKernel.gaussian(0.05, 1.3, n_controls=2)),
-        (fam2, tab),
+        (fam2, TabulatedKernel([[0.3, -0.1], [-0.1, 0.2]], 1.0)),
     ]
     past = np.arange(9)[None, :] < np.arange(10)[:, None]
     for fam, kern in cases:
@@ -278,7 +263,6 @@ def test_cache_weights_are_the_causally_masked_table(rng):
         assert cache.weights.flags.c_contiguous
         assert np.array_equal(cache.weights, want)
         assert not np.any(cache.weights.transpose(0, 2, 1, 3)[..., ~past])
-    assert np.array_equal(tab.node_mid_table, stored)
 
 
 def test_caches_share_the_family_tables(rng):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, swept_coherence
 from reference import (
+    TabulatedKernel,
     adjoint_map,
     ddme_backward_step,
     ddme_krotov_reference,
@@ -28,7 +29,7 @@ from ddcontrol.propagation import build_cache, ddme_propagate, unitary_average
 KINDS = ("zero", "stationary-gaussian", "white-noise", "tabulated")
 
 
-def _kernel(kind, m, grid, rng, scale=1.0):
+def _kernel(kind, m, rng, scale=1.0):
     """A random kernel of the kind, its amplitude multiplied by ``scale``."""
     if kind == "zero":
         return CorrelationKernel.zero(m)
@@ -39,13 +40,7 @@ def _kernel(kind, m, grid, rng, scale=1.0):
     # symmetric amplitudes with cross correlations between the controls
     a = rng.uniform(-0.3, 0.3, (m, m))
     coef = scale * (0.5 * (a + a.T) + 0.4 * np.eye(m))
-    t_corr = rng.uniform(0.1, 2.0)
-
-    def table(t, s):
-        return coef[:, :, None, None] * np.exp(-((t[:, None] - s[None, :]) ** 2) / t_corr**2)
-
-    nodes, mids = grid.nodes, grid.midpoints
-    return CorrelationKernel.tabulated(table(nodes, mids), table(mids, mids))
+    return TabulatedKernel(coef, rng.uniform(0.1, 2.0))
 
 
 def _problem(d, m, kind, n, seed, scale=1.0):
@@ -56,7 +51,7 @@ def _problem(d, m, kind, n, seed, scale=1.0):
     fam = HamiltonianFamily(
         drift=random_hermitian(rng, d), controls=tuple(random_hermitian(rng, d) for _ in range(m))
     )
-    kernel = _kernel(kind, m, grid, rng, scale)
+    kernel = _kernel(kind, m, rng, scale)
     return grid, fam, kernel, rng.standard_normal((m, n)), rng
 
 
@@ -190,7 +185,7 @@ def test_gradient_matches_finite_differences_with_memory(d, kind, tol):
         drift=0.5 * random_hermitian(rng, d),
         controls=tuple(0.5 * random_hermitian(rng, d) for _ in range(m)),
     )
-    kernel = _kernel(kind, m, grid, rng, scale=4.0)
+    kernel = _kernel(kind, m, rng, scale=4.0)
     ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     problem = ControlProblem(
         rho0=random_density(rng, d), rho_targ=projector(ket), h_family=fam, grid=grid, kernel=kernel
