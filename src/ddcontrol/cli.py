@@ -10,15 +10,21 @@ ensemble   brute-force disorder average of a pulse file
 sweep      fixed-iteration optimizations across correlation times
 compare    side-by-side evaluation of two pulse files
 
-Configuration is a single JSON file, layered over ``DEFAULT_CONFIG``: every
-omitted field takes its default (the stock single-qubit experiments: T = 10,
+Configuration is a single JSON file of sections, read against ``SCHEMA``:
+one table that gives every field, by dotted name such as ``grid.T``, its
+default and its reader.  ``load_experiment`` makes one pass over it.  The
+user's config replaces the defaults one section deep; the ``--task``,
+``--seed`` and ``--out`` flags replace their fields; the fields whose
+default is null (the states, the guess kind and the task-specific Krotov
+fields) take the task's preset in :mod:`ddcontrol.tasks`, a partial
+config; and every field is read by its reader, so an error names its
+dotted key.  A ``custom`` task has no preset, so its config must set the
+null fields.  The defaults are the stock single-qubit experiments: T = 10,
 100 steps, Gaussian kernel with C0 = 0.01 and t_corr = 100, 4000 ensemble
-realizations).  The fields whose default is null (the states, the guess
-kind and the task-specific Krotov fields) then take the task's preset in
-:mod:`ddcontrol.tasks`, a partial config; a ``custom`` task has none, so
-its config must set them.  All floats are written with 17 significant
-digits, so re-running a command with the same config and seed reproduces
-its output files byte for byte.
+realizations.  ``DEFAULT_CONFIG`` is the table's defaults as sections.
+All floats are written with 17 significant digits, so re-running a
+command with the same config and seed reproduces its output files byte
+for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 optimizer did not converge
 (partial outputs are still written), 4 numerical failure.
@@ -63,124 +69,22 @@ MAX_STEPS = 10_000
 # 16 d (N_T + 1) bytes for dimension d, 3.2 GB for a qubit at this limit.
 MAX_ENSEMBLE_KETS = 10**8
 
-DEFAULT_CONFIG = {
-    "task": "z-gate",
-    "system": {"drift": {"z": 1.0}, "controls": [{"x": 1.0}]},
-    "grid": {"T": 10.0, "N_T": 100},
-    "kernel": {"kind": "stationary-gaussian", "C0": 0.01, "t_corr": 100.0},
-    "guess": {"kind": None},
-    "krotov": {
-        "lambda": None,
-        "J_tol": None,
-        "i_max": 50,
-        "t_on": None,
-        "t_off": None,
-        "se_lambda": None,
-        "se_J_tol": 1.0e-4,
-        "se_i_max": 1000,
-    },
-    "states": {"initial": None, "target": None},
-    "ensemble": {"count": 4000, "seed": 7},
-    "outputs": "out",
-}
-
-
-def _fmt(value):
-    """17-significant-digit float formatting; integers stay integers."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
-
-
-def write_json(path, payload):
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n")
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _merge(user):
-    """The default config overridden by a user config, one section deep.
-
-    Rejects unknown keys (``guess.path`` is the one key without a default),
-    sections that are not objects, top-level values (``task``,
-    ``outputs``) that are not strings, and null where the default is not null;
-    a null default means "take the task preset".  Values inside a section,
-    such as a Pauli dictionary, replace the default whole.
-    """
-    raw = copy.deepcopy(DEFAULT_CONFIG)
-    unknown = sorted(set(user) - set(raw))
-    fields = []
-    for key in sorted(set(user) & set(raw)):
-        value = user[key]
-        if isinstance(raw[key], dict):
-            if not isinstance(value, dict):
-                raise ValueError(f"config section {key} must be a JSON object, got {value!r}")
-            allowed = set(raw[key]) | ({"path"} if key == "guess" else set())
-            unknown += [f"{key}.{k}" for k in sorted(set(value) - allowed)]
-            fields += [(f"{key}.{k}", v, raw[key].get(k)) for k, v in value.items()]
-            raw[key].update(copy.deepcopy(value))
-        else:
-            if value is not None:
-                _string(value, key)
-            fields.append((key, value, raw[key]))
-            raw[key] = value
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    nulls = sorted(name for name, value, default in fields if value is None and default is not None)
-    if nulls:
-        raise ValueError(f"config keys must not be null: {', '.join(nulls)}")
-    return raw
-
-
-def _finite_float(text):
-    """JSON float literal to float; rejects literals that overflow to infinity."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"number {text} is not finite")
-    return value
-
-
-def _finite_int(text):
-    """JSON integer literal to int; rejects integers beyond the float range."""
-    _finite_float(text)
-    return int(text)
-
-
-def _reject_constant(name):
-    raise ValueError(f"non-finite number {name} is not allowed")
+# The magnitude rule of every real config number and of ``sweep --tcorr``:
+# 0, or 1 / MAX_MAGNITUDE <= |x| <= MAX_MAGNITUDE.  A square or a quotient
+# of two such numbers is a finite normal float, so nothing that passes
+# overflows or underflows to zero while a config loads; NaN and the
+# infinities fail the rule.
+MAX_MAGNITUDE = 1e100
 
 
 def _real(value, name):
-    """A real config field: a JSON number, not a boolean."""
+    """A real config field or flag: a number, not a boolean, that keeps the
+    magnitude rule."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if value != 0 and not 1 / MAX_MAGNITUDE <= abs(value) <= MAX_MAGNITUDE:
+        bounds = f"{1 / MAX_MAGNITUDE:g} to {MAX_MAGNITUDE:g}"
+        raise ValueError(f"{name} must be 0 or of magnitude {bounds}, got {value!r}")
     return float(value)
 
 
@@ -190,18 +94,6 @@ def _integer(value, name):
     if isinstance(value, bool) or not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _ensemble_count(count, grid, name):
-    """``count``, if the ensemble's ``count (N_T + 1)`` kets are within
-    ``MAX_ENSEMBLE_KETS``."""
-    limit = MAX_ENSEMBLE_KETS // (grid.n_steps + 1)
-    if count > limit:
-        raise ValueError(
-            f"{name} must be at most {limit} on a grid of N_T = {grid.n_steps} "
-            f"(count (N_T + 1) <= {MAX_ENSEMBLE_KETS}), got {count}"
-        )
-    return count
 
 
 def _string(value, name):
@@ -218,16 +110,13 @@ def _complex(entry, name):
     return complex(_real(entry, name))
 
 
-def _parse_operator(spec, name):
+def _operator(spec, name):
     """Operator from a Pauli-coefficient dict or an explicit matrix."""
     if isinstance(spec, dict):
         if not spec:
             raise ValueError(f"{name}: empty Pauli-coefficient dictionary")
-        out = None
-        for label in sorted(spec):
-            term = _real(spec[label], f"{name}.{label}") * pauli_string(label)
-            out = term if out is None else out + term
-        return out
+        terms = [_real(spec[label], f"{name}.{label}") * pauli_string(label) for label in sorted(spec)]
+        return sum(terms[1:], terms[0])
     if isinstance(spec, list):
         for i, row in enumerate(spec):
             if not isinstance(row, list):
@@ -239,7 +128,15 @@ def _parse_operator(spec, name):
     raise ValueError(f"{name}: expected a Pauli dictionary or a nested matrix, got {type(spec).__name__}")
 
 
-def _parse_state(spec, name):
+def _operators(spec, name):
+    """A list of operators, as a tuple."""
+    if not isinstance(spec, list):
+        raise ValueError(f"{name} must be a list of operators, got {spec!r}")
+    return tuple(_operator(op, f"{name}[{i}]") for i, op in enumerate(spec))
+
+
+def _state(spec, name):
+    """The projector of a ket label or an explicit ket vector."""
     if isinstance(spec, str):
         return projector(spec)
     if isinstance(spec, list):
@@ -247,145 +144,192 @@ def _parse_state(spec, name):
     raise ValueError(f"{name}: expected a ket label or an explicit ket vector")
 
 
-def _lambdas(value, name, n_controls):
+def _step_size(value, name):
     """An inverse step size: one number, or a list with one per control."""
     if isinstance(value, list):
-        if len(value) != n_controls:
-            raise ValueError(f"{name} lists {len(value)} values for {n_controls} controls")
         return [_real(x, f"{name}[{i}]") for i, x in enumerate(value)]
     return _real(value, name)
 
 
+# guess.path has no default: a config may set it, to a string or null, and
+# only then does the resolved config record it
+_NO_DEFAULT = object()
+
+# Every config field by dotted name: its default and its reader.  A null
+# default means "take the task preset".
+SCHEMA = {
+    "task": ("z-gate", _string),
+    "system.drift": ({"z": 1.0}, _operator),
+    "system.controls": ([{"x": 1.0}], _operators),
+    "grid.T": (10.0, _real),
+    "grid.N_T": (100, _integer),
+    "kernel.kind": ("stationary-gaussian", _string),
+    "kernel.C0": (0.01, _real),
+    "kernel.t_corr": (100.0, _real),
+    "guess.kind": (None, _string),
+    "guess.path": (_NO_DEFAULT, _string),
+    "krotov.lambda": (None, _step_size),
+    "krotov.J_tol": (None, _real),
+    "krotov.i_max": (50, _integer),
+    "krotov.t_on": (None, _real),
+    "krotov.t_off": (None, _real),
+    "krotov.se_lambda": (None, _step_size),
+    "krotov.se_J_tol": (1.0e-4, _real),
+    "krotov.se_i_max": (1000, _integer),
+    "states.initial": (None, _state),
+    "states.target": (None, _state),
+    "ensemble.count": (4000, _integer),
+    "ensemble.seed": (7, _integer),
+    "outputs": ("out", _string),
+}
+
+
+def _sections(flat):
+    """A dict keyed by dotted name as a dict of sections."""
+    nested = {}
+    for name, value in flat.items():
+        section, _, key = name.rpartition(".")
+        (nested.setdefault(section, {}) if section else nested)[key] = value
+    return nested
+
+
+DEFAULT_CONFIG = _sections({name: d for name, (d, _) in SCHEMA.items() if d is not _NO_DEFAULT})
+
+
+def _resolve(user, overrides):
+    """A run's config by dotted name: ``SCHEMA``'s defaults, the user's
+    config one section deep, the flags' ``overrides``, then the task preset
+    in the fields still null.
+
+    Rejects unknown keys, sections that are not objects, null where the
+    default is not null, and a user value that fails its reader where a
+    flag overrides it.  Values inside a section, such as a Pauli
+    dictionary, replace the default whole.
+    """
+    given, unknown = {}, []
+    for key, value in user.items():
+        if isinstance(DEFAULT_CONFIG.get(key), dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"config section {key} must be a JSON object, got {value!r}")
+            given.update((f"{key}.{k}", v) for k, v in value.items())
+        elif key in DEFAULT_CONFIG:
+            given[key] = value
+        else:
+            unknown.append(key)
+    unknown += [name for name in given if name not in SCHEMA]
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    nulls = [name for name, v in given.items() if v is None and SCHEMA[name][0] not in (None, _NO_DEFAULT)]
+    if nulls:
+        raise ValueError(f"config keys must not be null: {', '.join(sorted(nulls))}")
+    for name in [name for name in overrides if name in given]:
+        SCHEMA[name][1](given[name], name)
+    raw = {name: copy.deepcopy(d) for name, (d, _) in SCHEMA.items() if d is not _NO_DEFAULT}
+    raw.update(given)
+    raw.update(overrides)
+    task = _string(raw["task"], "task")
+    if task != "custom" and task not in TASK_PRESETS:
+        raise ValueError(f"unknown task {task!r}; expected one of {sorted(TASK_PRESETS)} or 'custom'")
+    preset = {f"{s}.{k}": v for s, fields in TASK_PRESETS.get(task, {}).items() for k, v in fields.items()}
+    left_null = [name for name, (d, _) in SCHEMA.items() if d is None and raw[name] is None]
+    raw.update((name, preset.get(name)) for name in left_null)
+    missing = [name for name in left_null if raw[name] is None]
+    if missing:
+        raise ValueError(f"task {task!r} requires {', '.join(missing)}")
+    return raw
+
+
+def _ensemble_count(count, grid, name):
+    """``count``, if it is at least 1 and the ensemble's ``count (N_T + 1)``
+    kets are within ``MAX_ENSEMBLE_KETS``."""
+    limit = MAX_ENSEMBLE_KETS // (grid.n_steps + 1)
+    if count < 1:
+        raise ValueError(f"{name} needs at least one realization, got {count}")
+    if count > limit:
+        raise ValueError(
+            f"{name} must be at most {limit} on a grid of N_T = {grid.n_steps} "
+            f"(count (N_T + 1) <= {MAX_ENSEMBLE_KETS}), got {count}"
+        )
+    return count
+
+
 class ResolvedExperiment:
-    """Everything a command needs, derived from one merged config dict."""
+    """Everything a command needs, read from one config by dotted name.
+
+    ``raw`` is the config as :func:`_resolve` returns it; ``resolved`` is
+    the same config as sections, with each state recorded as its unit ket.
+    """
 
     def __init__(self, raw):
-        self.resolved = raw
-        task = raw["task"]
-        if task != "custom" and task not in TASK_PRESETS:
-            raise ValueError(
-                f"unknown task {task!r}; expected one of {sorted(TASK_PRESETS)} or 'custom'"
-            )
-        # the task's preset fills the fields left null; guess.path has none
-        preset = TASK_PRESETS.get(task, {})
-        missing = []
-        for section, fields in raw.items():
-            for key, value in fields.items() if isinstance(fields, dict) else ():
-                if value is None and key != "path":
-                    fields[key] = preset.get(section, {}).get(key)
-                    if fields[key] is None:
-                        missing.append(f"{section}.{key}")
-        if missing:
-            raise ValueError(f"task {task!r} requires {', '.join(missing)}")
-
-        grid_cfg = raw["grid"]
-        n_steps = _integer(grid_cfg["N_T"], "grid.N_T")
-        if n_steps > MAX_STEPS:
-            raise ValueError(f"grid.N_T must be at most {MAX_STEPS}, got {n_steps}")
-        self.grid = TimeGrid(T=_real(grid_cfg["T"], "grid.T"), n_steps=n_steps)
-
-        controls = raw["system"]["controls"]
-        if not isinstance(controls, list):
-            raise ValueError(f"system.controls must be a list of operators, got {controls!r}")
-        self.h_family = HamiltonianFamily(
-            drift=_parse_operator(raw["system"]["drift"], "system.drift"),
-            controls=tuple(_parse_operator(c, f"system.controls[{i}]") for i, c in enumerate(controls)),
-        )
-
-        kern = raw["kernel"]
-        kind = kern["kind"]
-        m = self.h_family.n_controls
-        if kind == "zero":
-            self.kernel = CorrelationKernel.zero(m)
-        elif kind == "stationary-gaussian":
-            c0 = _real(kern["C0"], "kernel.C0")
-            if c0 == 0.0:
-                self.kernel = CorrelationKernel.zero(m)
-            else:
-                self.kernel = CorrelationKernel.gaussian(c0, _real(kern["t_corr"], "kernel.t_corr"), m)
-        elif kind == "white-noise":
-            self.kernel = CorrelationKernel.white_noise(_real(kern["C0"], "kernel.C0"), m)
-        else:
-            raise ValueError(f"kernel.kind must be one of {KERNEL_KINDS}, got {kind!r}")
-
-        # the resolved config records each state as its unit ket
-        states = {key: _parse_state(spec, f"states.{key}") for key, spec in raw["states"].items()}
-        raw["states"] = {
-            key: _jsonable([[x.real, x.imag] for x in np.linalg.eigh(rho)[1][:, -1]])
-            for key, rho in states.items()
+        fields = {
+            name: read(raw[name], name) for name, (_, read) in SCHEMA.items() if raw.get(name) is not None
         }
+        if fields["grid.N_T"] > MAX_STEPS:
+            raise ValueError(f"grid.N_T must be at most {MAX_STEPS}, got {fields['grid.N_T']}")
+        self.grid = TimeGrid(T=fields["grid.T"], n_steps=fields["grid.N_T"])
+        self.h_family = HamiltonianFamily(drift=fields["system.drift"], controls=fields["system.controls"])
+        m = self.h_family.n_controls
+
+        kind, c0 = fields["kernel.kind"], fields["kernel.C0"]
+        if kind not in KERNEL_KINDS:
+            raise ValueError(f"kernel.kind must be one of {KERNEL_KINDS}, got {kind!r}")
+        if kind == "white-noise":
+            self.kernel = CorrelationKernel.white_noise(c0, m)
+        elif kind == "zero" or c0 == 0.0:
+            self.kernel = CorrelationKernel.zero(m)
+        else:
+            self.kernel = CorrelationKernel.gaussian(c0, fields["kernel.t_corr"], m)
+
         self.problem = ControlProblem(
-            rho0=states["initial"],
-            rho_targ=states["target"],
-            h_family=self.h_family,
-            grid=self.grid,
-            kernel=self.kernel,
+            rho0=fields["states.initial"], rho_targ=fields["states.target"],
+            h_family=self.h_family, grid=self.grid, kernel=self.kernel,
         )
 
-        guess = raw["guess"]
-        kind = _string(guess["kind"], "guess.kind")
-        if guess.get("path") is not None:
-            _string(guess["path"], "guess.path")
-        if kind == "tabulated":
-            if not guess.get("path"):
+        if fields["guess.kind"] == "tabulated":
+            if not fields.get("guess.path"):
                 raise ValueError("guess.kind 'tabulated' requires guess.path")
-            self.guess = read_pulse_file(guess["path"], self.grid, m)
+            self.guess = read_pulse_file(fields["guess.path"], self.grid, m)
         else:
-            self.guess = np.tile(guess_pulses(kind, self.grid), (m, 1))
+            self.guess = np.tile(guess_pulses(fields["guess.kind"], self.grid), (m, 1))
 
-        kro = raw["krotov"]
-
-        def krotov_config(prefix):
-            return KrotovConfig.with_blackman_ramps(
-                self.grid,
-                _lambdas(kro[f"{prefix}lambda"], f"krotov.{prefix}lambda", m),
-                _real(kro["t_on"], "krotov.t_on"),
-                _real(kro["t_off"], "krotov.t_off"),
-                j_tol=_real(kro[f"{prefix}J_tol"], f"krotov.{prefix}J_tol"),
-                i_max=_integer(kro[f"{prefix}i_max"], f"krotov.{prefix}i_max"),
-                n_controls=m,
+        for name in ("krotov.lambda", "krotov.se_lambda"):
+            if isinstance(fields[name], list) and len(fields[name]) != m:
+                raise ValueError(f"{name} lists {len(fields[name])} values for {m} controls")
+        self.ddme_config, self.se_config = (
+            KrotovConfig.with_blackman_ramps(
+                self.grid, fields[f"krotov.{p}lambda"], fields["krotov.t_on"], fields["krotov.t_off"],
+                j_tol=fields[f"krotov.{p}J_tol"], i_max=fields[f"krotov.{p}i_max"], n_controls=m,
             )
+            for p in ("", "se_")
+        )
 
-        self.ddme_config = krotov_config("")
-        self.se_config = krotov_config("se_")
-
-        count = _integer(raw["ensemble"]["count"], "ensemble.count")
-        self.count = _ensemble_count(count, self.grid, "ensemble.count")
-        if self.count < 1:
-            raise ValueError(f"ensemble.count must be at least 1, got {self.count}")
-        self.seed = _integer(raw["ensemble"]["seed"], "ensemble.seed")
+        self.count = _ensemble_count(fields["ensemble.count"], self.grid, "ensemble.count")
+        self.seed = fields["ensemble.seed"]
         if self.seed < 0:
             raise ValueError(f"ensemble.seed must be nonnegative, got {self.seed}")
-        self.outputs = Path(raw["outputs"])
+        self.outputs = Path(fields["outputs"])
+        for name in ("states.initial", "states.target"):
+            ket = np.linalg.eigh(fields[name])[1][:, -1]
+            raw[name] = np.column_stack([ket.real, ket.imag]).tolist()
+        self.resolved = _sections(raw)
 
 
 def load_experiment(config_path=None, task=None, seed=None, out=None):
-    """Merge defaults, config file and command-line overrides, then resolve."""
-    raw = copy.deepcopy(DEFAULT_CONFIG)
+    """Resolve a config file and the command-line overrides against ``SCHEMA``."""
+    user = {}
     if config_path is not None:
         try:
             text = Path(config_path).read_text()
         except OSError as exc:
             raise ValueError(f"cannot read config file {config_path}: {exc}") from None
         try:
-            user = json.loads(
-                text,
-                parse_float=_finite_float,
-                parse_int=_finite_int,
-                parse_constant=_reject_constant,
-            )
+            user = json.loads(text)
         except ValueError as exc:  # includes json.JSONDecodeError
             raise ValueError(f"config file {config_path} is not valid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise ValueError("config file must contain a JSON object")
-        raw = _merge(user)
-    if task is not None:
-        raw["task"] = task
-    if seed is not None:
-        raw["ensemble"]["seed"] = seed
-    if out is not None:
-        raw["outputs"] = str(out)
-    return ResolvedExperiment(raw)
+    overrides = {"task": task, "ensemble.seed": seed, "outputs": None if out is None else str(out)}
+    return ResolvedExperiment(_resolve(user, {k: v for k, v in overrides.items() if v is not None}))
 
 
 def read_pulse_file(path, grid: TimeGrid, n_controls):
@@ -427,25 +371,51 @@ def read_pulse_file(path, grid: TimeGrid, n_controls):
     return as_pulses(np.ascontiguousarray(np.array(rows).T), grid, n_controls)
 
 
+def _fmt(value):
+    """17-significant-digit float formatting; integers stay integers."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _json_default(obj):
+    """numpy scalars and arrays, as the Python values they hold."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def write_json(path, payload):
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    Path(path).write_text(text + "\n")
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
 def write_pulse_file(path, grid: TimeGrid, pulses):
-    pulses = np.asarray(pulses)
-    header = ["k", "t_mid"] + [f"f_{m + 1}" for m in range(pulses.shape[0])]
-    rows = [
-        [k + 1, grid.midpoints[k]] + [pulses[m, k] for m in range(pulses.shape[0])]
-        for k in range(grid.n_steps)
-    ]
-    write_csv(path, header, rows)
+    """Write pulses with columns k, t_mid and one per control.
 
-
-def write_combined_pulses(path, grid: TimeGrid, guess, f_se, f_ddme):
-    m = guess.shape[0]
-    suffixes = [""] if m == 1 else [f"_{i + 1}" for i in range(m)]
-    header = ["k", "t_mid"] + [f"f_{name}{x}" for name in ("guess", "se", "ddme") for x in suffixes]
-    rows = [
-        [k + 1, grid.midpoints[k]] + [p[i, k] for p in (guess, f_se, f_ddme) for i in range(m)]
-        for k in range(grid.n_steps)
-    ]
-    write_csv(path, header, rows)
+    ``pulses`` is an (M, N) array, written as f_1 ... f_M, or a dict of
+    named pulse sets, each written as f_<name>, or as f_<name>_1 ...
+    f_<name>_M for several controls.
+    """
+    sets = pulses if isinstance(pulses, dict) else {None: pulses}
+    header, columns = ["k", "t_mid"], [range(1, grid.n_steps + 1), grid.midpoints]
+    for name, values in sets.items():
+        values = np.asarray(values)
+        prefix = "f" if name is None else f"f_{name}"
+        numbered = name is None or len(values) > 1
+        header += [f"{prefix}_{i + 1}" if numbered else prefix for i in range(len(values))]
+        columns += list(values)
+    write_csv(path, header, zip(*columns))
 
 
 def write_trajectory(path, traj):
@@ -466,26 +436,38 @@ def _check_finite_trajectory(traj, label):
         raise NumericalError(f"{label} trajectory contains non-finite entries")
 
 
+def _metrics(traj):
+    """A trajectory's final fidelity and purity and its lowest purity."""
+    return {
+        "final_fidelity": traj.final_fidelity,
+        "final_purity": traj.final_purity,
+        "min_purity": traj.min_purity,
+    }
+
+
 def _evaluate_pulse(exp: ResolvedExperiment, pulses):
     """Master-equation and ensemble trajectories of one pulse set, and their metrics."""
     master = ddme_propagate(exp.problem, pulses)
     ens = ensemble_average(exp.problem, pulses, exp.count, exp.seed)
     _check_finite_trajectory(master, "master")
     _check_finite_trajectory(ens, "ensemble")
-    return master, ens, {
-        "final_fidelity": master.final_fidelity,
-        "final_purity": master.final_purity,
-        "min_purity": master.min_purity,
-        "max_trace_distance_master_vs_ensemble": float(
-            np.max(trace_distance(master.states, ens.states))
-        ),
-    }
+    distance = float(np.max(trace_distance(master.states, ens.states)))
+    return master, ens, {**_metrics(master), "max_trace_distance_master_vs_ensemble": distance}
+
+
+def _output_dir(exp: ResolvedExperiment):
+    """The run's output directory, made if need be; a path that cannot be
+    one is a configuration error."""
+    try:
+        exp.outputs.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot make output directory {exp.outputs}: {exc}") from None
+    return exp.outputs
 
 
 def run_task(exp: ResolvedExperiment):
     """Full pipeline; returns (exit_code, summary dict)."""
-    out = exp.outputs
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(exp)
     problem = exp.problem
 
     se_trace = se_krotov(problem, exp.guess, exp.se_config)
@@ -495,7 +477,8 @@ def run_task(exp: ResolvedExperiment):
     traj_se_master, traj_se_ens, se = _evaluate_pulse(exp, se_trace.pulses)
     traj_ddme_master, traj_ddme_ens, ddme = _evaluate_pulse(exp, ddme_trace.pulses)
 
-    write_combined_pulses(out / "pulses.csv", exp.grid, exp.guess, se_trace.pulses, ddme_trace.pulses)
+    named = {"guess": exp.guess, "se": se_trace.pulses, "ddme": ddme_trace.pulses}
+    write_pulse_file(out / "pulses.csv", exp.grid, named)
     write_pulse_file(out / "pulse_se.csv", exp.grid, se_trace.pulses)
     write_pulse_file(out / "pulse_ddme.csv", exp.grid, ddme_trace.pulses)
     write_trajectory(out / "trajectory_se_master.csv", traj_se_master)
@@ -542,19 +525,26 @@ def run_task(exp: ResolvedExperiment):
 
 
 def run_sweep(exp: ResolvedExperiment, tcorr_list, iterations):
-    """Correlation-time sweep from the closed-system optimum; returns exit code."""
+    """Correlation-time sweep from the closed-system optimum; returns exit code.
+
+    ``tcorr_list`` holds the ``--tcorr`` values, or is None for
+    ``SWEEP_TCORR_FACTORS`` times T.  The flags are checked before the
+    output directory is made.
+    """
     if exp.kernel.kind != "stationary-gaussian":
         raise ValueError("sweep requires a stationary Gaussian kernel in the config")
-    out = exp.outputs
-    out.mkdir(parents=True, exist_ok=True)
+    if iterations < 1:
+        raise ValueError(f"--iterations must be at least 1, got {iterations}")
+    if tcorr_list is None:
+        tcorr_list = [f * exp.grid.T for f in SWEEP_TCORR_FACTORS]
+    elif min(_real(t, "--tcorr") for t in tcorr_list) <= 0.0:
+        raise ValueError(f"--tcorr must be positive, got {min(tcorr_list)!r}")
+    out = _output_dir(exp)
     se_trace = se_krotov(exp.problem, exp.guess, exp.se_config)
     series = run_correlation_sweep(
         exp.problem, se_trace.pulses, exp.ddme_config, tcorr_list, iterations
     )
-    rows = []
-    for t_corr, j_values in zip(tcorr_list, series):
-        for i, j in enumerate(j_values):
-            rows.append([t_corr, i, j])
+    rows = [[t_corr, i, j] for t_corr, j_values in zip(tcorr_list, series) for i, j in enumerate(j_values)]
     write_csv(out / "sweep.csv", ["t_corr", "iteration", "J_T"], rows)
     write_json(
         out / "sweep.json",
@@ -575,8 +565,7 @@ def run_sweep(exp: ResolvedExperiment, tcorr_list, iterations):
 def run_compare(exp: ResolvedExperiment, path_a, path_b):
     pulses_a = read_pulse_file(path_a, exp.grid, exp.problem.n_controls)
     pulses_b = read_pulse_file(path_b, exp.grid, exp.problem.n_controls)
-    out = exp.outputs
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(exp)
     _, _, metrics_a = _evaluate_pulse(exp, pulses_a)
     _, _, metrics_b = _evaluate_pulse(exp, pulses_b)
     report = {
@@ -595,21 +584,12 @@ def run_compare(exp: ResolvedExperiment, path_a, path_b):
 
 def run_propagate(exp: ResolvedExperiment, pulse_path):
     pulses = read_pulse_file(pulse_path, exp.grid, exp.problem.n_controls)
-    out = exp.outputs
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(exp)
     traj = ddme_propagate(exp.problem, pulses)
     _check_finite_trajectory(traj, "master")
     write_trajectory(out / "trajectory.csv", traj)
-    write_json(
-        out / "propagate.json",
-        {
-            "config": exp.resolved,
-            "pulses": str(pulse_path),
-            "final_fidelity": traj.final_fidelity,
-            "final_purity": traj.final_purity,
-            "min_purity": traj.min_purity,
-        },
-    )
+    report = {"config": exp.resolved, "pulses": str(pulse_path)}
+    write_json(out / "propagate.json", {**report, **_metrics(traj)})
     print(f"final fidelity {traj.final_fidelity:.6f}, final purity {traj.final_purity:.6f}")
     return EXIT_OK
 
@@ -618,30 +598,18 @@ def run_ensemble(exp: ResolvedExperiment, pulse_path, count=None, realization=No
     pulses = read_pulse_file(pulse_path, exp.grid, exp.problem.n_controls)
     count = exp.count if count is None else _ensemble_count(count, exp.grid, "--count")
     if realization is not None and not 0 <= realization < count:
-        raise ValueError(f"realization index {realization} outside 0..{count - 1}")
-    # the draws of ensemble_average, sampled once for the average and draw r;
-    # sampling rejects a count below one
+        raise ValueError(f"--realization index {realization} outside 0..{count - 1}")
+    # the draws of ensemble_average, sampled once for the average and draw r
     sets = pulses + sample_perturbations(exp.kernel, exp.grid, count, exp.seed)
-    out = exp.outputs
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(exp)
     traj = unitary_average(exp.problem, sets)
     _check_finite_trajectory(traj, "ensemble")
     write_trajectory(out / "trajectory_ensemble.csv", traj)
     if realization is not None:
         single = unitary_average(exp.problem, sets[realization : realization + 1])
         write_trajectory(out / f"trajectory_realization_{realization}.csv", single)
-    write_json(
-        out / "ensemble.json",
-        {
-            "config": exp.resolved,
-            "pulses": str(pulse_path),
-            "count": count,
-            "seed": exp.seed,
-            "final_fidelity": traj.final_fidelity,
-            "final_purity": traj.final_purity,
-            "min_purity": traj.min_purity,
-        },
-    )
+    report = {"config": exp.resolved, "pulses": str(pulse_path), "count": count, "seed": exp.seed}
+    write_json(out / "ensemble.json", {**report, **_metrics(traj)})
     print(f"ensemble of {count}: final fidelity {traj.final_fidelity:.6f}")
     return EXIT_OK
 
@@ -703,19 +671,13 @@ def main(argv=None):
     try:
         exp = load_experiment(config_path=args.config, task=args.task, seed=args.seed, out=args.out)
         if args.command == "optimize":
-            code, _ = run_task(exp)
-            return code
+            return run_task(exp)[0]
         if args.command == "propagate":
             return run_propagate(exp, args.pulses)
         if args.command == "ensemble":
             return run_ensemble(exp, args.pulses, count=args.count, realization=args.realization)
         if args.command == "sweep":
-            if args.iterations < 1:
-                raise ValueError(f"need at least one iteration, got {args.iterations}")
-            tcorr = args.tcorr
-            if tcorr is None:
-                tcorr = [f * exp.grid.T for f in SWEEP_TCORR_FACTORS]
-            return run_sweep(exp, tcorr, args.iterations)
+            return run_sweep(exp, args.tcorr, args.iterations)
         if args.command == "compare":
             return run_compare(exp, args.pulse_a, args.pulse_b)
         raise ValueError(f"unknown command {args.command!r}")

@@ -648,6 +648,72 @@ def test_ensemble_size_limit_is_config_error(tmp_path, capsys, count):
         assert not (tmp_path / "o").exists(), argv
 
 
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        ({"grid": {"T": 1e200, "N_T": 30}}, "grid.T"),
+        ({"kernel": {"kind": "stationary-gaussian", "C0": 0.01, "t_corr": 1e-300}}, "kernel.t_corr"),
+        ({"system": {"drift": {"z": 1e300}, "controls": [{"x": 1.0}]}}, "system.drift.z"),
+        ({"states": {"initial": [1.34e154, 0]}}, "states.initial[0]"),
+        ({"krotov": {"lambda": [-1e-101]}}, "krotov.lambda[0]"),
+    ],
+)
+def test_real_outside_the_magnitude_rule_is_config_error(tmp_path, capsys, overrides, name):
+    # real numbers are 0 or of magnitude 1e-100 to 1e100: an extreme value is
+    # refused at the boundary, not left to overflow in the numerics
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "magnitude" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_magnitude_rule_edges():
+    edge = cli.MAX_MAGNITUDE
+    for value in (edge, -edge, 1 / edge, -1 / edge, 0, -0.0, 2**300):
+        assert cli._real(value, "x") == value
+    for value in (edge * (1 + 1e-15), 1 / edge * (1 - 1e-15), 10**101, 5e-324, float("nan")):
+        with pytest.raises(ValueError, match="x must be 0 or of magnitude"):
+            cli._real(value, "x")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1e-300"])
+def test_sweep_tcorr_flag_is_config_error(tmp_path, capsys, monkeypatch, value):
+    # an invalid correlation time is refused before the closed-system stage
+    # runs and before the output directory exists; no RuntimeWarning is
+    # raised, which this suite's "error" filter would turn into a failure
+    monkeypatch.setattr(cli, "se_krotov", lambda *args: pytest.fail("closed-system stage ran"))
+    cfg = write_config(tmp_path, kernel={"kind": "stationary-gaussian", "C0": 0.01, "t_corr": 100.0})
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--tcorr", "2.0"]
+    assert cli.main(argv + [f"--tcorr={value}"]) == 2
+    assert "--tcorr" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert cli.main(argv + ["--iterations", "0"]) == 2
+    assert "--iterations" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    # every command refuses an output path that is a file, or lies under
+    # one, with a configuration error naming the path; the file is untouched
+    cfg = write_config(tmp_path, kernel={"kind": "stationary-gaussian", "C0": 0.01, "t_corr": 100.0})
+    pulse = write_pulse_lines(tmp_path, "pulse.csv")
+    commands = [
+        ["optimize"],
+        ["propagate", str(pulse)],
+        ["ensemble", "--count", "3", str(pulse)],
+        ["sweep", "--iterations", "1", "--tcorr", "2.0"],
+        ["compare", str(pulse), str(pulse)],
+    ]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    for out in (blocker, blocker / "run"):
+        for command in commands:
+            assert cli.main(command + ["--config", str(cfg), "--out", str(out)]) == 2, command
+            assert f"output directory {out}" in capsys.readouterr().err, command
+    assert blocker.read_text() == "keep\n"
+
+
 # A stock config with every section on a short grid and a small ensemble,
 # and the dotted path of every section and field that a generated value
 # replaces (guess.path has no default)
@@ -682,17 +748,15 @@ def replaced_config(path, value):
     return raw
 
 
-# Magnitudes stay far from the float limit: at grid.T = 1e200 the Gaussian
-# guess overflows while the config loads, a RuntimeWarning that this suite
-# turns into an error, and the run ends in a numerical failure
-MODERATE_FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+# Every double, NaN and the infinities included, and integers of any size:
+# the magnitude rule (cli.MAX_MAGNITUDE) turns away what would overflow or
+# underflow while the config loads, which under this suite's "error" filter
+# would surface as a RuntimeWarning, not as a configuration error
+ANY_FLOATS = st.floats()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    path=st.sampled_from(CONFIG_PATHS),
-    value=json_values(st.integers(-(10**7), 10**7) | MODERATE_FLOATS),
-)
+@given(path=st.sampled_from(CONFIG_PATHS), value=json_values(st.integers() | ANY_FLOATS))
 def test_generated_config_loads_or_is_config_error(tmp_path_factory, path, value):
     # one field or section of a stock config replaced by a generated JSON
     # value: load_experiment returns an experiment or raises ValueError with

@@ -23,7 +23,7 @@ from ddcontrol.krotov import (
     run_correlation_sweep,
     se_krotov,
 )
-from ddcontrol.propagation import build_cache, ddme_propagate
+from ddcontrol.propagation import PropagatorCache, build_cache, ddme_propagate
 from ddcontrol.tasks import TASK_PRESETS, guess_pulses
 
 QUBIT = default_h_family()
@@ -294,6 +294,27 @@ def test_ddme_krotov_final_cost_matches_repropagation(kind):
     cfg = KrotovConfig.with_blackman_ramps(grid, 1.25, 1.0, 1.0, j_tol=None, i_max=3)
     trace = ddme_krotov(prob, guess_pulses("gaussian", grid), cfg)
     assert trace.j_values[-1] == pytest.approx(cost_JT(prob, trace.pulses), abs=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["zero", "stationary-gaussian", "white-noise"])
+def test_zero_update_shapes_rebuild_no_step(monkeypatch, kind):
+    # with all update weights zero every new pulse value equals the old one,
+    # so the optimizer asks the cache for no rebuild and the pulses stay put
+    grid = TimeGrid(T=5.0, n_steps=50)
+    prob = make_problem("z-gate", kernel=kernel_of_kind(kind), grid=grid)
+    calls = []
+    update_step = PropagatorCache.update_step
+
+    def counted(cache, k, values):
+        calls.append(k)
+        return update_step(cache, k, values)
+
+    monkeypatch.setattr(PropagatorCache, "update_step", counted)
+    cfg = KrotovConfig(lambdas=[1.0], shapes=np.zeros((1, 50)), j_tol=None, i_max=4)
+    guess = guess_pulses("gaussian", grid)
+    trace = ddme_krotov(prob, guess, cfg)
+    assert calls == []
+    assert np.array_equal(trace.pulses, guess)
 
 
 def test_ddme_krotov_non_convergence_is_reported():

@@ -1,5 +1,6 @@
 """The README's library example, run as printed."""
 
+import json
 import math
 from pathlib import Path
 
@@ -28,3 +29,16 @@ def test_readme_config_example_is_the_z_gate_preset(tmp_path):
     path.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
     want = cli.load_experiment(task="z-gate").resolved
     assert cli.load_experiment(config_path=path).resolved == want
+
+
+def test_readme_config_example_names_every_schema_field():
+    # the documented example names each field of the CLI's table once, so it
+    # cannot drift from it; guess.path belongs to a tabulated guess only
+    section = README.read_text().split("Example with all sections", 1)[1]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    names = [
+        f"{key}.{field}" if isinstance(value, dict) else key
+        for key, value in example.items()
+        for field in (value if isinstance(value, dict) else [None])
+    ]
+    assert sorted(names) == sorted(set(cli.SCHEMA) - {"guess.path"})
