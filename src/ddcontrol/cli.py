@@ -17,11 +17,12 @@ user's config replaces the defaults one section deep; the ``--task``,
 ``--seed`` and ``--out`` flags replace their fields; the fields whose
 default is null (the states, the guess kind and the task-specific Krotov
 fields) take the task's preset in :mod:`ddcontrol.tasks`, a partial
-config; and every field is read by its reader, so an error names its
-dotted key.  A ``custom`` task has no preset, so its config must set the
-null fields.  The defaults are the stock single-qubit experiments: T = 10,
-100 steps, Gaussian kernel with C0 = 0.01 and t_corr = 100, 4000 ensemble
-realizations.  ``DEFAULT_CONFIG`` is the table's defaults as sections.
+config; and every field is read by its reader, then by the library
+constructors, and an error from either names the dotted keys of the
+fields it comes from.  A ``custom`` task has no preset, so its config must
+set the null fields.  The defaults are the stock single-qubit experiments:
+T = 10, 100 steps, Gaussian kernel with C0 = 0.01 and t_corr = 100, 4000
+ensemble realizations.  ``DEFAULT_CONFIG`` is the table's defaults as sections.
 All floats are written with 17 significant digits, so re-running a
 command with the same config and seed reproduces its output files byte
 for byte.
@@ -35,13 +36,13 @@ import copy
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .linalg import NumericalError, pauli_string, projector, trace_distance
 from .model import (
-    KERNEL_KINDS,
     CorrelationKernel,
     HamiltonianFamily,
     TimeGrid,
@@ -261,47 +262,48 @@ class ResolvedExperiment:
     """
 
     def __init__(self, raw):
-        fields = {
-            name: read(raw[name], name) for name, (_, read) in SCHEMA.items() if raw.get(name) is not None
-        }
+        fields = {}
+        for name, (_, read) in SCHEMA.items():
+            if raw.get(name) is not None:
+                with self._keyed(name):
+                    fields[name] = read(raw[name], name)
         if fields["grid.N_T"] > MAX_STEPS:
             raise ValueError(f"grid.N_T must be at most {MAX_STEPS}, got {fields['grid.N_T']}")
-        self.grid = TimeGrid(T=fields["grid.T"], n_steps=fields["grid.N_T"])
-        self.h_family = HamiltonianFamily(drift=fields["system.drift"], controls=fields["system.controls"])
+        with self._keyed("grid.T", "grid.N_T"):
+            self.grid = TimeGrid(T=fields["grid.T"], n_steps=fields["grid.N_T"])
+        with self._keyed("system.drift", "system.controls"):
+            self.h_family = HamiltonianFamily(fields["system.drift"], fields["system.controls"])
         m = self.h_family.n_controls
 
-        kind, c0 = fields["kernel.kind"], fields["kernel.C0"]
-        if kind not in KERNEL_KINDS:
-            raise ValueError(f"kernel.kind must be one of {KERNEL_KINDS}, got {kind!r}")
-        if kind == "white-noise":
-            self.kernel = CorrelationKernel.white_noise(c0, m)
-        elif kind == "zero" or c0 == 0.0:
-            self.kernel = CorrelationKernel.zero(m)
-        else:
-            self.kernel = CorrelationKernel.gaussian(c0, fields["kernel.t_corr"], m)
-
-        self.problem = ControlProblem(
-            rho0=fields["states.initial"], rho_targ=fields["states.target"],
-            h_family=self.h_family, grid=self.grid, kernel=self.kernel,
-        )
+        names = ("kernel.kind", "kernel.C0", "kernel.t_corr")
+        with self._keyed(*names):
+            self.kernel = CorrelationKernel(*map(fields.get, names), n_controls=m)
+        with self._keyed("states.initial", "states.target"):
+            self.problem = ControlProblem(
+                rho0=fields["states.initial"], rho_targ=fields["states.target"],
+                h_family=self.h_family, grid=self.grid, kernel=self.kernel,
+            )
 
         if fields["guess.kind"] == "tabulated":
             if not fields.get("guess.path"):
                 raise ValueError("guess.kind 'tabulated' requires guess.path")
-            self.guess = read_pulse_file(fields["guess.path"], self.grid, m)
+            with self._keyed("guess.path"):
+                self.guess = read_pulse_file(fields["guess.path"], self.grid, m)
         else:
-            self.guess = np.tile(guess_pulses(fields["guess.kind"], self.grid), (m, 1))
+            with self._keyed("guess.kind"):
+                self.guess = np.tile(guess_pulses(fields["guess.kind"], self.grid), (m, 1))
 
         for name in ("krotov.lambda", "krotov.se_lambda"):
             if isinstance(fields[name], list) and len(fields[name]) != m:
                 raise ValueError(f"{name} lists {len(fields[name])} values for {m} controls")
-        self.ddme_config, self.se_config = (
-            KrotovConfig.with_blackman_ramps(
-                self.grid, fields[f"krotov.{p}lambda"], fields["krotov.t_on"], fields["krotov.t_off"],
-                j_tol=fields[f"krotov.{p}J_tol"], i_max=fields[f"krotov.{p}i_max"], n_controls=m,
-            )
-            for p in ("", "se_")
-        )
+        configs = []
+        for p in ("", "se_"):
+            # the parameters of with_blackman_ramps after the grid, in order
+            names = [f"krotov.{key}" for key in (p + "lambda", "t_on", "t_off", p + "J_tol", p + "i_max")]
+            with self._keyed(*names):
+                args = map(fields.get, names)
+                configs.append(KrotovConfig.with_blackman_ramps(self.grid, *args, n_controls=m))
+        self.ddme_config, self.se_config = configs
 
         self.count = _ensemble_count(fields["ensemble.count"], self.grid, "ensemble.count")
         self.seed = fields["ensemble.seed"]
@@ -312,6 +314,19 @@ class ResolvedExperiment:
             ket = np.linalg.eigh(fields[name])[1][:, -1]
             raw[name] = np.column_stack([ket.real, ket.imag]).tolist()
         self.resolved = _sections(raw)
+
+    @staticmethod
+    @contextmanager
+    def _keyed(*names):
+        """Prefix a ValueError raised in the block, by a reader or a library
+        constructor, with the dotted keys of the fields the block reads,
+        unless its message names one of them already."""
+        try:
+            yield
+        except ValueError as exc:
+            if any(name in str(exc) for name in names):
+                raise
+            raise ValueError(f"{', '.join(names)}: {exc}") from None
 
 
 def load_experiment(config_path=None, task=None, seed=None, out=None):
@@ -431,11 +446,6 @@ def write_trace(path, j_values):
     write_csv(path, ["iteration", "J_T"], [[i, j] for i, j in enumerate(j_values)])
 
 
-def _check_finite_trajectory(traj, label):
-    if not np.isfinite(traj.states).all():
-        raise NumericalError(f"{label} trajectory contains non-finite entries")
-
-
 def _metrics(traj):
     """A trajectory's final fidelity and purity and its lowest purity."""
     return {
@@ -449,8 +459,6 @@ def _evaluate_pulse(exp: ResolvedExperiment, pulses):
     """Master-equation and ensemble trajectories of one pulse set, and their metrics."""
     master = ddme_propagate(exp.problem, pulses)
     ens = ensemble_average(exp.problem, pulses, exp.count, exp.seed)
-    _check_finite_trajectory(master, "master")
-    _check_finite_trajectory(ens, "ensemble")
     distance = float(np.max(trace_distance(master.states, ens.states)))
     return master, ens, {**_metrics(master), "max_trace_distance_master_vs_ensemble": distance}
 
@@ -586,7 +594,6 @@ def run_propagate(exp: ResolvedExperiment, pulse_path):
     pulses = read_pulse_file(pulse_path, exp.grid, exp.problem.n_controls)
     out = _output_dir(exp)
     traj = ddme_propagate(exp.problem, pulses)
-    _check_finite_trajectory(traj, "master")
     write_trajectory(out / "trajectory.csv", traj)
     report = {"config": exp.resolved, "pulses": str(pulse_path)}
     write_json(out / "propagate.json", {**report, **_metrics(traj)})
@@ -603,7 +610,6 @@ def run_ensemble(exp: ResolvedExperiment, pulse_path, count=None, realization=No
     sets = pulses + sample_perturbations(exp.kernel, exp.grid, count, exp.seed)
     out = _output_dir(exp)
     traj = unitary_average(exp.problem, sets)
-    _check_finite_trajectory(traj, "ensemble")
     write_trajectory(out / "trajectory_ensemble.csv", traj)
     if realization is not None:
         single = unitary_average(exp.problem, sets[realization : realization + 1])

@@ -195,7 +195,7 @@ def ddme_gradient_D(cache: PropagatorCache, states, costates, k):
     # j >= k, by 1 - i dt df K, with K = g_k^dag H_m g_k (coefficients
     # kappa[m, k]); of the evolved controls in e_p[node j] only those from
     # start nodes l < k move, and e_p[node j] moves by dt^2 O_j F(kappa[m, k])
-    # s_pj df with s_pj = sum_{n, l<k} W[p, n, j, l] kappa[n, l], the cache's
+    # s_pj df with s_pj = sum_{n, l<k} W[p, j, n, l] kappa[n, l], the cache's
     # running memory table at step k.  Through
     # F(h_p) F(x) that adds 2 c_j.F(h_p) F(x) r_j = -2 a_pj.x to D,
     # a_pj = (c_j F(h_p)) F(r_j), since F(x) r = -F(r) x.
@@ -303,8 +303,7 @@ def run_correlation_sweep(problem: ControlProblem, guess, config: KrotovConfig, 
         )
     series = []
     for t_corr in tcorr_list:
-        kernel = CorrelationKernel.gaussian(problem.kernel.c0, t_corr, problem.n_controls)
-        swept = replace(problem, kernel=kernel)
+        swept = replace(problem, kernel=replace(problem.kernel, t_corr=t_corr))
         cfg = replace(config, j_tol=None, i_max=iterations)
         trace = ddme_krotov(swept, guess, cfg)
         series.append(trace.j_values)

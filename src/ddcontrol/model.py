@@ -82,7 +82,10 @@ class HamiltonianFamily:
       controls;
     * ``drift_map``: (n, n) map ``F(h_0)`` of the drift;
     * ``control_maps``: (M, n, n) maps ``F(h_m)`` of the controls;
-    * ``unit_maps``: (n, n, n) maps ``F(e)`` of the unit vectors e.
+    * ``memory_rows``: (M n, n^2) rows of the step generator's memory
+      term: row (m, e) is ``F(h_m) F(u_e)`` flattened, for the unit vector
+      ``u_e``, so ``sum_m F(h_m) F(e_m)`` is one product of the
+      coefficients ``e_m``, laid out as one row, with this table.
     """
 
     drift: np.ndarray
@@ -91,7 +94,7 @@ class HamiltonianFamily:
     control_coefficients: np.ndarray = field(init=False, repr=False, compare=False)
     drift_map: np.ndarray = field(init=False, repr=False, compare=False)
     control_maps: np.ndarray = field(init=False, repr=False, compare=False)
-    unit_maps: np.ndarray = field(init=False, repr=False, compare=False)
+    memory_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         drift = check_hermitian(self.drift, name="drift Hamiltonian")
@@ -110,13 +113,14 @@ class HamiltonianFamily:
                 )
         stack = np.stack(controls)
         coefficients = to_coherence(stack)
-        n = coefficients.shape[-1]
+        m, n = coefficients.shape
+        control_maps = structure_map(coefficients)
         tables = {
             "control_stack": stack,
             "control_coefficients": coefficients,
             "drift_map": structure_map(to_coherence(drift)),
-            "control_maps": structure_map(coefficients),
-            "unit_maps": structure_map(np.eye(n)),
+            "control_maps": control_maps,
+            "memory_rows": (control_maps[:, None] @ structure_map(np.eye(n))).reshape(m * n, n * n),
         }
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "controls", controls)
@@ -154,10 +158,13 @@ class CorrelationKernel:
     ``kind`` is one of :data:`KERNEL_KINDS`: 'zero', 'stationary-gaussian'
     or 'white-noise', the kinds the command line builds.  ``c0`` is the
     equal-time variance scale (the white-noise rate alpha for kind
-    'white-noise').  Cross correlations between different controls vanish.
-    The propagator cache and the sampler read a kernel only through
-    ``n_controls``, ``is_zero``, :meth:`weight_table`, :attr:`local_weights`
-    and :meth:`covariance`, so the tests' cross-correlated kernel in
+    'white-noise'); ``t_corr`` is read only by kind 'stationary-gaussian'.
+    A Gaussian kernel with ``c0 = 0`` stays that kind: it has no memory
+    and samples zero perturbations, as the zero kernel does.  Cross
+    correlations between different controls vanish.  The propagator cache
+    and the sampler read a kernel only through ``n_controls``,
+    ``is_zero``, :meth:`weight_table`, :attr:`local_weights` and
+    :meth:`covariance`, so the tests' cross-correlated kernel in
     ``tests/reference.py`` is a small class with those members.
     """
 
@@ -196,24 +203,23 @@ class CorrelationKernel:
     def weight_table(self, grid: TimeGrid):
         """Causal Riemann-sum weights on (node, midpoint) pairs, or ``None``.
 
-        Returns the (M, M, n_steps+1, n_steps) table ``[m, n, j, l] =
-        C[m, n](t_j, mid_l)`` for the midpoints in node j's past, l < j, and
+        Returns the (M, n_steps+1, M, n_steps) table ``[p, j, n, l] =
+        C[p, n](t_j, mid_l)`` for the midpoints in node j's past, l < j, and
         exactly 0 for l >= j: the weights of the memory integrals' Riemann
-        sums.  Returns ``None`` when no weight in the past of any node is
-        nonzero: for the zero kernel, for a delta-correlated kernel, which has
-        no finite value on the grid and enters through :attr:`local_weights`
-        instead, and for a Gaussian kernel whose past weights vanish or
-        underflow.
+        sums.  The table is C-contiguous and in the order
+        :class:`~ddcontrol.propagation.PropagatorCache` keeps, so the cache
+        holds it as it is.  Returns ``None`` when no weight in the past of
+        any node is nonzero: for the zero kernel, for a delta-correlated
+        kernel, which has no finite value on the grid and enters through
+        :attr:`local_weights` instead, and for a Gaussian kernel whose past
+        weights vanish or underflow.
 
         On the uniform grid a stationary kernel depends only on the lag
         ``t_j - mid_l = (j - l - 1/2) dt``, so the Gaussian kernel is
         evaluated once on the N past lags of a 2N-lag vector whose other
         half is zero, and every row of the table is a forward-strided window
         of that vector; past entries agree with the kernel evaluated at the
-        grid's own nodes and midpoints to within ``1e-14 c0``.  Its table is
-        an (M, M, N+1, N) view of an array laid out in the (M, N+1, M, N)
-        order that :class:`~ddcontrol.propagation.PropagatorCache` keeps, so
-        the cache's ``table.transpose(0, 2, 1, 3)`` is contiguous as it is.
+        grid's own nodes and midpoints to within ``1e-14 c0``.
 
         Every call returns a fresh array that the caller owns and may
         modify.
@@ -238,7 +244,7 @@ class CorrelationKernel:
             table[i, :, :i] = 0.0
             table[i, :, i] = rows
             table[i, :, i + 1 :] = 0.0
-        return table.transpose(0, 2, 1, 3)
+        return table
 
     @property
     def local_weights(self):

@@ -28,17 +28,19 @@ control has coefficients ``O_j kappa[n, l]``, so
 
     e_p[node j] = sum_n w[p, n] h_n + dt * O_j sum_{n, l < j} C[p, n](t_j, mid_l) kappa[n, l].
 
-Every kernel kind goes through this one generator: for white noise the
-Riemann sum vanishes and the local term makes ``K_k`` the Markovian
-double-commutator generator.  All tables live in a
-:class:`PropagatorCache` that can be partially rebuilt after a pulse
-changes, which is what the sequential optimizer relies on, so the
-optimizer and :func:`ddme_propagate` follow the same map.  A pulse change
-at step k rotates the frame of every node from k on, which moves only the
-Riemann-sum terms from the nodes before k; the cache keeps their sums
-``s_<k`` as a running table, advanced by one node per step of the
-optimizer's ascending sweep, and both ``eta`` and the optimizer's gradient
-read it, so an update costs O(N n) flops for the memory sums in place of
+Every kernel kind goes through this one generator, built on one path: for
+white noise the Riemann sum vanishes and the local term makes ``K_k`` the
+Markovian double-commutator generator, and for the zero kernel both
+vanish.  All tables live in a :class:`PropagatorCache` that can be
+partially rebuilt after a pulse changes, which is what the sequential
+optimizer relies on, so the optimizer and :func:`ddme_propagate` follow the
+same map.  A pulse change at step k rotates the frame of every node from k
+on, which moves only the Riemann-sum terms from the nodes before k; the
+cache keeps their sums ``s_<k`` as a running table, advanced by one node
+per step of the optimizer's ascending sweep.  The build of ``eta`` reads
+the table with the terms of all nodes, and ``eta``'s update and the
+optimizer's gradient read it at their step, so the Riemann sum has one
+formula, and an update costs O(N n) flops for the memory sums in place of
 O(N^2 n).
 :func:`white_noise_propagate` builds the Markovian generator on its own and
 is kept as an independent reference for that kind.
@@ -59,13 +61,15 @@ real product, and each node's average is read from real Gram products of
 the kets.
 
 A one-shot propagation does little besides building the cache and the
-sweep: the cache takes the causal weights from
-:meth:`~ddcontrol.model.CorrelationKernel.weight_table` as they are, with
-no mask, copy or scan of its own, and ``None`` for "no memory"; it reads
-the maps of the Hamiltonians from tables its
+sweep: the cache holds the causal weights of
+:meth:`~ddcontrol.model.CorrelationKernel.weight_table` as the kernel lays
+them out, with no mask, transpose or copy of its own, and ``None`` for "no
+memory"; it reads the maps of the Hamiltonians and the rows of the
+generator's memory term from tables its
 :class:`~ddcontrol.model.HamiltonianFamily` forms once; and
-:meth:`Trajectory.from_states` reads purity, fidelity and Bloch vector from
-the coherence vectors of the states, with no d x d products.
+:meth:`Trajectory.from_states` rejects non-finite states and reads purity,
+fidelity and Bloch vector from the coherence vectors of the states, with
+no d x d products.
 
 Step indices ``k`` are 1-based (step ``k`` connects node ``k-1`` to node
 ``k``); node indices are 0-based.
@@ -114,10 +118,13 @@ class Trajectory:
         delta_ab``, the purity is ``1/d + 2 |r|^2``, the overlap
         ``Tr(rho_targ rho) = Tr(rho_targ) / d + 2 r . r_targ``, and for
         d = 2, where the Gell-Mann matrices are the Pauli matrices, the
-        Bloch vector is ``2 r``.  Raises ``ValueError`` for a target that is
-        not pure.
+        Bloch vector is ``2 r``.  Raises :class:`NumericalError` for states
+        with non-finite entries and ``ValueError`` for a target that is not
+        pure.
         """
         states = np.asarray(states)
+        if not np.isfinite(states).all():
+            raise NumericalError("trajectory contains non-finite entries")
         rho_targ = np.asarray(rho_targ, dtype=complex)
         if abs(purity(rho_targ) - 1.0) > 1e-10:
             raise ValueError(
@@ -221,9 +228,8 @@ class PropagatorCache:
       vanish);
     * ``weights``: (M, N+1, M, N) Riemann-sum weights,
       ``weights[p, j, n, l] = C[p, n](t_j, mid_l)`` for l < j and zero for
-      l >= j, the kernel's causal table with its axes reordered (for the
-      Gaussian kernel a view, since the kernel lays its table out in this
-      order); ``None`` without memory;
+      l >= j: the kernel's causal table as it returns it, which is laid
+      out in this order; ``None`` without memory;
     * ``eta``: (M, N+1, n) coefficients ``e_p`` of the summed memory
       integrals ``E_p = sum_n eta_pn`` per node, the kernel's
       pulse-independent local term plus its Riemann sum; zero at node 0;
@@ -256,8 +262,9 @@ class PropagatorCache:
     propagator is formed.
 
     The terms from the nodes before k are the running memory table
-    ``s_<k`` (:meth:`past_sums`), ``s_<k[p, j] = sum_{n, l<k} W[p, n, j, l]
-    kappa[n, l]`` with ``W = weights``.  During the optimizer's ascending
+    ``s_<k`` (:meth:`past_sums`), ``s_<k[p, j] = sum_{n, l<k} W[p, j, n, l]
+    kappa[n, l]`` with ``W = weights``.  The constructor builds ``eta`` from
+    the table of all nodes, ``s_<N``.  During the optimizer's ascending
     sweep the kappa of the nodes before k no longer move, so the table grows
     by the one node k - 1 per step: ``eta``'s update and the gradient's
     memory term read it in place of a Riemann sum over all earlier nodes.
@@ -271,7 +278,8 @@ class PropagatorCache:
     d x d eigendecomposition otherwise; the memory terms of ``eta`` move by
     ``dt O_j (R - 1) s_<k`` per node, O(N n) flops; the incoherent
     generators ``sum_m F(h_m) F(e_m)`` of the whole suffix are one product
-    of the ``eta`` rows with a stacked ``(M n, n^2)`` table; and the
+    of the ``eta`` rows with the family's ``(M n, n^2)`` table
+    ``memory_rows``, for every kernel kind, as in the constructor; and the
     finiteness of the generators is checked once, by
     :func:`~ddcontrol.linalg.expm`.
     """
@@ -292,16 +300,12 @@ class PropagatorCache:
         nc = h_controls.shape[-1]
         # Read-only tables of the family.  Step k's coherent map is F(h_0)
         # plus the pulse values times the rows of _f_rows, F(h_m) flattened.
-        # Row (m, e) of _memory_rows is F(h_m) F(unit vector e) flattened, so
-        # sum_m F(h_m) F(e_m) is one product with the coefficients e_m laid
-        # out as one row.
         self.f_controls = h_family.control_maps
         self._f_drift = h_family.drift_map
         self._f_rows = self.f_controls.reshape(m, nc * nc)
-        self._memory_rows = (self.f_controls[:, None] @ h_family.unit_maps).reshape(m * nc, nc * nc)
-        table = kernel.weight_table(grid)
-        self.has_memory = table is not None
-        self.weights = None if table is None else np.ascontiguousarray(table.transpose(0, 2, 1, 3))
+        self._memory_rows = h_family.memory_rows
+        self.weights = kernel.weight_table(grid)
+        self.has_memory = self.weights is not None
         self._local_eta = kernel.local_weights @ h_controls
 
         self.f_steps = self._f_drift + (self.pulses.T @ self._f_rows).reshape(n, nc, nc)
@@ -314,8 +318,6 @@ class PropagatorCache:
             self._past_end = 0
         else:
             self.o = self.kappa = self._past = None
-            # eta is pulse independent, and so is the incoherent generator
-            self._static_incoherent = self._incoherent(self._local_eta[:, None])
         build_eta_table(self)
         self._build_v_steps(1, n)
 
@@ -370,7 +372,7 @@ class PropagatorCache:
 
     def past_sums(self, k):
         """The running memory table ``s_<k``, (M, N+1, n): row j of control p
-        is ``sum_{n, l<k} W[p, n, j, l] kappa[n, l]``, the part of node j's
+        is ``sum_{n, l<k} W[p, j, n, l] kappa[n, l]``, the part of node j's
         Riemann sum from the nodes before k (1 <= k <= N).
 
         The table is kept from call to call, and a call adds the terms of
@@ -379,8 +381,10 @@ class PropagatorCache:
         rotates only the kappa of the nodes >= k, so the terms kept stay
         current while the updates come in ascending order; a k below the
         last one starts the table again from node 0, and :meth:`refresh`
-        reads the table at its own step before it uses it.  Only with
-        memory.
+        reads the table at its own step before it uses it.  The build of
+        ``eta`` reads ``s_<N``, the sum over all nodes, so after the build
+        the first call of an ascending sweep, at a step below N, starts the
+        table again.  Only with memory.
         """
         if k < self._past_end:
             self._past[...] = 0.0
@@ -395,20 +399,19 @@ class PropagatorCache:
         return self._past
 
     def _build_v_steps(self, first, last):
-        """Step maps of steps first..last (1-based, inclusive); :func:`expm`
-        rejects a non-finite generator."""
-        if self.has_memory:
-            gen = self._incoherent(self.eta[:, first : last + 1])
-            gen += self.f_steps[first - 1 : last]
-        else:
-            gen = self.f_steps[first - 1 : last] + self._static_incoherent
-        self.v_steps[first - 1 : last] = expm(gen, scale=self.grid.dt)
+        """Step maps exp(dt K_k) of steps first..last (1-based, inclusive).
 
-    def _incoherent(self, eta):
-        """Maps ``sum_m F(h_m) F(e_m)`` for a (M, K, n) slice of coefficients
-        ``e_m``: (K, n, n)."""
+        Every kernel kind builds its generators here, ``K_k = F(h_k) +
+        sum_p F(h_p) F(e_p[node k])`` from the rows of ``f_steps`` and
+        ``eta``: the memory term of all K steps is one product of the
+        (K, M n) ``eta`` rows with the family's ``memory_rows``.
+        :func:`expm` rejects a non-finite generator.
+        """
+        eta = self.eta[:, first : last + 1]
         m, k, n = eta.shape
-        return (eta.transpose(1, 0, 2).reshape(k, m * n) @ self._memory_rows).reshape(k, n, n)
+        gen = (eta.transpose(1, 0, 2).reshape(k, m * n) @ self._memory_rows).reshape(k, n, n)
+        gen += self.f_steps[first - 1 : last]
+        self.v_steps[first - 1 : last] = expm(gen, scale=self.grid.dt)
 
 
 def build_eta_table(cache: PropagatorCache, start_node=0, rotation=None):
@@ -419,9 +422,10 @@ def build_eta_table(cache: PropagatorCache, start_node=0, rotation=None):
 
     with ``w`` the kernel's local weights.  Without ``rotation`` the table
     is built: the Riemann sum is skipped when the kernel has no weights in
-    the past of any node; otherwise the kernel weights contract with the
-    interaction-picture controls in one product per control, and the
-    single rotation by O_j happens after.
+    the past of any node; otherwise it is the running table of all nodes,
+    ``s_<N`` (:meth:`PropagatorCache.past_sums`), whose first call
+    contracts the kernel weights with the interaction-picture controls in
+    one product per control, and the single rotation by O_j happens after.
 
     With ``rotation`` the table is updated in place.  R is the rotation by
     which :meth:`PropagatorCache.refresh` has just turned the frame from
@@ -437,15 +441,12 @@ def build_eta_table(cache: PropagatorCache, start_node=0, rotation=None):
     if rotation is not None:
         past = cache.past_sums(j0)[:, j0:]
         past = past - past @ rotation
-        cache.eta[:, j0:] += cache.grid.dt * (cache.o[j0:] @ past[..., None])[..., 0]
-        return
-    cache.eta[:, j0:] = cache._local_eta[:, None]
-    if not cache.has_memory:
-        return
-    m, n1, n = cache.kappa.shape
-    weights = cache.weights[:, j0:].reshape(m, n1 - j0, m * (n1 - 1))
-    s = weights @ cache.kappa[:, :-1].reshape(m * (n1 - 1), n)
-    cache.eta[:, j0:] += cache.grid.dt * (cache.o[j0:] @ s[..., None])[..., 0]
+    else:
+        cache.eta[:, j0:] = cache._local_eta[:, None]
+        if not cache.has_memory:
+            return
+        past = cache.past_sums(cache.n_steps)[:, j0:]
+    cache.eta[:, j0:] += cache.grid.dt * (cache.o[j0:] @ past[..., None])[..., 0]
 
 
 def _trajectory(problem, states):
@@ -502,6 +503,16 @@ def white_noise_propagate(problem, pulses, alpha):
 # alignment of the pulse-value copies and of the kets made no difference.
 _STACK_ALIGN = 64
 
+# The most Horner substeps per step the ensemble runs.  The plan's s grows
+# as the step exponent's norm over 3.54 (``horner_choice``), without bound,
+# and the loop runs the substeps one by one: a drift of 1e100 plans about
+# 1e99 of them.  Past 100 a step's exponent has norm above 350, hundreds of
+# radians of phase within one step of constant pulse values, so the grid
+# does not resolve the dynamics it averages; and a 4000-set, 100-step qubit
+# ensemble at the limit took 6.6 s against 0.06 s at the stock plans' s = 1
+# (2-core Xeon, one BLAS thread).
+_MAX_SUBSTEPS = 100
+
 
 def _aligned_empty(shape):
     """Uninitialized C-contiguous float array whose first element starts
@@ -526,7 +537,8 @@ def unitary_average(problem, pulse_sets):
     ``y <- x + A_k y / (s j)`` for j = m .. 1 (Al-Mohy & Higham, SIAM J.
     Sci. Comput. 33, 488 (2011)).  One (m, s) serves every step and set,
     :func:`ddcontrol.linalg.horner_choice` of the bound ``dt (|H_0|_1 +
-    max_{c,k} sum_m |f_mk(c)| |H_m|_1)``.
+    max_{c,k} sum_m |f_mk(c)| |H_m|_1)``; a plan of more than
+    ``_MAX_SUBSTEPS`` substeps raises :class:`NumericalError`.
 
     The arithmetic is real.  A ket ``psi = a + i b`` is carried as the real
     block ``[a; b]``, on which a complex matrix ``G = G_r + i G_i`` acts as
@@ -561,6 +573,8 @@ def unitary_average(problem, pulse_sets):
     norms = np.max(np.sum(np.abs(ops), axis=-2), axis=-1)
     bound = dt * (norms[0] + np.max(norms[1:] @ np.abs(pulse_sets)))
     degree, s = horner_choice(bound)
+    if s > _MAX_SUBSTEPS:
+        raise NumericalError(f"ensemble steps need {s:.3g} Taylor substeps, more than {_MAX_SUBSTEPS}")
     # gens[i] is Horner term j = m - i: the real (2d, (M+2) 2d) block row
     # [G_0, G_1, .., G_M, 1] of G_n = -i dt H_n / (s j) = (Im H_n - i Re H_n)
     # dt / (s j), each G_n as [[Re G_n, -Im G_n], [Im G_n, Re G_n]]; it

@@ -280,7 +280,7 @@ class TabulatedKernel:
 
     def weight_table(self, grid):
         table = np.tril(self.table(grid.nodes, grid.midpoints), -1)
-        return table if table.any() else None
+        return np.ascontiguousarray(table.transpose(0, 2, 1, 3)) if table.any() else None
 
     def covariance(self, grid):
         m, n = self.n_controls, grid.n_steps

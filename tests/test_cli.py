@@ -1,6 +1,9 @@
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +15,8 @@ from hypothesis import strategies as st
 from ddcontrol import cli
 from ddcontrol.linalg import projector
 from ddcontrol.model import KERNEL_KINDS, TimeGrid, sample_perturbations
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -712,6 +717,67 @@ def test_out_naming_a_file_is_config_error(tmp_path, capsys):
             assert cli.main(command + ["--config", str(cfg), "--out", str(out)]) == 2, command
             assert f"output directory {out}" in capsys.readouterr().err, command
     assert blocker.read_text() == "keep\n"
+
+
+# Values that pass their reader but fail a library constructor or a
+# library call inside a reader, with the dotted key the message must name
+LIBRARY_REJECTED = [
+    ({"grid": {"T": -1, "N_T": 30}}, "grid.T"),
+    ({"grid": {"T": 10.0, "N_T": 0}}, "grid.N_T"),
+    ({"krotov": {"J_tol": 2}}, "krotov.J_tol"),
+    ({"krotov": {"i_max": 0}}, "krotov.i_max"),
+    ({"krotov": {"lambda": -1}}, "krotov.lambda"),
+    ({"krotov": {"t_on": -1}}, "krotov.t_on"),
+    ({"kernel": {"kind": "stationary-gaussian", "C0": 0.01, "t_corr": -1}}, "kernel.t_corr"),
+    ({"kernel": {"kind": "stationary-gaussian", "C0": -1, "t_corr": 100.0}}, "kernel.C0"),
+    ({"guess": {"kind": "box"}}, "guess.kind"),
+    ({"states": {"initial": "x"}}, "states.initial"),
+    ({"states": {"initial": [0, 0]}}, "states.initial"),
+    ({"system": {"drift": {"z": 1.0, "q": 0.5}}}, "system.drift"),
+    # the kernel section is read by the model alone: kind 'zero' keeps the
+    # check on C0, and C0 = 0 the check on t_corr
+    ({"kernel": {"kind": "zero", "C0": -1, "t_corr": 100.0}}, "kernel.C0"),
+    ({"kernel": {"kind": "stationary-gaussian", "C0": 0.0, "t_corr": 0.0}}, "kernel.t_corr"),
+]
+
+
+@pytest.mark.parametrize("overrides, name", LIBRARY_REJECTED)
+def test_library_rejected_value_names_its_key(tmp_path, capsys, overrides, name):
+    # the message names the dotted key once, and no output is made
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(name) == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_runs_on_a_gaussian_kernel_without_variance(tmp_path):
+    # C0 = 0 leaves the kernel Gaussian: the sweep runs, on static dynamics,
+    # and every correlation time gives the same cost series
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out), "--iterations", "2"]
+    assert cli.main(argv + ["--tcorr", "2.0", "--tcorr", "14.0"]) == 0
+    series = json.loads((out / "sweep.json").read_text())["final_J_T"]
+    assert series[0] == series[1]
+
+
+@pytest.mark.parametrize("command", ["optimize", "ensemble"])
+def test_unresolved_drift_is_numerical_failure(tmp_path, command):
+    # a drift of 1e100 passes the magnitude rule, and the ensemble's Taylor
+    # plan would run about 1e99 substeps per step: the run exits 4 at once
+    # instead of running for ever
+    cfg = write_config(tmp_path, system={"drift": {"z": 1e100}}, grid={"T": 10.0, "N_T": 20})
+    pulse = tmp_path / "pulse.csv"
+    cli.write_pulse_file(pulse, TimeGrid(T=10.0, n_steps=20), np.full((1, 20), 0.3))
+    argv = {"optimize": ["optimize"], "ensemble": ["ensemble", str(pulse)]}[command]
+    argv += ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "ddcontrol.cli", *argv], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert done.returncode == 4, done.stderr
+    assert "substeps" in done.stderr
 
 
 # A stock config with every section on a short grid and a small ensemble,

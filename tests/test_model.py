@@ -149,9 +149,9 @@ def test_kernel_weight_table_shapes_and_symmetry():
     grid = TimeGrid(T=10.0, n_steps=50)
     kern = CorrelationKernel.gaussian(0.01, 100.0)
     w = kern.weight_table(grid)
-    assert w.shape == (1, 1, 51, 50)
-    assert np.all(w[..., _future(grid)] == 0.0)
-    assert np.all(w[..., ~_future(grid)] > 0.0)
+    assert w.shape == (1, 51, 1, 50)
+    assert np.all(w[0, :, 0][_future(grid)] == 0.0)
+    assert np.all(w[0, :, 0][~_future(grid)] > 0.0)
     cov = kern.covariance(grid)
     assert np.array_equal(cov, cov.T)
     # kernels with no weight in any node's past give no table
@@ -179,13 +179,13 @@ def test_gaussian_weight_table_matches_elementwise_kernel(n):
             kern = CorrelationKernel.gaussian(c0, ratio * big_t, n_controls=2)
             want = gaussian_kernel(grid.nodes[:, None], grid.midpoints[None, :], c0, kern.t_corr)
             table = kern.weight_table(grid)
-            assert table.shape == (2, 2, n + 1, n)
+            assert table.shape == (2, n + 1, 2, n)
             for i in range(2):
-                assert np.max(np.abs(table[i, i] - want)[~future]) <= 1e-14 * c0
-                assert np.all(table[i, i][future] == 0.0)
-            assert not np.any(table[0, 1]) and not np.any(table[1, 0])
+                assert np.max(np.abs(table[i, :, i] - want)[~future]) <= 1e-14 * c0
+                assert np.all(table[i, :, i][future] == 0.0)
+            assert not np.any(table[0, :, 1]) and not np.any(table[1, :, 0])
             # laid out in the cache's (M, N+1, M, N) order
-            assert table.transpose(0, 2, 1, 3).flags.c_contiguous
+            assert table.flags.c_contiguous
 
 
 def test_weight_table_returns_fresh_arrays():
@@ -205,7 +205,7 @@ def test_quasistatic_weight_floor():
     # table holds them in each node's past and zeros after it
     grid = TimeGrid(T=10.0, n_steps=100)
     kern = CorrelationKernel.gaussian(0.01, 100.0)
-    w = kern.weight_table(grid)[0, 0]
+    w = kern.weight_table(grid)[0, :, 0]
     assert np.min(w[~_future(grid)]) >= 0.01 * np.exp(-0.01)
     assert np.all(w[_future(grid)] == 0.0)
     cov = kern.covariance(grid)

@@ -45,6 +45,7 @@ from ddcontrol.krotov import ControlProblem
 from ddcontrol.propagation import (
     PropagatorCache,
     Trajectory,
+    _MAX_SUBSTEPS,
     _aligned_empty,
     _node_sweep,
     build_cache,
@@ -244,9 +245,9 @@ def test_memoryless_kernels_build_no_weight_table(rng):
 
 
 def test_cache_weights_are_the_causally_masked_table(rng):
-    # weights[p, j, n, l] is the kernel table's [p, n, j, l] for l < j and
-    # exactly zero for l >= j; the cross-correlated table is the one not
-    # laid out in the cache's order, so the cache reorders a copy of it
+    # weights[p, j, n, l] is the kernel table's [p, j, n, l] for l < j and
+    # exactly zero for l >= j: every kernel, the cross-correlated one too,
+    # lays its table out in the cache's order
     grid = TimeGrid(T=3.0, n_steps=9)
     fam2 = HamiltonianFamily(
         drift=random_hermitian(rng, 2), controls=(random_hermitian(rng, 2), random_hermitian(rng, 2))
@@ -259,16 +260,16 @@ def test_cache_weights_are_the_causally_masked_table(rng):
     past = np.arange(9)[None, :] < np.arange(10)[:, None]
     for fam, kern in cases:
         cache = build_cache(fam, grid, rng.standard_normal((fam.n_controls, 9)), kern)
-        want = np.where(past, kern.weight_table(grid), 0.0).transpose(0, 2, 1, 3)
+        want = np.where(past[:, None], kern.weight_table(grid), 0.0)
         assert cache.weights.flags.c_contiguous
         assert np.array_equal(cache.weights, want)
         assert not np.any(cache.weights.transpose(0, 2, 1, 3)[..., ~past])
 
 
 def test_caches_share_the_family_tables(rng):
-    # every cache on one family reads the family's read-only tables, so a
-    # write through a cache raises; a cache on a fresh, equal family is
-    # bit-identical
+    # every cache on one family reads the family's read-only tables, the
+    # memory term's rows included, so a write through a cache raises; a
+    # cache on a fresh, equal family is bit-identical
     grid = TimeGrid(T=3.0, n_steps=9)
     drift, c1, c2 = (random_hermitian(rng, 3) for _ in range(3))
     fam = HamiltonianFamily(drift=drift, controls=(c1, c2))
@@ -278,10 +279,11 @@ def test_caches_share_the_family_tables(rng):
     second = build_cache(fam, grid, pulses, CorrelationKernel.white_noise(0.1, n_controls=2))
     for cache in (first, second):
         assert cache.f_controls is fam.control_maps and cache._f_drift is fam.drift_map
-        for table in (cache.f_controls, cache._f_drift, cache._f_rows):
+        assert cache._memory_rows is fam.memory_rows
+        for table in (cache.f_controls, cache._f_drift, cache._f_rows, cache._memory_rows):
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
-    for name in ("control_stack", "control_coefficients", "drift_map", "control_maps", "unit_maps"):
+    for name in ("control_stack", "control_coefficients", "drift_map", "control_maps", "memory_rows"):
         with pytest.raises(ValueError):
             getattr(fam, name)[0] = 1.0
     fresh = build_cache(HamiltonianFamily(drift=drift, controls=(c1, c2)), grid, pulses, gauss)
@@ -630,6 +632,39 @@ def test_ket_taylor_top_degree_with_substeps(rng):
         assert degree == _TAYLOR_DEGREES[-1] and substeps >= 2
         got = unitary_average(prob, sets).states
         assert np.max(np.abs(got - unitary_average_reference(prob, sets).states)) <= 1e-12
+
+
+def test_ket_taylor_substep_limit():
+    # a plan of up to _MAX_SUBSTEPS substeps per step runs; one more is
+    # refused before the loop, which would run them one by one
+    prob = ControlProblem(
+        rho0=projector("+"), rho_targ=projector("0"), h_family=DRIFTLESS,
+        grid=TimeGrid(T=0.3, n_steps=3), kernel=CorrelationKernel.zero(),
+    )
+    for substeps in (_MAX_SUBSTEPS, _MAX_SUBSTEPS + 1):
+        # bound = dt |f| for the pulse value f on the sigma_x control
+        sets = np.full((2, 1, 3), 10.0 * (substeps - 0.5) * _TAYLOR_THETA[-1])
+        assert _taylor_choice(prob, sets) == (_TAYLOR_DEGREES[-1], substeps)
+        if substeps > _MAX_SUBSTEPS:
+            with pytest.raises(NumericalError, match="substeps"):
+                unitary_average(prob, sets)
+        else:
+            assert np.all(np.isfinite(unitary_average(prob, sets).states))
+
+
+def test_ket_taylor_keeps_the_small_eigenvalue_of_rho0(rng):
+    # rho0 with eigenvalues 1 - 1e-13 and 1e-13: both lie above eigh's
+    # roundoff, so both are propagated and the averaged trace stays 1
+    # within 1e-14 at every node; dropping the small one would leave a
+    # deficit of 1e-13
+    v = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    rho0 = (v * [1.0 - 1e-13, 1e-13]) @ dag(v)
+    prob = ControlProblem(
+        rho0=rho0, rho_targ=projector("0"), h_family=QUBIT,
+        grid=TimeGrid(T=1.0, n_steps=10), kernel=CorrelationKernel.zero(),
+    )
+    states = unitary_average(prob, rng.standard_normal((50, 1, 10))).states
+    assert np.max(np.abs(np.trace(states[1:], axis1=1, axis2=2) - 1.0)) <= 1e-14
 
 
 def test_ket_taylor_zero_generator_keeps_rho0(rng):

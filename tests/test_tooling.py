@@ -77,3 +77,34 @@ def test_failing_property_test_does_not_end_the_run(pytester):
     result = pytester.runpytest_subprocess(tests, "-p", "no:cacheprovider")
     result.assert_outcomes(failed=1, passed=1)
     assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
+
+
+LINE_COUNT_FIXTURE = '''"""A module docstring
+over two lines."""
+
+# a comment line
+import os  # a comment after code
+
+
+def join(x):
+    """A function docstring."""
+
+    return os.path.join(
+        x,
+        "y",
+    )
+'''
+
+
+def test_code_line_counter(tmp_path):
+    # tools/code_lines.py counts the lines that hold code: not the blank
+    # line, the comment line or the docstrings, and every line of a call
+    # spread over several
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(LINE_COUNT_FIXTURE)
+    (package / "b.py").write_text("x = 1\n")
+    script = REPO / "tools" / "code_lines.py"
+    out = subprocess.run([sys.executable, str(script), str(package)], capture_output=True, text=True, check=True)
+    counts = [line.split() for line in out.stdout.splitlines()]
+    assert counts == [["6", str(package / "a.py")], ["1", str(package / "b.py")], ["7", "total"]]
