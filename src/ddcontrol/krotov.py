@@ -30,14 +30,21 @@ kernel weights contracted with the kappa of the nodes before k, which the
 cache advances by one node per step of the ascending sweep.  Its sum over
 the later nodes and the controls is a single gemm, contracted with
 ``F(kappa)`` of every control at once, so one call gives the gradient of
-all controls at a step.  With
-memory every update changes all later step maps, so before each update the
-costates and states are swept again, by one blocked
-:func:`~ddcontrol.propagation._node_sweep` over a batch of two runs of
-equal length: the costates from the target on the reversed, transposed
-maps of steps N..k, and the states from node k-1 on the maps of steps k..N.
-Without memory an update changes its own step map only: the costates are
-swept once per iteration and the states advance one node per step.
+all controls at a step.
+
+One rule schedules the propagation for every kernel.  An update at step k
+changes the step maps that
+:meth:`~ddcontrol.propagation.PropagatorCache.update_step` rebuilds: k
+alone without memory, k..N with memory.  The loop keeps the last step whose
+map changed since the costates were last swept.  If it lies after k, the
+costate of node k is stale, and before the gradient the costates and states
+are swept again, by one blocked :func:`~ddcontrol.propagation._node_sweep`
+over a batch of two runs of equal length: the costates from the target on
+the reversed, transposed maps of steps N..k, and the states from node k-1
+on the maps of steps k..N.  Otherwise the states advance one node.  So a
+memoryless run sweeps once per iteration, a memory run once after every
+update that changed a pulse value, and no run after an update that changed
+nothing.
 
 A single optimization run is strictly sequential (each pulse update feeds
 the next); independent runs share no mutable state and can execute
@@ -219,12 +226,15 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     index k one gradient call reads the states and costates from node k on,
     computed with propagators that already contain the updates at steps
     < k, and gives the update ``f += (S / lambda) * D`` of every control.
-    With memory an update changes every later step map, so before each
-    update the costates are swept again from the target over steps N..k
-    and the states from node k-1 over steps k..N, both runs in one
-    :func:`~ddcontrol.propagation._node_sweep`.  Without memory an update
-    changes only its own step map: the costates are swept once per
-    iteration and the states advance one node per step.
+    Before the gradient at step k, if a step map after k changed since the
+    last sweep, the costates are swept again from the target over steps
+    N..k and the states from node k-1 over steps k..N, both runs in one
+    :func:`~ddcontrol.propagation._node_sweep`; otherwise the states
+    advance one node.  Which maps an update changed is the last step that
+    :meth:`~ddcontrol.propagation.PropagatorCache.update_step` rebuilt, so
+    the same loop serves every kernel.  The cost ``J_T`` is read once per
+    iteration and once for the guess, from the final state and the
+    target's costate.
     """
     _check_config(problem, config)
     grid = problem.grid
@@ -241,23 +251,21 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
     costates = np.empty_like(states)
     costates[n] = to_coherence(problem.rho_targ)
     offset = 1.0 - 1.0 / problem.dim
-    if cache.has_memory:
-        # the paired sweep's maps and starting values: run 0 the costates,
-        # run 1 the states
-        pair = np.empty((2, n) + v_steps.shape[1:])
-        ends = np.empty((2,) + states.shape[1:])
+    # the paired sweep's maps and starting values: run 0 the costates, run 1
+    # the states
+    pair = np.empty((2, n) + v_steps.shape[1:])
+    ends = np.empty((2,) + states.shape[1:])
+    # the last step whose map changed since the costates were last swept
+    rebuilt = n
 
-    j_val = offset - 2.0 * float(costates[n] @ states[n])
-    j_values = [j_val]
-    converged = config.j_tol is not None and j_val <= config.j_tol
-
-    iterations = 0
-    while not converged and iterations < config.i_max:
-        iterations += 1
-        if not cache.has_memory:
-            costates[:] = _node_sweep(backward, costates[n])[::-1]
+    j_values = []
+    for iteration in range(config.i_max + 1):
+        j_values.append(offset - 2.0 * float(costates[n] @ states[n]))
+        converged = config.j_tol is not None and j_values[-1] <= config.j_tol
+        if converged or iteration == config.i_max:
+            break
         for k in range(1, n + 1):
-            if cache.has_memory:
+            if rebuilt > k:
                 # costates of nodes N..k-1 on the maps V_N^T..V_k^T, states
                 # of nodes k-1..N on the maps V_k..V_N: two runs of N - k + 1
                 run = n - k + 1
@@ -267,21 +275,19 @@ def ddme_krotov(problem: ControlProblem, guess, config: KrotovConfig):
                 swept = _node_sweep(pair[:, :run], ends)
                 costates[k - 1 :] = swept[0, ::-1]
                 states[k - 1 :] = swept[1]
+                rebuilt = 0
             else:
                 states[k] = v_steps[k - 1] @ states[k - 1]
             new = cache.pulses[:, k - 1] + steps[:, k - 1] * ddme_gradient_D(cache, states, costates, k)
             if (new != cache.pulses[:, k - 1]).any():
-                cache.update_step(k, new)
-            states[k] = v_steps[k - 1] @ states[k - 1]
-        j_val = offset - 2.0 * float(costates[n] @ states[n])
-        j_values.append(j_val)
-        converged = config.j_tol is not None and j_val <= config.j_tol
+                rebuilt = max(rebuilt, cache.update_step(k, new))
+                states[k] = v_steps[k - 1] @ states[k - 1]
 
     return OptimizationTrace(
         j_values=np.array(j_values),
         pulses=cache.pulses.copy(),
         converged=converged,
-        iterations=iterations,
+        iterations=len(j_values) - 1,
     )
 
 

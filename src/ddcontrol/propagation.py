@@ -81,6 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    _TAYLOR_THETA,
     NumericalError,
     expm,
     expm_hermitian,  # unused; kept while bench/tracing.py wraps propagation.expm_hermitian
@@ -537,8 +538,9 @@ def unitary_average(problem, pulse_sets):
     ``y <- x + A_k y / (s j)`` for j = m .. 1 (Al-Mohy & Higham, SIAM J.
     Sci. Comput. 33, 488 (2011)).  One (m, s) serves every step and set,
     :func:`ddcontrol.linalg.horner_choice` of the bound ``dt (|H_0|_1 +
-    max_{c,k} sum_m |f_mk(c)| |H_m|_1)``; a plan of more than
-    ``_MAX_SUBSTEPS`` substeps raises :class:`NumericalError`.
+    max_{c,k} sum_m |f_mk(c)| |H_m|_1)``; a bound that needs more than
+    ``_MAX_SUBSTEPS`` substeps, or that overflows, raises
+    :class:`NumericalError` before any plan is chosen.
 
     The arithmetic is real.  A ket ``psi = a + i b`` is carried as the real
     block ``[a; b]``, on which a complex matrix ``G = G_r + i G_i`` acts as
@@ -571,10 +573,15 @@ def unitary_average(problem, pulse_sets):
 
     ops = np.concatenate([fam.drift[None], fam.control_stack])
     norms = np.max(np.sum(np.abs(ops), axis=-2), axis=-1)
-    bound = dt * (norms[0] + np.max(norms[1:] @ np.abs(pulse_sets)))
+    # finite pulses and operators within the config's magnitudes can still
+    # overflow the bound; an infinite bound is refused like any other
+    with np.errstate(over="ignore"):
+        bound = dt * (norms[0] + np.max(norms[1:] @ np.abs(pulse_sets)))
+    # bounds this large take the top degree, whose theta is the largest, so
+    # the plan needs more than _MAX_SUBSTEPS substeps exactly past this limit
+    if not bound <= _MAX_SUBSTEPS * _TAYLOR_THETA[-1]:
+        raise NumericalError(f"ensemble step norm {bound:.3g} needs over {_MAX_SUBSTEPS} Taylor substeps")
     degree, s = horner_choice(bound)
-    if s > _MAX_SUBSTEPS:
-        raise NumericalError(f"ensemble steps need {s:.3g} Taylor substeps, more than {_MAX_SUBSTEPS}")
     # gens[i] is Horner term j = m - i: the real (2d, (M+2) 2d) block row
     # [G_0, G_1, .., G_M, 1] of G_n = -i dt H_n / (s j) = (Im H_n - i Re H_n)
     # dt / (s j), each G_n as [[Re G_n, -Im G_n], [Im G_n, Re G_n]]; it

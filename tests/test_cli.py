@@ -780,6 +780,23 @@ def test_unresolved_drift_is_numerical_failure(tmp_path, command):
     assert "substeps" in done.stderr
 
 
+def test_overflowing_taylor_bound_is_numerical_failure(tmp_path):
+    # a control of 1e100 sigma_x and pulse values of 1e300 both pass the
+    # input rules, but the ensemble's step-norm bound overflows: exit 4 with
+    # the substep message, not a traceback
+    cfg = write_config(tmp_path, system={"controls": [{"x": 1e100}]}, grid={"T": 10.0, "N_T": 20})
+    pulse = tmp_path / "pulse.csv"
+    cli.write_pulse_file(pulse, TimeGrid(T=10.0, n_steps=20), np.full((1, 20), 1e300))
+    argv = ["ensemble", str(pulse), "--config", str(cfg), "--out", str(tmp_path / "o")]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "ddcontrol.cli", *argv], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert done.returncode == 4, done.stderr
+    assert "substeps" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 # A stock config with every section on a short grid and a small ensemble,
 # and the dotted path of every section and field that a generated value
 # replaces (guess.path has no default)

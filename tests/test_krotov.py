@@ -23,7 +23,7 @@ from ddcontrol.krotov import (
     run_correlation_sweep,
     se_krotov,
 )
-from ddcontrol.propagation import PropagatorCache, build_cache, ddme_propagate
+from ddcontrol.propagation import PropagatorCache, _node_sweep, build_cache, ddme_propagate
 from ddcontrol.tasks import TASK_PRESETS, guess_pulses
 
 QUBIT = default_h_family()
@@ -429,6 +429,61 @@ def test_one_gradient_call_per_step(monkeypatch):
     config = KrotovConfig(lambdas=[1.0, 1.0], shapes=np.ones((2, n)), j_tol=None, i_max=1)
     ddme_krotov(prob, pulses, config)
     assert calls == list(range(1, n + 1))
+
+
+def _recorded_sweeps(monkeypatch):
+    """The (runs..., steps) shape of every node sweep the optimizer makes:
+    (N,) for the guess's states, (2, L) for a paired sweep of L steps."""
+    calls = []
+
+    def recorded(steps, x0):
+        calls.append(steps.shape[:-2])
+        return _node_sweep(steps, x0)
+
+    monkeypatch.setattr(krotov, "_node_sweep", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["zero", "white-noise"])
+def test_memoryless_run_sweeps_once_per_iteration(monkeypatch, kind):
+    # an update rebuilds its own step map only, so the costates go stale
+    # once per iteration: one paired sweep over all N steps, at step 1
+    n = 12
+    grid = TimeGrid(T=5.0, n_steps=n)
+    prob = make_problem("z-gate", kernel=kernel_of_kind(kind), grid=grid)
+    calls = _recorded_sweeps(monkeypatch)
+    cfg = KrotovConfig(lambdas=[1.0], shapes=np.ones((1, n)), j_tol=None, i_max=3)
+    ddme_krotov(prob, guess_pulses("gaussian", grid), cfg)
+    assert calls == [(n,)] + [(2, n)] * 3
+
+
+def test_memory_run_sweeps_before_every_step_but_the_last(monkeypatch):
+    # an update rebuilds every later step map, so the gradient at steps
+    # 1..N-1 follows a paired sweep over steps k..N; the costate of node N
+    # is the target's, so step N only advances the states
+    n = 12
+    grid = TimeGrid(T=5.0, n_steps=n)
+    prob = make_problem("z-gate", grid=grid)
+    calls = _recorded_sweeps(monkeypatch)
+    cfg = KrotovConfig(lambdas=[1.0], shapes=np.ones((1, n)), j_tol=None, i_max=1)
+    ddme_krotov(prob, guess_pulses("gaussian", grid), cfg)
+    assert calls == [(n,)] + [(2, n - k + 1) for k in range(1, n)]
+
+
+def test_memory_run_does_not_sweep_after_unchanged_updates(monkeypatch):
+    # with all update weights zero no map ever changes: the states and
+    # costates of the first sweep stay current for every later step
+    n = 12
+    grid = TimeGrid(T=5.0, n_steps=n)
+    prob = make_problem("z-gate", grid=grid)
+    calls = _recorded_sweeps(monkeypatch)
+    cfg = KrotovConfig(lambdas=[1.0], shapes=np.zeros((1, n)), j_tol=None, i_max=3)
+    trace = ddme_krotov(prob, guess_pulses("gaussian", grid), cfg)
+    assert calls == [(n,), (2, n)]
+    assert trace.iterations == 3
+    # the cost is re-read from states advanced node by node after the sweep,
+    # so it stays the guess's to roundoff
+    assert np.max(np.abs(trace.j_values - trace.j_values[0])) <= 1e-14
 
 
 def test_two_control_sampler_cross_covariance():

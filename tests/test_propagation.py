@@ -49,7 +49,6 @@ from ddcontrol.propagation import (
     _aligned_empty,
     _node_sweep,
     build_cache,
-    build_eta_table,
     ddme_propagate,
     ensemble_average,
     unitary_average,
@@ -650,6 +649,19 @@ def test_ket_taylor_substep_limit():
                 unitary_average(prob, sets)
         else:
             assert np.all(np.isfinite(unitary_average(prob, sets).states))
+
+
+def test_ket_taylor_overflowing_bound_is_refused():
+    # finite operators and pulses whose step-norm bound overflows: refused
+    # with the substep limit's error, and without an overflow warning on the
+    # way (the suite turns warnings into errors)
+    fam = HamiltonianFamily(drift=np.zeros((2, 2)), controls=(1e100 * SIGMA_X,))
+    prob = ControlProblem(
+        rho0=projector("+"), rho_targ=projector("0"), h_family=fam,
+        grid=TimeGrid(T=0.3, n_steps=3), kernel=CorrelationKernel.zero(),
+    )
+    with pytest.raises(NumericalError, match="substeps"):
+        unitary_average(prob, np.full((2, 1, 3), 1e300))
 
 
 def test_ket_taylor_keeps_the_small_eigenvalue_of_rho0(rng):

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -108,3 +109,16 @@ def test_code_line_counter(tmp_path):
     out = subprocess.run([sys.executable, str(script), str(package)], capture_output=True, text=True, check=True)
     counts = [line.split() for line in out.stdout.splitlines()]
     assert counts == [["6", str(package / "a.py")], ["1", str(package / "b.py")], ["7", "total"]]
+
+
+def test_mutation_anchors_occur_once():
+    # every mutation of tools/mutants.py names text that occurs exactly once
+    # in its file and changes it, so each one applies to the current source;
+    # the mutation runs themselves are not part of the tests
+    spec = importlib.util.spec_from_file_location("mutants", REPO / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len(mutants.MUTATIONS) >= 8
+    for name, (path, anchor, replacement) in mutants.MUTATIONS.items():
+        assert (REPO / path).read_text().count(anchor) == 1, name
+        assert replacement != anchor, name
