@@ -388,22 +388,13 @@ def read_pulse_file(path, grid: TimeGrid, n_controls):
 
 def _fmt(value):
     """17-significant-digit float formatting; integers stay integers."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
 
 
-def _json_default(obj):
-    """numpy scalars and arrays, as the Python values they hold."""
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def write_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     Path(path).write_text(text + "\n")
 
 
@@ -635,10 +626,12 @@ def build_parser():
 
     p_opt = sub.add_parser("optimize", help="run the full optimization pipeline")
     common(p_opt)
+    p_opt.set_defaults(run=lambda exp, args: run_task(exp)[0])
 
     p_prop = sub.add_parser("propagate", help="propagate a pulse file under the configured kernel")
     common(p_prop)
     p_prop.add_argument("pulses", type=Path, help="pulse file (columns k, t_mid, f_1..f_M)")
+    p_prop.set_defaults(run=lambda exp, args: run_propagate(exp, args.pulses))
 
     p_ens = sub.add_parser("ensemble", help="brute-force disorder average of a pulse file")
     common(p_ens)
@@ -649,6 +642,9 @@ def build_parser():
         type=int,
         default=None,
         help="also write the closed-system trajectory of this sampled realization",
+    )
+    p_ens.set_defaults(
+        run=lambda exp, args: run_ensemble(exp, args.pulses, args.count, args.realization)
     )
 
     p_sweep = sub.add_parser("sweep", help="fixed-iteration optimizations across correlation times")
@@ -663,30 +659,21 @@ def build_parser():
         default=None,
         help="correlation time (repeatable); default 0.05T, 0.2T, 0.6T, T, 1.4T",
     )
+    p_sweep.set_defaults(run=lambda exp, args: run_sweep(exp, args.tcorr, args.iterations))
 
     p_cmp = sub.add_parser("compare", help="evaluate two pulse files side by side")
     common(p_cmp)
     p_cmp.add_argument("pulse_a", type=Path)
     p_cmp.add_argument("pulse_b", type=Path)
+    p_cmp.set_defaults(run=lambda exp, args: run_compare(exp, args.pulse_a, args.pulse_b))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         exp = load_experiment(config_path=args.config, task=args.task, seed=args.seed, out=args.out)
-        if args.command == "optimize":
-            return run_task(exp)[0]
-        if args.command == "propagate":
-            return run_propagate(exp, args.pulses)
-        if args.command == "ensemble":
-            return run_ensemble(exp, args.pulses, count=args.count, realization=args.realization)
-        if args.command == "sweep":
-            return run_sweep(exp, args.tcorr, args.iterations)
-        if args.command == "compare":
-            return run_compare(exp, args.pulse_a, args.pulse_b)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(exp, args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

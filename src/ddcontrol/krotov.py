@@ -105,7 +105,8 @@ class KrotovConfig:
     """Optimizer parameters.
 
     ``lambdas``: inverse step size per control (> 0).
-    ``shapes``: per-control update weights on the midpoint grid, in [0, 1].
+    ``shapes``: (M, N) update weights on the midpoint grid, one row per
+    control, in [0, 1].
     ``j_tol``: absolute cost tolerance in (0, 1), or None to always run
     ``i_max`` iterations (fixed-iteration mode).
     """
@@ -118,13 +119,12 @@ class KrotovConfig:
     def __post_init__(self):
         lambdas = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
         shapes = np.asarray(self.shapes, dtype=float)
-        if shapes.ndim == 1:
-            shapes = shapes[None, :]
         if np.any(lambdas <= 0.0):
             raise ValueError(f"inverse step sizes must be positive, got {lambdas}")
-        if shapes.shape[0] != lambdas.size:
+        if shapes.ndim != 2 or shapes.shape[0] != lambdas.size:
             raise ValueError(
-                f"{lambdas.size} step sizes but {shapes.shape[0]} update shapes"
+                f"update shapes must be an (M, N) array with M = {lambdas.size} step sizes, "
+                f"got shape {shapes.shape}"
             )
         if np.any(shapes < 0.0) or np.any(shapes > 1.0):
             raise ValueError("update shapes must lie in [0, 1]")

@@ -50,11 +50,11 @@ def as_operator(a, name="operator"):
     return a
 
 
-def check_hermitian(a, tol=HERMITIAN_TOL, name="operator"):
+def check_hermitian(a, name="operator"):
     a = as_operator(a, name)
     dev = np.max(np.abs(a - dag(a)))
-    if dev > tol:
-        raise ValueError(f"{name} is not Hermitian: max |A - A^dag| = {dev:.3e} > {tol:.0e}")
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"{name} is not Hermitian: max |A - A^dag| = {dev:.3e} > {HERMITIAN_TOL:.0e}")
     return a
 
 

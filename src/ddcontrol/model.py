@@ -48,21 +48,12 @@ class TimeGrid:
         return (nodes[:-1] + nodes[1:]) / 2.0
 
 
-def as_pulses(values, grid: TimeGrid, n_controls=None):
-    """Coerce pulse samples to a finite real (M, n_steps) array.
-
-    A 1-D array is interpreted as a single control pulse.
-    """
+def as_pulses(values, grid: TimeGrid, n_controls):
+    """Coerce pulse samples to a finite real (n_controls, n_steps) array."""
     values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[None, :]
-    if values.ndim != 2 or values.shape[1] != grid.n_steps:
+    if values.shape != (n_controls, grid.n_steps):
         raise ValueError(
-            f"pulses must have shape (M, {grid.n_steps}), got {values.shape}"
-        )
-    if n_controls is not None and values.shape[0] != n_controls:
-        raise ValueError(
-            f"expected {n_controls} control pulses, got {values.shape[0]}"
+            f"pulses must have shape ({n_controls}, {grid.n_steps}), got {values.shape}"
         )
     if not np.all(np.isfinite(values)):
         raise NumericalError("pulse array has non-finite entries")

@@ -41,24 +41,22 @@ per step of the optimizer's ascending sweep.  The build of ``eta`` reads
 the table with the terms of all nodes, and ``eta``'s update and the
 optimizer's gradient read it at their step, so the Riemann sum has one
 formula, and an update costs O(N n) flops for the memory sums in place of
-O(N^2 n).
-:func:`white_noise_propagate` builds the Markovian generator on its own and
-is kept as an independent reference for that kind.
+O(N^2 n).  :func:`white_noise_propagate` is the white-noise case of
+:func:`ddme_propagate`, on the same cache.
 
 Every propagation under one step map per node goes through one function,
 :func:`_node_sweep`, which applies a stack of step maps to a starting
 array in blocks, for one run or a small batch of runs at once: the step
-maps to the coherence vector of ``rho0`` in :func:`ddme_propagate` and
-:func:`white_noise_propagate`, the coherent step maps ``O(U_k) = exp(dt
-F(h_k))`` to the identity for the cache's frame ``O_j``, and the step maps
-and their transposes to the optimizer's states and costates, paired into
-one batch of two runs.  The brute-force ensemble of
-:func:`unitary_average` forms no step maps: it advances the kets of all
-realizations at once by the action of every step's exponential, a
-truncated Taylor series applied to the kets.  Its arithmetic is real too:
-each ket is the real block ``[Re psi; Im psi]``, every Horner term is one
-real product, and each node's average is read from real Gram products of
-the kets.
+maps to the coherence vector of ``rho0`` in :func:`ddme_propagate`, the
+coherent step maps ``O(U_k) = exp(dt F(h_k))`` to the identity for the
+cache's frame ``O_j``, and the step maps and their transposes to the
+optimizer's states and costates, paired into one batch of two runs.  The
+brute-force ensemble of :func:`unitary_average` forms no step maps: it
+advances the kets of all realizations at once by the action of every
+step's exponential, a truncated Taylor series applied to the kets.  Its
+arithmetic is real too: each ket is the real block ``[Re psi; Im psi]``,
+every Horner term is one real product, and each node's average is read
+from real Gram products of the kets.
 
 A one-shot propagation does little besides building the cache and the
 sweep: the cache holds the causal weights of
@@ -76,7 +74,7 @@ Step indices ``k`` are 1-based (step ``k`` connects node ``k-1`` to node
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -330,8 +328,11 @@ class PropagatorCache:
         """Set all pulse values on step k and rebuild the tables they feed.
 
         Returns the last step whose map was rebuilt: k without
-        memory, N with memory.
+        memory, N with memory.  A step outside 1..N or a non-finite value
+        is rejected before any table is written.
         """
+        if not 1 <= k <= self.n_steps:
+            raise ValueError(f"step {k} outside 1..{self.n_steps}")
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if not np.isfinite(values).all():
             raise NumericalError(f"non-finite pulse update at step {k}")
@@ -350,11 +351,10 @@ class PropagatorCache:
         entries, the increment of every ``eta`` entry from start_step on
         from the running memory table, and every ``v_steps`` entry from
         start_step on; without memory it is the one step map of step
-        start_step.  Returns the last rebuilt step.
+        start_step.  Returns the last rebuilt step.  :meth:`update_step`,
+        its one caller, has checked the step.
         """
         k0 = start_step
-        if not 1 <= k0 <= self.n_steps:
-            raise ValueError(f"start step {k0} outside 1..{self.n_steps}")
         if not self.has_memory:
             self._build_v_steps(k0, k0)
             return k0
@@ -476,24 +476,17 @@ def ddme_propagate(problem, pulses):
 
 
 def white_noise_propagate(problem, pulses, alpha):
-    """Evolve under the Markovian limit of delta-correlated perturbations.
+    """Evolve under the Markovian limit of delta-correlated perturbations of
+    rate ``alpha``: :func:`ddme_propagate` with the problem's kernel replaced
+    by the white-noise kernel, as ``se_krotov`` is ``ddme_krotov`` with the
+    zero kernel.
 
-    Generator: K rho = -i [H(t), rho] - (alpha / 2) sum_m [H_m, [H_m, rho]],
-    on coherence vectors ``F(h(t)) + (alpha / 2) sum_m F(h_m)^2``.
+    Generator: K rho = -i [H(t), rho] - (alpha / 2) sum_m [H_m, [H_m, rho]].
     The dissipator has Hermitian jump operators, so the purity series is
-    non-increasing.  This builds the generator directly, without a
-    :class:`PropagatorCache`; it is the independent reference that
-    :func:`ddme_propagate` on a white-noise kernel is checked against.
+    non-increasing.
     """
-    if alpha < 0.0:
-        raise ValueError(f"white-noise rate must be nonnegative, got {alpha}")
-    grid = problem.grid
-    pulses = as_pulses(pulses, grid, problem.h_family.n_controls)
-    f_controls = problem.h_family.control_maps
-    dissipator = 0.5 * alpha * np.sum(f_controls @ f_controls, axis=0)
-    gen = problem.h_family.drift_map + np.einsum("mk,mab->kab", pulses, f_controls) + dissipator
-    r = _node_sweep(expm(gen, scale=grid.dt), to_coherence(problem.rho0))
-    return _trajectory(problem, from_coherence(r, trace=1.0))
+    white = CorrelationKernel.white_noise(alpha, problem.n_controls)
+    return ddme_propagate(replace(problem, kernel=white), pulses)
 
 
 # Alignment of the ensemble's Horner stacks.  malloc aligns to 16 bytes, so

@@ -3,14 +3,16 @@ import pytest
 
 from ddcontrol.linalg import SIGMA_X, SIGMA_Z, projector, to_coherence
 from ddcontrol.model import HamiltonianFamily, TimeGrid
-from ddcontrol.propagation import ddme_propagate, white_noise_propagate
+from ddcontrol.propagation import ddme_propagate
 from ddcontrol.tasks import TASK_PRESETS
+from reference import white_noise_reference
 
 # The two ways to evolve under a white-noise kernel: the propagator cache that
-# the optimizer follows, and the directly built Markovian generator.
+# the optimizer follows, and the directly built Markovian generator of the
+# tests' reference.
 WHITE_NOISE_PATHS = {
     "ddme_propagate": lambda problem, pulses: ddme_propagate(problem, pulses),
-    "white_noise_propagate": lambda problem, pulses: white_noise_propagate(
+    "white_noise_reference": lambda problem, pulses: white_noise_reference(
         problem, pulses, problem.kernel.c0
     ),
 }

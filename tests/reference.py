@@ -19,6 +19,7 @@ from ddcontrol.linalg import (
     _float_or_array,
     as_operator,
     dag,
+    expm,
     expm_hermitian,
     from_coherence,
     gell_mann,
@@ -26,7 +27,7 @@ from ddcontrol.linalg import (
     to_coherence,
 )
 from ddcontrol.model import as_pulses, gaussian_kernel
-from ddcontrol.propagation import Trajectory, build_cache
+from ddcontrol.propagation import Trajectory, _node_sweep, _trajectory, build_cache
 
 
 def taylor_choice_loop(norm):
@@ -329,6 +330,24 @@ def reference_generators(h_family, grid, pulses, kernel):
                 gen = gen - double_commutator_super(hp, eta)
         gens.append(gen)
     return np.array(gens)
+
+
+def white_noise_reference(problem, pulses, alpha):
+    """Evolution under the Markovian limit of delta-correlated perturbations,
+    with the generator built directly, without a propagator cache:
+
+        K rho = -i [H(t), rho] - (alpha / 2) sum_m [H_m, [H_m, rho]],
+
+    on coherence vectors ``F(h(t)) + (alpha / 2) sum_m F(h_m)^2``."""
+    if alpha < 0.0:
+        raise ValueError(f"white-noise rate must be nonnegative, got {alpha}")
+    grid = problem.grid
+    pulses = as_pulses(pulses, grid, problem.h_family.n_controls)
+    f_controls = problem.h_family.control_maps
+    dissipator = 0.5 * alpha * np.sum(f_controls @ f_controls, axis=0)
+    gen = problem.h_family.drift_map + np.einsum("mk,mab->kab", pulses, f_controls) + dissipator
+    r = _node_sweep(expm(gen, scale=grid.dt), to_coherence(problem.rho0))
+    return _trajectory(problem, from_coherence(r, trace=1.0))
 
 
 def gradient_reference(cache, states, costates, m, k):

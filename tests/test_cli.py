@@ -333,13 +333,20 @@ def test_seed_flag_changes_ensemble(tmp_path):
     assert m_a == m_b
 
 
-def test_non_convergence_exit_code_and_partial_outputs(tmp_path):
+def test_non_convergence_exit_code_and_partial_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path, krotov={"J_tol": 1e-9, "i_max": 1})
     out = tmp_path / "run"
     assert cli.main(["optimize", "--config", str(cfg), "--out", str(out)]) == 3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is False
     assert (out / "pulses.csv").exists()
+    # the sweep's closed-system stage
+    cfg = write_config(tmp_path, krotov={"se_J_tol": 1e-9, "se_i_max": 1})
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out), "--iterations", "1", "--tcorr", "2.0"]
+    assert cli.main(argv) == 3
+    assert json.loads((out / "sweep.json").read_text())["se_converged"] is False
+    assert "closed-system stage did not converge" in capsys.readouterr().err
 
 
 def test_compare_identical_files(tmp_path):
@@ -591,6 +598,37 @@ def test_non_numeric_pulse_value_is_config_error(tmp_path, capsys):
         assert not (tmp_path / "o").exists(), command
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("negative-seed", "ensemble.seed must be nonnegative"),
+        ("config-unreadable", "cannot read config file"),
+        ("config-not-object", "config file must contain a JSON object"),
+        ("pulse-without-f_1", "lacks columns ['f_1']"),
+        ("pulse-unreadable", "cannot read pulse file"),
+    ],
+)
+def test_bad_flag_or_input_file_is_config_error(tmp_path, capsys, case, message):
+    # each is refused with exit 2 and its message before any output is made
+    cfg = write_config(tmp_path)
+    pulse = write_pulse_lines(tmp_path, "pulse.csv")
+    seed = []
+    if case == "negative-seed":
+        seed = ["--seed", "-1"]
+    elif case == "config-unreadable":
+        cfg = tmp_path  # a directory
+    elif case == "config-not-object":
+        cfg.write_text("[1, 2]")
+    elif case == "pulse-without-f_1":
+        pulse.write_text(pulse.read_text().replace("f_1", "g_1"))
+    else:
+        pulse = tmp_path / "missing.csv"
+    argv = ["propagate", "--config", str(cfg), *seed, "--out", str(tmp_path / "o"), str(pulse)]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_out_of_range_ensemble_flags_leave_no_output(tmp_path, capsys):
     cfg = write_config(tmp_path)
     path = write_pulse_lines(tmp_path, "pulse.csv")
@@ -753,13 +791,14 @@ def test_library_rejected_value_names_its_key(tmp_path, capsys, overrides, name)
 
 def test_sweep_runs_on_a_gaussian_kernel_without_variance(tmp_path):
     # C0 = 0 leaves the kernel Gaussian: the sweep runs, on static dynamics,
-    # and every correlation time gives the same cost series
+    # and every correlation time of the default list gives the same cost series
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
     argv = ["sweep", "--config", str(cfg), "--out", str(out), "--iterations", "2"]
-    assert cli.main(argv + ["--tcorr", "2.0", "--tcorr", "14.0"]) == 0
-    series = json.loads((out / "sweep.json").read_text())["final_J_T"]
-    assert series[0] == series[1]
+    assert cli.main(argv) == 0
+    report = json.loads((out / "sweep.json").read_text())
+    assert report["t_corr"] == [f * 10.0 for f in cli.SWEEP_TCORR_FACTORS]
+    assert len(set(report["final_J_T"])) == 1
 
 
 @pytest.mark.parametrize("command", ["optimize", "ensemble"])

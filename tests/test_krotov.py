@@ -70,8 +70,11 @@ def test_control_problem_validation():
 
 def test_krotov_config_validation():
     grid = TimeGrid(T=1.0, n_steps=10)
-    s = update_shape(grid, 0.0, 0.0)
+    s = update_shape(grid, 0.0, 0.0)[None]
     KrotovConfig(lambdas=[1.0], shapes=s, j_tol=None, i_max=3)
+    # one row per control; a 1-D shape is not promoted to one control
+    with pytest.raises(ValueError, match=r"\(M, N\) array"):
+        KrotovConfig(lambdas=[1.0], shapes=s[0])
     with pytest.raises(ValueError):
         KrotovConfig(lambdas=[0.0], shapes=s)
     with pytest.raises(ValueError):
@@ -82,6 +85,15 @@ def test_krotov_config_validation():
         KrotovConfig(lambdas=[1.0], shapes=s, i_max=0)
     with pytest.raises(ValueError):
         KrotovConfig(lambdas=[1.0, 2.0], shapes=s)
+    # a valid config for another control count or grid is refused by the
+    # optimizer before any cache is built
+    prob = make_problem(grid=grid)
+    two = KrotovConfig(lambdas=[1.0, 1.0], shapes=np.ones((2, 10)))
+    with pytest.raises(ValueError, match="2 step sizes for 1 controls"):
+        ddme_krotov(prob, np.zeros((1, 10)), two)
+    longer = KrotovConfig(lambdas=[1.0], shapes=np.ones((1, 12)))
+    with pytest.raises(ValueError, match=r"shape \(1, 12\), expected \(1, 10\)"):
+        ddme_krotov(prob, np.zeros((1, 10)), longer)
 
 
 def test_cost_jt_values():

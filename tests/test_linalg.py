@@ -421,6 +421,8 @@ def test_ket_and_projector(rng):
         ket("psi")
     with pytest.raises(ValueError):
         ket([0.0, 0.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ket([[1.0, 0.0]])
 
 
 def test_pauli_string():

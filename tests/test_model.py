@@ -35,14 +35,16 @@ def test_grid_rejects_bad_arguments():
 
 def test_as_pulses_validation():
     grid = TimeGrid(T=1.0, n_steps=4)
-    p = as_pulses(np.zeros(4), grid)
-    assert p.shape == (1, 4)
+    p = as_pulses([[0.0, 1.0, 2.0, 3.0]], grid, 1)
+    assert p.shape == (1, 4) and p.dtype == float
+    with pytest.raises(ValueError, match=r"\(1, 4\), got \(4,\)"):
+        as_pulses(np.zeros(4), grid, 1)
     with pytest.raises(ValueError):
-        as_pulses(np.zeros((1, 5)), grid)
+        as_pulses(np.zeros((1, 5)), grid, 1)
     with pytest.raises(ValueError):
-        as_pulses(np.zeros((2, 4)), grid, n_controls=1)
+        as_pulses(np.zeros((2, 4)), grid, 1)
     with pytest.raises(NumericalError):
-        as_pulses(np.full(4, np.nan), grid)
+        as_pulses(np.full((1, 4), np.nan), grid, 1)
 
 
 def test_hamiltonian_family_validation():
@@ -54,6 +56,8 @@ def test_hamiltonian_family_validation():
         HamiltonianFamily(drift=SIGMA_Z, controls=())
     with pytest.raises(ValueError):
         HamiltonianFamily(drift=SIGMA_Z, controls=(np.eye(3),))
+    with pytest.raises(NumericalError, match="drift Hamiltonian has non-finite entries"):
+        HamiltonianFamily(drift=np.diag([np.inf, -1.0]), controls=(SIGMA_X,))
 
 
 def test_hamiltonian_family_stack():

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 
@@ -19,6 +20,7 @@ from reference import (
     unitary_average_reference,
     unitary_step,
     unitary_steps,
+    white_noise_reference,
 )
 from ddcontrol import cli
 from ddcontrol.linalg import (
@@ -205,6 +207,37 @@ def test_incremental_update_equals_full_rebuild(kind):
     for k in range(1, n + 1):
         cache.update_step(k, rng.standard_normal(m) * 0.5)
     _assert_matches_rebuild(cache, fam, grid, kern)
+
+
+@pytest.mark.parametrize("kind", ["zero", "stationary-gaussian"])
+def test_update_step_rejects_bad_input_before_writing(kind):
+    # a step outside 1..N or a non-finite value is refused before any table
+    # is written, with or without memory
+    rng = np.random.default_rng(3)
+    n = 10
+    grid = TimeGrid(T=2.0, n_steps=n)
+    fam, kern = _cache_inputs(kind)
+    cache = build_cache(fam, grid, rng.standard_normal((1, n)) * 0.5, kern)
+    names = ("pulses", "f_steps", "eta", "v_steps", "o", "kappa")
+    before = {name: copy.deepcopy(getattr(cache, name)) for name in names}
+    for k, value, error in (
+        (0, 0.3, ValueError),
+        (-1, 0.3, ValueError),
+        (n + 1, 0.3, ValueError),
+        (4, np.nan, NumericalError),
+        (4, np.inf, NumericalError),
+    ):
+        with pytest.raises(error):
+            cache.update_step(k, [value])
+        for name in names:
+            got, want = getattr(cache, name), before[name]
+            assert (got is None and want is None) or np.array_equal(got, want), (k, name)
+
+
+def test_build_cache_rejects_kernel_for_other_control_count():
+    grid = TimeGrid(T=1.0, n_steps=5)
+    with pytest.raises(ValueError, match="kernel describes 2 controls"):
+        build_cache(QUBIT, grid, np.zeros((1, 5)), CorrelationKernel.gaussian(0.1, 1.0, n_controls=2))
 
 
 @pytest.mark.parametrize("kind", ["stationary-gaussian", "tabulated"])
@@ -502,7 +535,7 @@ def test_white_noise_zero_rate_is_unitary(rng):
     grid = TimeGrid(T=2.0, n_steps=20)
     prob = qubit_problem(grid, CorrelationKernel.zero())
     pulses = rng.standard_normal((1, 20)) * 0.3
-    traj = white_noise_propagate(prob, pulses, alpha=0.0)
+    traj = white_noise_reference(prob, pulses, alpha=0.0)
     ref = ddme_propagate(prob, pulses)
     assert np.max(np.abs(traj.states - ref.states)) <= 1e-12
 
@@ -537,8 +570,9 @@ def test_white_noise_purity_monotone(rng, path):
 def test_white_noise_rejects_negative_rate():
     grid = TimeGrid(T=1.0, n_steps=4)
     prob = qubit_problem(grid, CorrelationKernel.zero())
-    with pytest.raises(ValueError):
-        white_noise_propagate(prob, np.zeros((1, 4)), alpha=-0.1)
+    for propagate in (white_noise_propagate, white_noise_reference):
+        with pytest.raises(ValueError, match="nonnegative"):
+            propagate(prob, np.zeros((1, 4)), alpha=-0.1)
 
 
 def test_ddme_propagate_agrees_with_white_noise_reference(rng):
@@ -550,8 +584,11 @@ def test_ddme_propagate_agrees_with_white_noise_reference(rng):
     prob = qubit_problem(grid, kern)
     pulses = rng.standard_normal((1, 10)) * 0.2
     a = ddme_propagate(prob, pulses)
-    b = white_noise_propagate(prob, pulses, 0.15)
+    b = white_noise_reference(prob, pulses, 0.15)
     assert np.array_equal(a.states, b.states)
+    # white_noise_propagate swaps in the white-noise kernel of the given rate
+    c = white_noise_propagate(qubit_problem(grid, CorrelationKernel.zero()), pulses, 0.15)
+    assert np.array_equal(c.states, b.states)
 
     fam = HamiltonianFamily(
         drift=random_hermitian(rng, 3), controls=(random_hermitian(rng, 3), random_hermitian(rng, 3))
@@ -565,7 +602,7 @@ def test_ddme_propagate_agrees_with_white_noise_reference(rng):
     )
     pulses = rng.standard_normal((2, 10)) * 0.2
     a = ddme_propagate(prob, pulses)
-    b = white_noise_propagate(prob, pulses, 0.15)
+    b = white_noise_reference(prob, pulses, 0.15)
     assert np.max(np.abs(a.states - b.states)) <= 1e-12
 
 
@@ -837,6 +874,10 @@ def test_trajectory_readout_matches_matrix_formulas(rng, d):
     assert np.max(np.abs(flipped.fidelity - fidelity_pure_target(-targ, mixed))) <= 1e-14
     with pytest.raises(ValueError, match="not pure"):
         Trajectory.from_states(np.arange(4), pure, np.eye(d) / d)
+    # the one finiteness check on a trajectory's states
+    pure[2, 0, 0] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        Trajectory.from_states(np.arange(4), pure, targ)
 
 
 def test_ensemble_matches_density_matrix_reference(rng, tmp_path):
