@@ -66,8 +66,10 @@ SWEEP_TCORR_FACTORS = (0.05, 0.2, 0.6, 1.0, 1.4)
 MAX_STEPS = 10_000
 
 # The largest ensemble.count (N_T + 1) a config or ``ensemble --count`` may
-# ask for, checked before sampling: each realization's kets take
-# 16 d (N_T + 1) bytes for dimension d, 3.2 GB for a qubit at this limit.
+# ask for, checked before sampling.  The ensemble keeps no ket history; its
+# largest arrays are the pulse sets, their step-major copy and the
+# sampler's draws, about 8 M N_T bytes each per realization for M
+# controls, 0.8 GB each for one control at this limit.
 MAX_ENSEMBLE_KETS = 10**8
 
 # The magnitude rule of every real config number and of ``sweep --tcorr``:
@@ -598,7 +600,8 @@ def run_ensemble(exp: ResolvedExperiment, pulse_path, count=None, realization=No
     if realization is not None and not 0 <= realization < count:
         raise ValueError(f"--realization index {realization} outside 0..{count - 1}")
     # the draws of ensemble_average, sampled once for the average and draw r
-    sets = pulses + sample_perturbations(exp.kernel, exp.grid, count, exp.seed)
+    sets = sample_perturbations(exp.kernel, exp.grid, count, exp.seed)
+    sets += pulses
     out = _output_dir(exp)
     traj = unitary_average(exp.problem, sets)
     write_trajectory(out / "trajectory_ensemble.csv", traj)

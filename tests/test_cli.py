@@ -670,9 +670,9 @@ COUNT_LIMIT = cli.MAX_ENSEMBLE_KETS // 31
 @pytest.mark.parametrize("count", [1e12, COUNT_LIMIT + 1])
 def test_ensemble_size_limit_is_config_error(tmp_path, capsys, count):
     # an ensemble beyond the stated limit on count (N_T + 1) is refused
-    # before sampling: 1e12 realizations would need 1 PB of kets.  optimize
-    # exits before its optimization runs; the largest count within the
-    # limit loads
+    # before sampling: 1e12 realizations would need 240 TB for each of the
+    # sampler's draws and the pulse sets.  optimize exits before its
+    # optimization runs; the largest count within the limit loads
     edge = write_config(tmp_path, "edge.json", ensemble={"count": COUNT_LIMIT, "seed": 7})
     assert cli.load_experiment(config_path=edge).count == COUNT_LIMIT
     cfg = write_config(tmp_path, ensemble={"count": count, "seed": 7})

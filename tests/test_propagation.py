@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from ddcontrol.krotov import ControlProblem
 from ddcontrol.propagation import (
     PropagatorCache,
     Trajectory,
+    _BOUND_BLOCK,
     _MAX_SUBSTEPS,
     _aligned_empty,
     _node_sweep,
@@ -632,6 +634,46 @@ def test_ensemble_is_deterministic():
     a = ensemble_average(prob, pulses, count=200, seed=9)
     b = ensemble_average(prob, pulses, count=200, seed=9)
     assert np.array_equal(a.states, b.states)
+
+
+def test_ensemble_memory_stays_within_three_pulse_set_arrays():
+    # every node's Gram product is formed as the loop passes the node, so no
+    # (N+1, 2d, count) ket history is kept: the peak is the pulse sets,
+    # their step-major copy and the sampler's draws, about 2.4 arrays of
+    # 8 count M N bytes; the ket history took it to about 7.4
+    exp = cli.load_experiment(task="z-gate")
+    prob, count = exp.problem, 1000
+    pulses = np.sin(prob.grid.midpoints)[None]
+    tracemalloc.start()
+    try:
+        ensemble_average(prob, pulses, count, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * count * prob.n_controls * prob.grid.n_steps
+
+
+def test_cli_pulse_sets_give_the_library_ensemble():
+    # ddcontrol ensemble averages pulses plus its own draws; ensemble_average
+    # adds the pulses to the draws in place: the same sums, bit for bit
+    exp = cli.load_experiment(task="x-gate")
+    prob = exp.problem
+    pulses = 0.3 * np.cos(prob.grid.midpoints)[None]
+    sets = sample_perturbations(prob.kernel, prob.grid, 300, 5) + pulses
+    want = unitary_average(prob, sets).states
+    assert np.array_equal(ensemble_average(prob, pulses, 300, seed=5).states, want)
+
+
+def test_ket_taylor_bound_covers_every_block_of_sets(rng):
+    # the step-norm bound is taken one block of sets at a time; only the one
+    # set after the last full block drives hard, so a bound that missed the
+    # last block would plan too few substeps for it
+    prob = _ket_problem(rng, 2, 1, 10, projector("+"))
+    sets = 0.1 * rng.standard_normal((_BOUND_BLOCK + 1, 1, 10))
+    sets[-1] = 25.0
+    assert _taylor_choice(prob, sets) != _taylor_choice(prob, sets[:-1])
+    got = unitary_average(prob, sets).states
+    assert np.max(np.abs(got - unitary_average_reference(prob, sets).states)) <= 1e-12
 
 
 def _ket_problem(rng, d, m, n, rho0):

@@ -111,6 +111,38 @@ MUTATIONS = {
         "abs(value) <= MAX_MAGNITUDE",
         "abs(value) < MAX_MAGNITUDE",
     ),
+    # node k+1's Gram product read from the stack the last Horner term read,
+    # which holds the kets one term back
+    "gram-from-destination": (
+        "src/ddcontrol/propagation.py",
+        "gram_at(k + 1, src[0])",
+        "gram_at(k + 1, dst[0])",
+    ),
+    # node k+1's Gram product stored at node k
+    "gram-stored-one-node-early": (
+        "src/ddcontrol/propagation.py",
+        "gram_at(k + 1, src[0])",
+        "gram_at(k, src[0])",
+    ),
+    # the step-norm bound taken over every block of sets but the last, when
+    # there is more than one
+    "bound-skips-last-block": (
+        "src/ddcontrol/propagation.py",
+        "for c in range(0, count, _BOUND_BLOCK)",
+        "for c in range(0, max(count - _BOUND_BLOCK, 1), _BOUND_BLOCK)",
+    ),
+    # the Horner plan takes the last degree on a tie of products
+    "horner-tie-takes-last-degree": (
+        "src/ddcontrol/linalg.py",
+        "best = int(np.argmin(_TAYLOR_DEGREES * substeps))",
+        "best = len(substeps) - 1 - int(np.argmin((_TAYLOR_DEGREES * substeps)[::-1]))",
+    ),
+    # the ensemble's count limit refuses its own edge
+    "count-limit-refuses-edge": (
+        "src/ddcontrol/cli.py",
+        "if count > limit:",
+        "if count >= limit:",
+    ),
     # update_step writes the step's pulse values before it checks the step
     "update-step-checks-after-write": (
         "src/ddcontrol/propagation.py",
