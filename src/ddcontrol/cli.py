@@ -60,17 +60,13 @@ EXIT_NUMERICAL = 4
 
 SWEEP_TCORR_FACTORS = (0.05, 0.2, 0.6, 1.0, 1.4)
 
-# The largest grid.N_T a config may set, checked before any array is built.
-# A memory kernel's Riemann-sum weights take 8 M^2 (N_T + 1) N_T bytes for M
-# controls, 0.8 GB for one control at this limit.
-MAX_STEPS = 10_000
-
-# The largest ensemble.count (N_T + 1) a config or ``ensemble --count`` may
-# ask for, checked before sampling.  The ensemble keeps no ket history; its
-# largest arrays are the pulse sets, their step-major copy and the
-# sampler's draws, about 8 M N_T bytes each per realization for M
-# controls, 0.8 GB each for one control at this limit.
-MAX_ENSEMBLE_KETS = 10**8
+# The one size rule: the budget of the largest array a run may build,
+# estimated by ``_array_bytes`` from the sizes a config gives and checked
+# as soon as each size is known, before any array of that size is built.
+# For the stock qubit (d = 2, M = 1) it admits a grid of 10 000 steps (a
+# 0.745 GiB weight table) and 990 099 ensemble sets at N_T = 100 (0.738 GiB
+# of pulse sets).
+MAX_ARRAY_BYTES = 2**30
 
 # The magnitude rule of every real config number and of ``sweep --tcorr``:
 # 0, or 1 / MAX_MAGNITUDE <= |x| <= MAX_MAGNITUDE.  A square or a quotient
@@ -118,12 +114,14 @@ def _operator(spec, name):
     if isinstance(spec, dict):
         if not spec:
             raise ValueError(f"{name}: empty Pauli-coefficient dictionary")
+        _array_bytes(name, 2 ** max(map(len, spec)))
         terms = [_real(spec[label], f"{name}.{label}") * pauli_string(label) for label in sorted(spec)]
         return sum(terms[1:], terms[0])
     if isinstance(spec, list):
         for i, row in enumerate(spec):
             if not isinstance(row, list):
                 raise ValueError(f"{name}[{i}]: expected a matrix row, a list, got {row!r}")
+        _array_bytes(name, len(spec))
         rows = [
             [_complex(e, f"{name}[{i}][{j}]") for j, e in enumerate(row)] for i, row in enumerate(spec)
         ]
@@ -143,6 +141,7 @@ def _state(spec, name):
     if isinstance(spec, str):
         return projector(spec)
     if isinstance(spec, list):
+        _array_bytes(name, len(spec))
         return projector(np.array([_complex(e, f"{name}[{i}]") for i, e in enumerate(spec)]))
     raise ValueError(f"{name}: expected a ket label or an explicit ket vector")
 
@@ -242,18 +241,28 @@ def _resolve(user, overrides):
     return raw
 
 
-def _ensemble_count(count, grid, name):
-    """``count``, if it is at least 1 and the ensemble's ``count (N_T + 1)``
-    kets are within ``MAX_ENSEMBLE_KETS``."""
-    limit = MAX_ENSEMBLE_KETS // (grid.n_steps + 1)
+def _array_bytes(names, d, m=1, n_steps=1, count=1):
+    """The bytes of the largest array that a run builds for a d-level
+    system with m controls, n_steps time steps and count ensemble sets of
+    one ket each.  A ValueError naming the config keys ``names`` refuses a
+    count below 1 and an estimate above ``MAX_ARRAY_BYTES``.
+
+    With n = d^2 - 1 the estimate is the largest of: the structure tables'
+    commutator tensor, 16 n^2 d^2 (:mod:`ddcontrol.linalg`); the family's
+    ``memory_rows``, 8 M n^3; the powers of the step maps in one
+    exponential, 48 N n^2; the kernel's weight table, 8 M^2 (N + 1) N; the
+    sampler's covariance, 8 (M N)^2; the ensemble's pulse sets, 8 count M
+    N; and one of its two Horner stacks, 16 (M + 2) d count.  The sizes are
+    Python integers, so no estimate overflows.
+    """
     if count < 1:
-        raise ValueError(f"{name} needs at least one realization, got {count}")
-    if count > limit:
-        raise ValueError(
-            f"{name} must be at most {limit} on a grid of N_T = {grid.n_steps} "
-            f"(count (N_T + 1) <= {MAX_ENSEMBLE_KETS}), got {count}"
-        )
-    return count
+        raise ValueError(f"{names}: an ensemble needs at least one realization, got {count}")
+    n = d * d - 1
+    need = max(16 * n * n * d * d, 8 * m * n**3, 48 * n_steps * n * n, 8 * m * m * (n_steps + 1) * n_steps,
+               8 * (m * n_steps) ** 2, 8 * count * m * n_steps, 16 * (m + 2) * d * count)
+    if need > MAX_ARRAY_BYTES:
+        raise ValueError(f"{names}: the run's largest array would take {need:,} bytes, over {MAX_ARRAY_BYTES:,}")
+    return need
 
 
 class ResolvedExperiment:
@@ -269,13 +278,13 @@ class ResolvedExperiment:
             if raw.get(name) is not None:
                 with self._keyed(name):
                     fields[name] = read(raw[name], name)
-        if fields["grid.N_T"] > MAX_STEPS:
-            raise ValueError(f"grid.N_T must be at most {MAX_STEPS}, got {fields['grid.N_T']}")
+        m = len(fields["system.controls"])
+        keys = "system.drift, system.controls, grid.N_T, ensemble.count"
+        _array_bytes(keys, len(fields["system.drift"]), m, fields["grid.N_T"], fields["ensemble.count"])
         with self._keyed("grid.T", "grid.N_T"):
             self.grid = TimeGrid(T=fields["grid.T"], n_steps=fields["grid.N_T"])
         with self._keyed("system.drift", "system.controls"):
             self.h_family = HamiltonianFamily(fields["system.drift"], fields["system.controls"])
-        m = self.h_family.n_controls
 
         names = ("kernel.kind", "kernel.C0", "kernel.t_corr")
         with self._keyed(*names):
@@ -307,7 +316,7 @@ class ResolvedExperiment:
                 configs.append(KrotovConfig.with_blackman_ramps(self.grid, *args, n_controls=m))
         self.ddme_config, self.se_config = configs
 
-        self.count = _ensemble_count(fields["ensemble.count"], self.grid, "ensemble.count")
+        self.count = fields["ensemble.count"]
         self.seed = fields["ensemble.seed"]
         if self.seed < 0:
             raise ValueError(f"ensemble.seed must be nonnegative, got {self.seed}")
@@ -596,7 +605,8 @@ def run_propagate(exp: ResolvedExperiment, pulse_path):
 
 def run_ensemble(exp: ResolvedExperiment, pulse_path, count=None, realization=None):
     pulses = read_pulse_file(pulse_path, exp.grid, exp.problem.n_controls)
-    count = exp.count if count is None else _ensemble_count(count, exp.grid, "--count")
+    count = exp.count if count is None else count
+    _array_bytes("--count", exp.h_family.dim, exp.problem.n_controls, exp.grid.n_steps, count)
     if realization is not None and not 0 <= realization < count:
         raise ValueError(f"--realization index {realization} outside 0..{count - 1}")
     # the draws of ensemble_average, sampled once for the average and draw r
@@ -639,7 +649,7 @@ def build_parser():
     p_ens = sub.add_parser("ensemble", help="brute-force disorder average of a pulse file")
     common(p_ens)
     p_ens.add_argument("pulses", type=Path)
-    p_ens.add_argument("--count", type=int, default=None, help="number of realizations")
+    p_ens.add_argument("--count", type=int, default=None, help="number of realizations within the size budget")
     p_ens.add_argument(
         "--realization",
         type=int,

@@ -12,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_hermitian
 from ddcontrol import cli
+from ddcontrol.krotov import ControlProblem, KrotovConfig, ddme_krotov
 from ddcontrol.linalg import projector
-from ddcontrol.model import KERNEL_KINDS, TimeGrid, sample_perturbations
+from ddcontrol.model import KERNEL_KINDS, CorrelationKernel, HamiltonianFamily, TimeGrid, sample_perturbations
+from ddcontrol.propagation import ddme_propagate, ensemble_average
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -637,58 +640,101 @@ def test_out_of_range_ensemble_flags_leave_no_output(tmp_path, capsys):
         (["--count", "3", "--realization", "3"], "realization index"),
         (["--count", "3", "--realization", "-1"], "realization index"),
         (["--count", "0"], "at least one realization"),
-        (["--count", str(10**12)], "--count must be at most"),
+        (["--count", str(10**12)], "--count: the run's largest array would take"),
     ):
         assert cli.main(argv + flags + [str(path)]) == 2, flags
         assert message in capsys.readouterr().err, flags
         assert not (tmp_path / "o").exists(), flags
 
 
-@pytest.mark.parametrize("n_steps", [1e12, cli.MAX_STEPS + 1])
-def test_grid_size_limit_is_config_error(tmp_path, capsys, n_steps):
-    # a grid beyond the stated limit is refused before any array is built:
-    # 1e12 steps would need 8 TB for the node times alone
-    cfg = write_config(tmp_path, grid={"T": 10.0, "N_T": n_steps})
+# Runs whose largest array (cli._array_bytes) exceeds cli.MAX_ARRAY_BYTES,
+# by case: the config sections that write_config replaces, the ensemble
+# flags, and the key that the message names.  Each would otherwise exit 1
+# allocating its array: 16 GiB of commutator tensor for d = 32, 4 GiB in
+# np.kron for a 14-letter Pauli label, a 2.98 GiB weight table for two
+# controls on 10 000 steps, two 4.8 GB Horner stacks for 5e7 sets of one
+# step, and a grid of 1e12 steps or 1e12 sets that nothing could hold
+SIZE_REFUSED = {
+    "N_T-1e12": ({"grid": {"T": 10.0, "N_T": 1e12}}, [], "grid.N_T"),
+    "count-1e12": ({"ensemble": {"count": 1e12, "seed": 7}}, [], "ensemble.count"),
+    "count-flag-1e12": ({}, ["--count", str(10**12)], "--count"),
+    "d-32-pauli": ({"system": {"drift": {"zzzzz": 1.0}, "controls": [{"xxxxx": 1.0}]}}, [], "system.drift"),
+    "d-32-matrix": ({"system": {"drift": [[0.0] * 32] * 32}}, [], "system.drift"),
+    "d-32-ket": ({"states": {"initial": [1.0] + [0.0] * 31}}, [], "states.initial"),
+    "pauli-14": ({"system": {"drift": {"z": 1.0}, "controls": [{"x" * 14: 1.0}]}}, [], "system.controls[0]"),
+    "two-controls-N_T-10000": (
+        {"task": "x-gate", "system": {"drift": {"z": 1.0}, "controls": [{"x": 1.0}, {"y": 1.0}]},
+         "grid": {"T": 10.0, "N_T": 10_000}},
+        [],
+        "system.controls",
+    ),
+    "N_T-1-count-5e7": ({"grid": {"T": 10.0, "N_T": 1}, "ensemble": {"count": 5 * 10**7, "seed": 7}}, [],
+                        "ensemble.count"),
+}
+
+
+@pytest.mark.parametrize("case", list(SIZE_REFUSED))
+def test_size_rule_is_config_error(tmp_path, capsys, case):
+    # the size rule refuses each run where the size first becomes known,
+    # before any array of that size is built: exit 2, a message naming the
+    # key, no output directory, and well under 1 MiB allocated on the way
+    overrides, flags, key = SIZE_REFUSED[case]
+    cfg = write_config(tmp_path, **overrides)
+    pulse = write_pulse_lines(tmp_path, "pulse.csv")
+    argv = ["ensemble", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags, str(pulse)]
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="grid.N_T must be at most"):
-            cli.load_experiment(config_path=cfg)
+        code = cli.main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and "the run's largest array would take" in err, err
     assert peak < 2**20
-    assert cli.main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "o"), "p.csv"]) == 2
-    assert "grid.N_T" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
-# the largest ensemble.count within the stated limit on the 30-step grid
-# of write_config
-COUNT_LIMIT = cli.MAX_ENSEMBLE_KETS // 31
+def test_size_rule_edges(tmp_path):
+    # N_T = 128 and 2^20 sets take pulse sets of exactly MAX_ARRAY_BYTES,
+    # which load; one set more is refused.  The stock qubit keeps the edges
+    # of the two limits that the rule replaced: 10 000 steps, and 990 099
+    # sets at N_T = 100
+    edge = cli.MAX_ARRAY_BYTES // (8 * 128)
+    assert cli._array_bytes("", 2, 1, 128, edge) == cli.MAX_ARRAY_BYTES
+    for n_steps, count in ((128, edge), (10_000, 20), (100, 990_099)):
+        cfg = write_config(tmp_path, grid={"T": 10.0, "N_T": n_steps}, ensemble={"count": count, "seed": 7})
+        exp = cli.load_experiment(config_path=cfg)
+        assert (exp.grid.n_steps, exp.count) == (n_steps, count)
+    cfg = write_config(tmp_path, grid={"T": 10.0, "N_T": 128}, ensemble={"count": edge + 1, "seed": 7})
+    with pytest.raises(ValueError, match="ensemble.count: the run's largest array would take"):
+        cli.load_experiment(config_path=cfg)
 
 
-@pytest.mark.parametrize("count", [1e12, COUNT_LIMIT + 1])
-def test_ensemble_size_limit_is_config_error(tmp_path, capsys, count):
-    # an ensemble beyond the stated limit on count (N_T + 1) is refused
-    # before sampling: 1e12 realizations would need 240 TB for each of the
-    # sampler's draws and the pulse sets.  optimize exits before its
-    # optimization runs; the largest count within the limit loads
-    edge = write_config(tmp_path, "edge.json", ensemble={"count": COUNT_LIMIT, "seed": 7})
-    assert cli.load_experiment(config_path=edge).count == COUNT_LIMIT
-    cfg = write_config(tmp_path, ensemble={"count": count, "seed": 7})
+@pytest.mark.parametrize("d, m, n_steps, count", [(2, 1, 400, 200), (6, 1, 100, 300), (2, 2, 100, 4000)])
+def test_size_estimate_tracks_memory(d, m, n_steps, count):
+    # on runs that its weight table, its step-map powers and its pulse sets
+    # dominate in turn, the traced peak of a propagation, one optimizer
+    # iteration and an ensemble lies between the estimate and four times
+    # it (2.2 to 3.0 times here)
+    rng = np.random.default_rng(3)
+    family = HamiltonianFamily(random_hermitian(rng, d), tuple(random_hermitian(rng, d) for _ in range(m)))
+    problem = ControlProblem(
+        rho0=projector(np.eye(d)[0]), rho_targ=projector(np.eye(d)[-1]), h_family=family,
+        grid=TimeGrid(T=5.0, n_steps=n_steps), kernel=CorrelationKernel.gaussian(0.01, 2.0, n_controls=m),
+    )
+    pulses = 0.3 * rng.standard_normal((m, n_steps))
+    config = KrotovConfig(lambdas=np.full(m, 5.0), shapes=np.ones((m, n_steps)), j_tol=None, i_max=1)
+    estimate = cli._array_bytes("", d, m, n_steps, count)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="ensemble.count must be at most"):
-            cli.load_experiment(config_path=cfg)
+        ddme_propagate(problem, pulses)
+        ddme_krotov(problem, pulses, config)
+        ensemble_average(problem, pulses, count, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
-    pulse = write_pulse_lines(tmp_path, "pulse.csv")
-    for argv in (["optimize"], ["ensemble", str(pulse)]):
-        assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2, argv
-        assert "ensemble.count" in capsys.readouterr().err, argv
-        assert not (tmp_path / "o").exists(), argv
+    assert estimate <= peak <= 4 * estimate
 
 
 @pytest.mark.parametrize(
@@ -890,7 +936,8 @@ def test_generated_config_loads_or_is_config_error(tmp_path_factory, path, value
     except ValueError as exc:
         assert str(exc)
     else:
-        assert exp.grid.n_steps <= cli.MAX_STEPS
+        sizes = exp.h_family.dim, exp.problem.n_controls, exp.grid.n_steps, exp.count
+        assert cli._array_bytes("", *sizes) <= cli.MAX_ARRAY_BYTES
 
 
 SMALL_NUMBERS = st.integers(-2, 12) | st.floats(-3.0, 3.0, allow_nan=False)

@@ -42,3 +42,10 @@ def test_readme_config_example_names_every_schema_field():
         for field in (value if isinstance(value, dict) else [None])
     ]
     assert sorted(names) == sorted(set(cli.SCHEMA) - {"guess.path"})
+
+
+def test_readme_quotes_the_size_budget():
+    # the README states the size rule's budget as cli.MAX_ARRAY_BYTES holds it
+    power = cli.MAX_ARRAY_BYTES.bit_length() - 1
+    assert cli.MAX_ARRAY_BYTES == 2**power
+    assert f"`cli.MAX_ARRAY_BYTES` = 2^{power} bytes" in " ".join(README.read_text().split())

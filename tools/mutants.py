@@ -137,11 +137,29 @@ MUTATIONS = {
         "best = int(np.argmin(_TAYLOR_DEGREES * substeps))",
         "best = len(substeps) - 1 - int(np.argmin((_TAYLOR_DEGREES * substeps)[::-1]))",
     ),
-    # the ensemble's count limit refuses its own edge
-    "count-limit-refuses-edge": (
+    # the size rule refuses a run whose largest array is exactly its budget
+    "size-rule-refuses-edge": (
         "src/ddcontrol/cli.py",
-        "if count > limit:",
-        "if count >= limit:",
+        "if need > MAX_ARRAY_BYTES:",
+        "if need >= MAX_ARRAY_BYTES:",
+    ),
+    # the pulse gradient's coherent term with its sign flipped
+    "gradient-coherent-sign": (
+        "src/ddcontrol/krotov.py",
+        "grad = 2.0 * (costates[k] @ cache.f_controls) @ states[k]",
+        "grad = -2.0 * (costates[k] @ cache.f_controls) @ states[k]",
+    ),
+    # the pulse gradient's memory term with its sign flipped
+    "gradient-memory-sign": (
+        "src/ddcontrol/krotov.py",
+        "return grad - 2.0 * dt * dt * (f_kappa @ g.ravel())",
+        "return grad + 2.0 * dt * dt * (f_kappa @ g.ravel())",
+    ),
+    # the step generator's memory term with its sign flipped
+    "generator-memory-sign": (
+        "src/ddcontrol/propagation.py",
+        "gen += self.f_steps[first - 1 : last]",
+        "gen = self.f_steps[first - 1 : last] - gen",
     ),
     # update_step writes the step's pulse values before it checks the step
     "update-step-checks-after-write": (
