@@ -13,7 +13,6 @@ never mutates its arguments, which makes all of them safe to share across
 threads.
 """
 
-import bisect
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -184,54 +183,21 @@ def _taylor_plan(index):
 _TAYLOR_PLANS = tuple(_taylor_plan(i) for i in range(len(_TAYLOR_DEGREES)))
 
 
-def _plan_table(top):
-    """Breakpoints and choices of the plan rule for largest 1-norms up to ``top``.
-
-    The rule takes the plan with the fewest products plus squarings
-    ``s_i(x) = max(ceil(log2(x / theta_i)), 0)``, the first plan on a tie.
-    Costs only rise with x, so the choice holds until the cost of the
-    chosen plan i rises, at its step from t to t + 1 squarings.  In exact
-    arithmetic that step is at ``theta_i 2**t``; with the rounded quotient
-    and log2 it is a few floats higher, more for larger t (18 at t = 60),
-    so the breakpoint is found by walking up from ``theta_i 2**t`` one float
-    at a time.  The next choice is the cheapest plan just above it, where
-    the other plans are far from their own steps.  Returns the ascending
-    breakpoints and the (plan, squarings) for the norms up to each of them,
-    with one more choice for the norms above the last.
-    """
-    (i, t), breaks, choices = (0, 0), [], [(_TAYLOR_PLANS[0], 0)]
-    while (step := (theta := _TAYLOR_PLANS[i].theta) * 2.0**t) <= top:
-        while math.ceil(math.log2(math.nextafter(step, math.inf) / theta)) <= t:
-            step = math.nextafter(step, math.inf)
-        breaks.append(step)
-        costs = [plan.products + max(math.ceil(math.log2(step / plan.theta)), 0) for plan in _TAYLOR_PLANS]
-        costs[i] = _TAYLOR_PLANS[i].products + t + 1
-        i = costs.index(min(costs))
-        t = costs[i] - _TAYLOR_PLANS[i].products
-        choices.append((_TAYLOR_PLANS[i], t))
-    return breaks, choices
-
-
-# The plan rule as a lookup, for largest 1-norms up to 2**_PLAN_TOP: the
-# choice for a norm x is the one for the interval (breaks[a-1], breaks[a]]
-# that holds x.  Above 2**(_PLAN_TOP - 1) every plan squares at least once,
-# and halving the norm takes one squaring off each, so above the table the
-# rule continues by exact halving.
-_PLAN_TOP = 64
-_PLAN_TOP_NORM = 2.0**_PLAN_TOP
-_PLAN_BREAKS, _PLAN_CHOICES = _plan_table(_PLAN_TOP_NORM)
-
-
 def _taylor_choice(norm):
     """The plan and number of squarings s for a stack of largest 1-norm
-    ``norm``: the fewest matrix products among the degrees whose bound
-    theta[m] covers norm / 2**s, the first such degree on a tie.  Looked up
-    in breakpoints laid out once; up to 2**64 the choice is the rule's with
-    rounded quotients and log2 at every float, above it the rule continued
-    by exact halving."""
-    extra = math.frexp(norm)[1] - _PLAN_TOP if norm > _PLAN_TOP_NORM else 0
-    plan, squarings = _PLAN_CHOICES[bisect.bisect_left(_PLAN_BREAKS, math.ldexp(norm, -extra))]
-    return plan, squarings + extra
+    ``norm``: the fewest matrix products plus squarings ``s =
+    max(ceil(log2(norm / theta[m])), 0)``, the first degree on a tie.  The
+    degrees cost 0, 1, 2, .. products and need ever fewer squarings, so no
+    degree after the first that needs none can be cheaper."""
+    norm = max(norm, 1e-300)
+    cost = None
+    for plan in _TAYLOR_PLANS:
+        s = max(math.ceil(math.log2(norm / plan.theta)), 0)
+        if cost is None or plan.products + s < cost:
+            cost, best, squarings = plan.products + s, plan, s
+        if s == 0:
+            break
+    return best, squarings
 
 
 def horner_choice(bound):
@@ -250,19 +216,21 @@ def expm(a, scale=1.0):
 
     Keeps the dtype of ``scale * A``: real generators give real maps.
     Evaluates the degree-m Taylor polynomial of scale * A / 2**s in
-    Paterson-Stockmeyer form, then squares s times.  (m, s) minimizes the
-    matrix products among the degrees whose bound theta[m] covers the
-    largest 1-norm in the stack divided by 2**s (:func:`_taylor_choice`,
-    a lookup in breakpoints laid out once).  That 1-norm is also the
-    finiteness check: a generator with non-finite entries has a NaN or inf
-    norm and raises :class:`NumericalError`.  The scale goes in with the
-    power of two, in one product.
+    Paterson-Stockmeyer form, then squares s times.  (m, s) takes the
+    fewest matrix products plus squarings among the degrees whose bound
+    theta[m] covers the largest 1-norm in the stack divided by 2**s
+    (:func:`_taylor_choice`, the rule run over the ten degrees on every
+    call).  That 1-norm is also the finiteness check: a generator with
+    non-finite entries has a NaN or inf norm, and one whose quotient by
+    theta[1] overflows (norms above about 4e292) has no plan; both raise
+    :class:`NumericalError`.  The scale goes in with the power of two, in
+    one product.
     """
     a = np.asarray(a)
     # einsum sums the columns in the order sum(axis=-2) does, and faster
     norm = abs(scale) * float(np.einsum("...ij->...j", np.abs(a)).max())
-    if not norm < math.inf:
-        raise NumericalError("expm: generator has non-finite entries or 1-norm")
+    if not norm / _TAYLOR_PLANS[0].theta < math.inf:
+        raise NumericalError("expm: generator has non-finite entries or a 1-norm beyond scaling")
     plan, squarings = _taylor_choice(norm)
     p, weights, diagonal = plan.powers, plan.weights, plan.diagonal
     r = len(diagonal)

@@ -882,6 +882,22 @@ def test_overflowing_taylor_bound_is_numerical_failure(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_generator_beyond_scaling_is_numerical_failure(tmp_path, capsys):
+    # a two-qubit control of 1e100 and pulse values of 1e195 pass the input
+    # rules, but the step generators' 1-norms, about 1e295, are too large to
+    # scale: exit 4, not an overflow in the Taylor plan
+    cfg = write_config(
+        tmp_path,
+        system={"drift": {"zz": 1.0}, "controls": [{"xi": 1e100}]},
+        states={"initial": [1, 0, 0, 0], "target": [0, 0, 1, 0]},
+        grid={"T": 10.0, "N_T": 20},
+    )
+    pulse = tmp_path / "pulse.csv"
+    cli.write_pulse_file(pulse, TimeGrid(T=10.0, n_steps=20), np.full((1, 20), 1e195))
+    assert cli.main(["propagate", str(pulse), "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "beyond scaling" in capsys.readouterr().err
+
+
 # A stock config with every section on a short grid and a small ensemble,
 # and the dotted path of every section and field that a generated value
 # replaces (guess.path has no default)

@@ -14,13 +14,10 @@ from reference import (
     commutator_super,
     double_commutator_super,
     fidelity_pure_target,
-    taylor_choice_loop,
     unvec,
     vec,
 )
 from ddcontrol.linalg import (
-    _PLAN_BREAKS,
-    _PLAN_TOP,
     _TAYLOR_DEGREES,
     _TAYLOR_THETA,
     NumericalError,
@@ -247,36 +244,23 @@ def test_expm_at_degree_boundaries(rng, index, side):
         assert np.max(err) <= 1e-13
 
 
-def _choice(result):
-    plan, squarings = result
-    return plan.degree, squarings
-
-
-def test_plan_lookup_equals_the_loop():
-    # at every breakpoint and both its neighbouring floats, where the rounded
-    # log2 of the loop decides, and on a dense log grid over the table and
-    # below it
-    assert _PLAN_BREAKS == sorted(set(_PLAN_BREAKS))
-    norms = [0.0, 5e-324, 1e-300, 2.0**_PLAN_TOP]
-    for b in _PLAN_BREAKS:
-        norms += [math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)]
-    norms += np.geomspace(1e-20, 2.0**_PLAN_TOP, 20001).tolist()
+def test_taylor_choice_follows_the_rule():
+    # the rule run over the plans against its array form, at zero and the
+    # smallest norms, at 20 floats either side of every theta[m] 2**t, where
+    # the rounded log2 of norm / theta[m] steps from t to t + 1 squarings,
+    # and on a dense log grid up to where every plan squares hundreds of times
+    norms = [0.0, 5e-324, 1e-300]
+    for theta in _TAYLOR_THETA.tolist():
+        for t in range(65):
+            below = above = theta * 2.0**t
+            norms.append(below)
+            for _ in range(20):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                norms += [below, above]
+    norms += np.geomspace(1e-20, 1e290, 20001).tolist()
     for norm in norms:
-        assert _choice(_taylor_choice(norm)) == _choice(taylor_choice_loop(norm)), norm
-    # the loop's squarings step one float above theta[m] 2**t for small t
-    # but more floats above it for larger t, so not every breakpoint is a
-    # theta[m] 2**t
-    exact = {float(theta) * 2.0**t for theta in _TAYLOR_THETA for t in range(200)}
-    assert not set(_PLAN_BREAKS) <= exact
-
-
-def test_plan_lookup_continues_the_rule_above_the_table():
-    # every plan squares there, so the rule continues by exact halving;
-    # away from the breakpoints it is the loop's choice
-    for norm in np.geomspace(2.0**_PLAN_TOP, 1e290, 2001)[1:].tolist():
-        assert _choice(_taylor_choice(norm)) == _choice(taylor_choice_loop(norm)), norm
         plan, squarings = _taylor_choice(norm)
-        assert _choice(_taylor_choice(2.0 * norm)) == (plan.degree, squarings + 1)
+        assert (plan.degree, squarings) == _reference_taylor_choice(norm), norm
 
 
 def _rotation_generator(theta, axis):
@@ -349,6 +333,12 @@ def test_expm_rejects_non_finite(rng):
         stack[57, 2, 1] = entry
         with pytest.raises(NumericalError):
             expm(stack)
+    # a finite 1-norm over which theta[1] overflows has no plan
+    edge = float(_TAYLOR_THETA[0] * np.finfo(float).max)
+    plan, squarings = _taylor_choice(0.5 * edge)
+    assert (plan.degree, squarings) == _reference_taylor_choice(0.5 * edge)
+    with pytest.raises(NumericalError, match="beyond scaling"):
+        expm(np.eye(4), scale=1.01 * edge)
 
 
 def test_expm_of_hermitian_generator_is_unitary(rng):

@@ -102,8 +102,15 @@ MUTATIONS = {
     # the scaled norm
     "expm-one-squaring-short": (
         "src/ddcontrol/linalg.py",
-        "return plan, squarings + extra",
-        "return plan, max(squarings + extra - 1, 0)",
+        "return best, squarings",
+        "return best, max(squarings - 1, 0)",
+    ),
+    # the expm plan takes the later degree on a tie of products plus
+    # squarings
+    "plan-tie-takes-later-degree": (
+        "src/ddcontrol/linalg.py",
+        "if cost is None or plan.products + s < cost:",
+        "if cost is None or plan.products + s <= cost:",
     ),
     # the magnitude rule refuses its upper edge
     "magnitude-rule-open-above": (
