@@ -163,7 +163,6 @@ class _TaylorPlan(NamedTuple):
 
     theta: float
     products: int
-    degree: int
     powers: int
     weights: np.ndarray
     diagonal: np.ndarray
@@ -177,7 +176,7 @@ def _taylor_plan(index):
     coef[:, :p] = _INV_FACTORIALS[:m].reshape(r, p)
     coef[-1, p] = _INV_FACTORIALS[m]
     weights = np.ascontiguousarray(coef[:, 1:])
-    return _TaylorPlan(float(_TAYLOR_THETA[index]), p - 1 + r - 1, m, p, weights, coef[:, 0].copy())
+    return _TaylorPlan(float(_TAYLOR_THETA[index]), p - 1 + r - 1, p, weights, coef[:, 0].copy())
 
 
 _TAYLOR_PLANS = tuple(_taylor_plan(i) for i in range(len(_TAYLOR_DEGREES)))

@@ -7,7 +7,10 @@ Conventions used throughout the package:
   are stored as real arrays of shape ``(M, n_steps)``, where entry
   ``[m, k-1]`` is the value of pulse ``m`` on step ``k`` (1-based step
   labels follow the time grid, array storage is 0-based);
-* correlation kernels are symmetric, ``C[m, n](t, t') == C[n, m](t', t)``.
+* correlation kernels are symmetric, ``C[m, n](t, t') == C[n, m](t', t)``;
+  a kernel evaluates its own formula on the lags ``t - t'`` of the grid;
+* every range is checked once, where the value enters: the kernel's
+  parameters when it is constructed, the ramps in :func:`update_shape`.
 """
 
 from dataclasses import dataclass, field
@@ -128,20 +131,6 @@ class HamiltonianFamily:
         return len(self.controls)
 
 
-def gaussian_kernel(t, t_prime, c0, t_corr):
-    """Stationary Gaussian correlation c0 * exp(-(t - t')**2 / t_corr**2)."""
-    if t_corr <= 0.0:
-        raise ValueError(
-            f"correlation time must be positive, got {t_corr}; "
-            "use the white-noise kernel for the vanishing-correlation limit"
-        )
-    if c0 < 0.0:
-        raise ValueError(f"variance scale must be nonnegative, got {c0}")
-    t = np.asarray(t, dtype=float)
-    t_prime = np.asarray(t_prime, dtype=float)
-    return c0 * np.exp(-((t - t_prime) ** 2) / t_corr**2)
-
-
 @dataclass(frozen=True)
 class CorrelationKernel:
     """Second-order statistics of the pulse perturbations.
@@ -151,7 +140,10 @@ class CorrelationKernel:
     equal-time variance scale (the white-noise rate alpha for kind
     'white-noise'); ``t_corr`` is read only by kind 'stationary-gaussian'.
     A Gaussian kernel with ``c0 = 0`` stays that kind: it has no memory
-    and samples zero perturbations, as the zero kernel does.  Cross
+    and samples zero perturbations, as the zero kernel does.  The ranges
+    (a known kind, ``c0 >= 0``, a positive ``t_corr`` for a Gaussian) are
+    checked at construction, so the tables evaluate ``c0 * exp(-lag**2 /
+    t_corr**2)`` on their lags without checking again.  Cross
     correlations between different controls vanish.  The propagator cache
     and the sampler read a kernel only through ``n_controls``,
     ``is_zero``, :meth:`weight_table`, :attr:`local_weights` and
@@ -187,6 +179,13 @@ class CorrelationKernel:
     def white_noise(cls, alpha, n_controls=1):
         return cls(kind="white-noise", c0=alpha, n_controls=n_controls)
 
+    def _gaussian(self, t, t_prime):
+        """The stationary Gaussian ``c0 * exp(-(t - t')**2 / t_corr**2)``,
+        broadcast.  The lags form inside, as a temporary that the square and
+        the division overwrite: a lag array passed in would stay alive
+        beside them, one more full-size array in :meth:`covariance`."""
+        return self.c0 * np.exp(-((t - t_prime) ** 2) / self.t_corr**2)
+
     @property
     def is_zero(self):
         return self.kind == "zero" or self.c0 == 0.0
@@ -206,8 +205,8 @@ class CorrelationKernel:
         weights vanish or underflow.
 
         On the uniform grid a stationary kernel depends only on the lag
-        ``t_j - mid_l = (j - l - 1/2) dt``, so the Gaussian kernel is
-        evaluated once on the N past lags of a 2N-lag vector whose other
+        ``t_j - mid_l = (j - l - 1/2) dt``, so the kernel evaluates its
+        Gaussian once on the N past lags of a 2N-lag vector whose other
         half is zero, and every row of the table is a forward-strided window
         of that vector; past entries agree with the kernel evaluated at the
         grid's own nodes and midpoints to within ``1e-14 c0``.
@@ -224,7 +223,7 @@ class CorrelationKernel:
         # starts one entry earlier for each later row
         lags = ((n - 0.5) - np.arange(n)) * grid.dt
         vals = np.zeros(2 * n)
-        vals[:n] = gaussian_kernel(lags, 0.0, self.c0, self.t_corr)
+        vals[:n] = self._gaussian(lags, 0.0)
         if not vals.any():
             return None
         size = vals.itemsize
@@ -262,9 +261,7 @@ class CorrelationKernel:
         m, n = self.n_controls, grid.n_steps
         cov = np.zeros((m * n, m * n))
         if self.kind == "stationary-gaussian":
-            block = gaussian_kernel(
-                grid.midpoints[:, None], grid.midpoints[None, :], self.c0, self.t_corr
-            )
+            block = self._gaussian(grid.midpoints[:, None], grid.midpoints[None, :])
             for i in range(m):
                 cov[i * n : (i + 1) * n, i * n : (i + 1) * n] = block
         elif self.kind == "white-noise":
@@ -272,25 +269,22 @@ class CorrelationKernel:
         return cov
 
 
-def blackman(t, t0, t1):
+def _blackman(t, t0, t1):
     """Blackman window on [t0, t1]; zero at both ends, one in the middle."""
-    if t0 >= t1:
-        raise ValueError(f"window must satisfy t0 < t1, got [{t0}, {t1}]")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < t0) or np.any(t > t1):
-        raise ValueError(f"time {t} outside the window [{t0}, {t1}]")
     x = (t - t0) / (t1 - t0)
     a = BLACKMAN_A
-    out = (1.0 - a) / 2.0 - 0.5 * np.cos(2.0 * np.pi * x) + (a / 2.0) * np.cos(4.0 * np.pi * x)
-    return out if out.ndim else float(out)
+    return (1.0 - a) / 2.0 - 0.5 * np.cos(2.0 * np.pi * x) + (a / 2.0) * np.cos(4.0 * np.pi * x)
 
 
 def update_shape(grid: TimeGrid, t_on, t_off):
     """Pulse-update weight on the midpoint grid.
 
     Rises as half a Blackman window over [0, t_on], stays at 1, and falls
-    over [T - t_off, T]; with t_on = t_off = 0 the shape is identically 1.
-    The end weights pin the pulse boundary values during optimization.
+    over [T - t_off, T]; with t_on = t_off = 0 the shape is identically 1,
+    and a zero ramp on one side leaves that side at 1.  The end weights pin
+    the pulse boundary values during optimization.  The ramps are checked
+    here, nonnegative and together at most T, so every midpoint a ramp
+    selects lies inside its window.
     """
     if t_on < 0.0 or t_off < 0.0:
         raise ValueError("ramp durations must be nonnegative")
@@ -301,11 +295,9 @@ def update_shape(grid: TimeGrid, t_on, t_off):
     t = grid.midpoints
     s = np.ones(grid.n_steps)
     rising = t < t_on
-    if np.any(rising):
-        s[rising] = blackman(t[rising], 0.0, 2.0 * t_on)
+    s[rising] = _blackman(t[rising], 0.0, 2.0 * t_on)
     falling = t > grid.T - t_off
-    if np.any(falling):
-        s[falling] = blackman(t[falling], grid.T - 2.0 * t_off, grid.T)
+    s[falling] = _blackman(t[falling], grid.T - 2.0 * t_off, grid.T)
     return s
 
 

@@ -24,8 +24,19 @@ from ddcontrol.linalg import (
     purity,
     to_coherence,
 )
-from ddcontrol.model import as_pulses, gaussian_kernel
+from ddcontrol.model import as_pulses
 from ddcontrol.propagation import Trajectory, _node_sweep, _trajectory, build_cache
+
+
+def gaussian_correlation(t, t_prime, c0, t_corr):
+    """The stationary Gaussian ``c0 * exp(-(t - t')**2 / t_corr**2)``, elementwise."""
+    return c0 * np.exp(-((t - t_prime) ** 2) / t_corr**2)
+
+
+def blackman_window(t, t0, t1):
+    """The Blackman window on [t0, t1]: 0 at both ends, 1 in the middle."""
+    x = (t - t0) / (t1 - t0)
+    return 0.42 - 0.5 * np.cos(2 * np.pi * x) + 0.08 * np.cos(4 * np.pi * x)
 
 
 def commutator(a, b):
@@ -281,7 +292,8 @@ def reference_weights(kernel, grid):
         return kernel.table(grid.nodes, grid.midpoints)
     table = np.zeros((m, m, n + 1, n))
     if kernel.kind == "stationary-gaussian":
-        block = gaussian_kernel(grid.nodes[:, None], grid.midpoints[None, :], kernel.c0, kernel.t_corr)
+        nodes, mids = grid.nodes[:, None], grid.midpoints[None, :]
+        block = gaussian_correlation(nodes, mids, kernel.c0, kernel.t_corr)
         table[np.arange(m), np.arange(m)] = block
     return table
 

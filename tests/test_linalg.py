@@ -208,6 +208,13 @@ def _reference_taylor_choice(norm):
     return int(_TAYLOR_DEGREES[best]), int(squarings[best])
 
 
+def _chosen(norm):
+    """The degree and squarings of the plan :func:`_taylor_choice` picks: a
+    plan of degree m holds m weights, r blocks of p."""
+    plan, squarings = _taylor_choice(norm)
+    return plan.weights.size, squarings
+
+
 def _reference_horner_choice(bound):
     """The degree and substeps of the ket propagation's Horner evaluation,
     as the rule reads inline: the fewest products m * s, the first degree
@@ -232,8 +239,7 @@ def test_expm_at_degree_boundaries(rng, index, side):
         a *= (target * np.geomspace(1.0, 1e-3, 6) / norms)[:, None, None]
         norm = np.sum(np.abs(a), axis=-2).max()
         assert (norm > _TAYLOR_THETA[index]) == (side > 0)
-        plan, squarings = _taylor_choice(norm)
-        assert (plan.degree, squarings) == _reference_taylor_choice(norm)
+        assert _chosen(norm) == _reference_taylor_choice(norm)
         # the Horner choice changes degree m's substeps at s * theta[m]
         for s in (1, 2, 3):
             assert horner_choice(s * norm) == _reference_horner_choice(s * norm), s
@@ -259,8 +265,7 @@ def test_taylor_choice_follows_the_rule():
                 norms += [below, above]
     norms += np.geomspace(1e-20, 1e290, 20001).tolist()
     for norm in norms:
-        plan, squarings = _taylor_choice(norm)
-        assert (plan.degree, squarings) == _reference_taylor_choice(norm), norm
+        assert _chosen(norm) == _reference_taylor_choice(norm), norm
 
 
 def _rotation_generator(theta, axis):
@@ -314,8 +319,7 @@ def test_closed_form_rotation_rejects_non_finite():
 
 
 def test_expm_of_zero_stack_is_identity():
-    plan, squarings = _taylor_choice(0.0)
-    assert (plan.degree, squarings) == _reference_taylor_choice(0.0) == (1, 0)
+    assert _chosen(0.0) == _reference_taylor_choice(0.0) == (1, 0)
     assert horner_choice(0.0) == _reference_horner_choice(0.0) == (1, 1)
     got = expm(np.zeros((5, 3, 3)))
     assert np.array_equal(got, np.broadcast_to(np.eye(3), (5, 3, 3)))
@@ -335,8 +339,7 @@ def test_expm_rejects_non_finite(rng):
             expm(stack)
     # a finite 1-norm over which theta[1] overflows has no plan
     edge = float(_TAYLOR_THETA[0] * np.finfo(float).max)
-    plan, squarings = _taylor_choice(0.5 * edge)
-    assert (plan.degree, squarings) == _reference_taylor_choice(0.5 * edge)
+    assert _chosen(0.5 * edge) == _reference_taylor_choice(0.5 * edge)
     with pytest.raises(NumericalError, match="beyond scaling"):
         expm(np.eye(4), scale=1.01 * edge)
 

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from reference import TabulatedKernel, hamiltonian_at, hamiltonian_stack
+from reference import (
+    TabulatedKernel,
+    blackman_window,
+    gaussian_correlation,
+    hamiltonian_at,
+    hamiltonian_stack,
+)
 from ddcontrol.linalg import NumericalError, SIGMA_X, SIGMA_Y, SIGMA_Z, from_coherence
 from ddcontrol.model import (
     CorrelationKernel,
     HamiltonianFamily,
     TimeGrid,
     as_pulses,
-    blackman,
-    gaussian_kernel,
     sample_perturbations,
     update_shape,
 )
@@ -71,29 +75,33 @@ def test_hamiltonian_family_stack():
 
 
 def test_gaussian_kernel_values():
-    assert gaussian_kernel(3.0, 3.0, 0.01, 100.0) == pytest.approx(0.01, abs=1e-18)
-    assert gaussian_kernel(0.0, 2.0, 0.5, 2.0) == pytest.approx(0.5 / np.e, rel=1e-14)
-    assert gaussian_kernel(1.0, 9.0, 0.0, 3.0) == 0.0
-    assert gaussian_kernel(1.0, 4.0, 0.2, 5.0) == gaussian_kernel(4.0, 1.0, 0.2, 5.0)
-    with pytest.raises(ValueError):
-        gaussian_kernel(0.0, 1.0, 0.01, 0.0)
-    with pytest.raises(ValueError):
-        gaussian_kernel(0.0, 1.0, -0.1, 1.0)
+    # the kernel's tables at known lags: c0 at lag 0, c0 / e at lag t_corr,
+    # c0 exp(-1/4) at lag t_corr / 2 and c0 exp(-9/4) at lag 3 t_corr / 2
+    grid = TimeGrid(T=4.0, n_steps=2)
+    cov = CorrelationKernel.gaussian(0.5, 2.0).covariance(grid)
+    assert np.array_equal(np.diag(cov), [0.5, 0.5])
+    assert cov[0, 1] == cov[1, 0] == pytest.approx(0.5 / np.e, rel=1e-14)
+    table = CorrelationKernel.gaussian(0.5, 2.0).weight_table(grid)[0, :, 0]
+    assert table[1, 0] == table[2, 1] == pytest.approx(0.5 * np.exp(-0.25), rel=1e-14)
+    assert table[2, 0] == pytest.approx(0.5 * np.exp(-2.25), rel=1e-14)
+    assert not np.any(CorrelationKernel.gaussian(0.0, 3.0).covariance(grid))
 
 
 def test_blackman_window_values():
-    assert blackman(0.0, 0.0, 4.0) == pytest.approx(0.0, abs=1e-15)
-    assert blackman(2.0, 0.0, 4.0) == pytest.approx(1.0, abs=1e-15)
-    assert blackman(4.0, 0.0, 4.0) == pytest.approx(0.0, abs=1e-15)
-    # direct formula evaluation as oracle
-    t, t0, t1 = 1.95, 0.0, 4.0
-    x = (t - t0) / (t1 - t0)
-    ref = 0.42 - 0.5 * np.cos(2 * np.pi * x) + 0.08 * np.cos(4 * np.pi * x)
-    assert blackman(t, t0, t1) == pytest.approx(ref, rel=1e-15)
-    with pytest.raises(ValueError):
-        blackman(4.5, 0.0, 4.0)
-    with pytest.raises(ValueError):
-        blackman(1.0, 2.0, 2.0)
+    # each ramp is half a Blackman window over twice its duration, against
+    # the window's formula, with a zero ramp on either side and a ramp
+    # over all of [0, T]; the rest of the shape is exactly 1
+    grid = TimeGrid(T=10.0, n_steps=100)
+    t = grid.midpoints
+    for t_on, t_off in ((2.0, 2.0), (2.0, 0.0), (0.0, 2.0), (10.0, 0.0), (0.0, 10.0)):
+        s = update_shape(grid, t_on, t_off)
+        rising, falling = t < t_on, t > grid.T - t_off
+        want = np.ones(grid.n_steps)
+        want[rising] = blackman_window(t[rising], 0.0, 2.0 * t_on)
+        want[falling] = blackman_window(t[falling], grid.T - 2.0 * t_off, grid.T)
+        assert np.max(np.abs(s - want)) <= 1e-15, (t_on, t_off)
+        assert np.all(s[~(rising | falling)] == 1.0)
+        assert np.all(s[rising] < 1.0) and np.all(s[falling] < 1.0)
 
 
 def test_update_shape_degenerate_ramps_is_one():
@@ -119,9 +127,9 @@ def test_update_shape_profile():
 def test_update_shape_endpoint_bound():
     grid = TimeGrid(T=10.0, n_steps=100)
     s = update_shape(grid, 2.0, 2.0)
-    bound = blackman(grid.dt / 2.0, 0.0, 4.0)
+    bound = blackman_window(grid.dt / 2.0, 0.0, 4.0)
     assert s[0] <= bound + 1e-15
-    assert s[-1] <= blackman(10.0 - grid.dt / 2.0, 6.0, 10.0) + 1e-15
+    assert s[-1] <= blackman_window(10.0 - grid.dt / 2.0, 6.0, 10.0) + 1e-15
 
 
 def test_update_shape_rejects_overlapping_ramps():
@@ -181,7 +189,7 @@ def test_gaussian_weight_table_matches_elementwise_kernel(n):
         for ratio in (0.05, 0.2, 1.0, 5.0, 1e3):
             c0 = 0.037
             kern = CorrelationKernel.gaussian(c0, ratio * big_t, n_controls=2)
-            want = gaussian_kernel(grid.nodes[:, None], grid.midpoints[None, :], c0, kern.t_corr)
+            want = gaussian_correlation(grid.nodes[:, None], grid.midpoints[None, :], c0, kern.t_corr)
             table = kern.weight_table(grid)
             assert table.shape == (2, n + 1, 2, n)
             for i in range(2):
@@ -266,10 +274,26 @@ def test_sampler_covariance_matches_kernel():
     kern = CorrelationKernel.gaussian(c0, t_corr)
     draws = sample_perturbations(kern, grid, 100_000, seed=3)[:, 0, :]
     emp = draws.T @ draws / draws.shape[0]
-    ref = gaussian_kernel(grid.midpoints[:, None], grid.midpoints[None, :], c0, t_corr)
+    ref = gaussian_correlation(grid.midpoints[:, None], grid.midpoints[None, :], c0, t_corr)
     diag = np.diag(emp) / np.diag(ref)
     assert np.max(np.abs(diag - 1.0)) <= 0.05
     assert np.max(np.abs(emp - ref)) <= 0.05 * c0
+
+
+def test_sampler_jitter_sets_the_null_space_floor():
+    # the stock kernel's covariance is numerically near rank 5: along its
+    # eigenvectors with eigenvalues below 1e-12 c0 the sets carry only the
+    # Cholesky jitter, 1e-12 c0 on the diagonal, so their RMS there is
+    # sqrt(1e-12 c0) = 1e-7 (a jitter of 1e-6 c0 would give 1e-4)
+    grid = TimeGrid(T=10.0, n_steps=100)
+    c0 = 0.01
+    kern = CorrelationKernel.gaussian(c0, 100.0)
+    w, v = np.linalg.eigh(kern.covariance(grid))
+    null = v[:, w < 1e-12 * c0]
+    assert null.shape[1] >= 90
+    draws = sample_perturbations(kern, grid, 400, seed=5)[:, 0, :]
+    rms = np.sqrt(np.mean((draws @ null) ** 2))
+    assert 0.5 <= rms / np.sqrt(1e-12 * c0) <= 2.0
 
 
 def test_sampler_rejects_indefinite_covariance():

@@ -15,6 +15,7 @@ from reference import (
     ddme_backward_step,
     ddme_step,
     fidelity_pure_target,
+    gaussian_correlation,
     htilde_row,
     node_sweep_loop,
     relative_propagator,
@@ -41,7 +42,6 @@ from ddcontrol.model import (
     CorrelationKernel,
     HamiltonianFamily,
     TimeGrid,
-    gaussian_kernel,
     sample_perturbations,
 )
 from ddcontrol.krotov import ControlProblem
@@ -145,7 +145,7 @@ def test_eta_commuting_closed_form():
     cache = build_cache(fam, grid, np.zeros((1, 10)), kern)
     for j in (0, 1, 4, 10):
         acc = grid.dt * sum(
-            gaussian_kernel(grid.nodes[j], grid.midpoints[l], c0, t_corr) for l in range(j)
+            gaussian_correlation(grid.nodes[j], grid.midpoints[l], c0, t_corr) for l in range(j)
         )
         assert np.allclose(from_coherence(cache.eta[0, j]), acc * SIGMA_X, atol=1e-13)
 
@@ -454,7 +454,7 @@ def test_ddme_step_error_is_second_order():
     T = 1.0
     c0, t_corr = 0.4, 0.35
     pulse_fn = lambda t: 0.8 * np.sin(2 * np.pi * t / T)
-    kern_fn = lambda t, tp: gaussian_kernel(t, tp, c0, t_corr)
+    kern_fn = lambda t, tp: gaussian_correlation(t, tp, c0, t_corr)
     rho = projector("+")
     diffs = {}
     for n, k in ((10, 5), (20, 9)):  # both steps start at t = 0.4

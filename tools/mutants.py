@@ -186,6 +186,32 @@ MUTATIONS = {
             raise ValueError(f"step {k} outside 1..{self.n_steps}")
 """,
     ),
+    # the Gaussian weights read at whole-step lags (j - l - 1) dt, not at
+    # the midpoints' (j - l - 1/2) dt
+    "weight-lag-whole-step": (
+        "src/ddcontrol/model.py",
+        "lags = ((n - 0.5) - np.arange(n)) * grid.dt",
+        "lags = ((n - 1.0) - np.arange(n)) * grid.dt",
+    ),
+    # the falling ramp evaluated on a window of half its width
+    "ramp-falls-over-half-window": (
+        "src/ddcontrol/model.py",
+        "grid.T - 2.0 * t_off",
+        "grid.T - t_off",
+    ),
+    # the white-noise covariance without the 1 / dt of a delta on the grid
+    "white-noise-covariance-rate": (
+        "src/ddcontrol/model.py",
+        "np.fill_diagonal(cov, self.c0 / grid.dt)",
+        "np.fill_diagonal(cov, self.c0)",
+    ),
+    # a Cholesky jitter a million times larger, which shows only along the
+    # covariance's numerical null space
+    "sampler-jitter-larger": (
+        "src/ddcontrol/model.py",
+        "jitter = 1e-12 *",
+        "jitter = 1e-6 *",
+    ),
 }
 
 # it checks the anchors of the unmutated source, so it would kill every mutant
